@@ -30,7 +30,7 @@ from .direction import (
     solve_sigma_approx,
 )
 from .linesearch import LineSearchError, StepResult, armijo_step
-from .objective import MultiObjective, as_point
+from .objective import MultiObjective, NonFiniteError, as_point
 from .oracle import (
     GridSpec,
     ViolationReport,
@@ -63,6 +63,7 @@ __all__ = [
     "IterationRecord",
     "LineSearchError",
     "MultiObjective",
+    "NonFiniteError",
     "ProblemDescriptor",
     "RunReport",
     "SolverConfig",

@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -66,6 +66,15 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
+# One closure per operator rather than a generic op(l(x), r(x)): evaluation
+# of these trees is the hot path of every inline problem.
+_BINARY = {
+    "+": lambda l, r: lambda x: l(x) + r(x),
+    "-": lambda l, r: lambda x: l(x) - r(x),
+    "*": lambda l, r: lambda x: l(x) * r(x),
+    "/": lambda l, r: lambda x: l(x) / r(x),
+}
+
 
 class _ExprParser:
     def __init__(self, text: str):
@@ -99,33 +108,20 @@ class _ExprParser:
             raise ConfigError(f"column {col + 1}: unexpected token {val!r}")
         return fn
 
-    def _expr(self):
-        fn = self._term()
+    def _left_assoc(self, ops: str, operand):
+        fn = operand()
         while True:
             kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._take()
-                rhs = self._term()
-                lhs = fn
-                fn = (lambda l, r: lambda x: l(x) + r(x))(lhs, rhs) if val == "+" else (
-                    lambda l, r: lambda x: l(x) - r(x)
-                )(lhs, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return fn
+            self._take()
+            fn = _BINARY[val](fn, operand())
+
+    def _expr(self):
+        return self._left_assoc("+-", self._term)
 
     def _term(self):
-        fn = self._unary()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "*/":
-                self._take()
-                rhs = self._unary()
-                lhs = fn
-                fn = (lambda l, r: lambda x: l(x) * r(x))(lhs, rhs) if val == "*" else (
-                    lambda l, r: lambda x: l(x) / r(x)
-                )(lhs, rhs)
-            else:
-                return fn
+        return self._left_assoc("*/", self._unary)
 
     def _unary(self):
         kind, val, _ = self._peek()
@@ -168,8 +164,6 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     """Compile one criterion expression; returns (callable, max variable index)."""
     parser = _ExprParser(text)
     fn = parser.parse()
-    if parser.max_var == 0 and not parser.tokens:
-        raise ConfigError("empty expression")
     return fn, parser.max_var
 
 
@@ -227,25 +221,26 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _parse_vector(text: str, what: str) -> np.ndarray:
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+
+
+def _parse(text: str, what: str, conv: Callable[[str], object]):
     try:
-        return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+        return conv(text)
     except ValueError:
         raise ConfigError(f"could not parse {what} from {text!r}") from None
 
 
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"could not parse {what} from {text!r}") from None
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"could not parse {what} from {text!r}") from None
+# command-line flags that override a config key
+_FLAG_KEYS = (
+    ("x0", "x0"),
+    ("beta", "beta"),
+    ("sigma", "sigma"),
+    ("eps", "eps_critical"),
+    ("max_iter", "max_iter"),
+    ("out", "output"),
+)
 
 
 @dataclass
@@ -266,18 +261,10 @@ def _resolve_settings(args) -> RunSettings:
         if any(_F_KEY_RE.match(k) for k in entries):
             raise ConfigError("--problem conflicts with inline criteria in the config file")
         entries["problem"] = args.problem
-    if args.x0 is not None:
-        entries["x0"] = args.x0
-    if args.beta is not None:
-        entries["beta"] = str(args.beta)
-    if args.sigma is not None:
-        entries["sigma"] = str(args.sigma)
-    if args.eps is not None:
-        entries["eps_critical"] = str(args.eps)
-    if args.max_iter is not None:
-        entries["max_iter"] = str(args.max_iter)
-    if args.out is not None:
-        entries["output"] = args.out
+    for flag, key in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is not None:
+            entries[key] = str(value)
 
     f_keys = sorted(
         (k for k in entries if _F_KEY_RE.match(k)),
@@ -285,7 +272,7 @@ def _resolve_settings(args) -> RunSettings:
     )
     descriptor = None
     if f_keys:
-        n = _parse_int(entries["n"], "n") if "n" in entries else None
+        n = _parse(entries["n"], "n", int) if "n" in entries else None
         problem = build_inline_problem([entries[k] for k in f_keys], n)
         name = "inline"
     elif "problem" in entries:
@@ -299,7 +286,7 @@ def _resolve_settings(args) -> RunSettings:
         raise ConfigError("no problem given: use --problem, or a config with a problem or f1..fm")
 
     if "x0" in entries:
-        x0 = _parse_vector(entries["x0"], "x0")
+        x0 = _parse(entries["x0"], "x0", _vector)
     elif descriptor is not None:
         x0 = descriptor.recommended_x0
     else:
@@ -309,10 +296,10 @@ def _resolve_settings(args) -> RunSettings:
 
     try:
         cfg = SolverConfig(
-            beta=_parse_float(entries.get("beta", "0.5"), "beta"),
-            sigma=_parse_float(entries.get("sigma", "0"), "sigma"),
-            eps_critical=_parse_float(entries.get("eps_critical", "1e-8"), "eps_critical"),
-            max_iter=_parse_int(entries.get("max_iter", "10000"), "max_iter"),
+            beta=_parse(entries.get("beta", "0.5"), "beta", float),
+            sigma=_parse(entries.get("sigma", "0"), "sigma", float),
+            eps_critical=_parse(entries.get("eps_critical", "1e-8"), "eps_critical", float),
+            max_iter=_parse(entries.get("max_iter", "10000"), "max_iter", int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -383,13 +370,7 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     """Reload a solve's outputs: (report rebuilt from CSV + JSON, report JSON)."""
     records = read_trajectory_csv(f"{prefix}.trajectory.csv")
     doc = json.loads(Path(f"{prefix}.report.json").read_text())
-    report = RunReport(
-        records=tuple(records),
-        termination=doc["termination"],
-        final_x=records[-1].x,
-        final_alpha=doc["final_alpha"],
-    )
-    return report, doc
+    return RunReport(records=tuple(records), termination=doc["termination"]), doc
 
 
 def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
@@ -451,13 +432,7 @@ def cmd_sweep(args) -> int:
     rows = []
     worst = EXIT_OK
     for s in sigmas:
-        cfg = SolverConfig(
-            beta=settings.cfg.beta,
-            sigma=s,
-            eps_critical=settings.cfg.eps_critical,
-            max_iter=settings.cfg.max_iter,
-        )
-        report = run(settings.problem, settings.x0, cfg)
+        report = run(settings.problem, settings.x0, replace(settings.cfg, sigma=s))
         rows.append(
             (s, report.iterations, report.total_inner_iterations,
              report.final_alpha, report.termination)
@@ -571,7 +546,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps", type=float, help="criticality tolerance on |alpha|")
     sub.add_argument("--max-iter", type=int, dest="max_iter", help="outer iteration cap")
     sub.add_argument("--out", help="output path prefix")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampling checks")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -592,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="validate a builtin problem's declared structure")
     p_verify.add_argument("--problem", required=True)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampling checks")
     p_verify.add_argument("--out", help="output path prefix for the JSON report")
     p_verify.set_defaults(func=cmd_verify)
     return parser

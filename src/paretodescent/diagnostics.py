@@ -76,6 +76,16 @@ def phi(y) -> float:
     return float(np.max(y))
 
 
+def _worst(pairs) -> tuple[float, int | None]:
+    """Largest violation over (violation, index) pairs and the first index
+    attaining it; a NaN violation never wins, and no pairs give (-inf, None)."""
+    worst, worst_k = -math.inf, None
+    for viol, k in pairs:
+        if viol > worst:
+            worst, worst_k = viol, k
+    return worst, worst_k
+
+
 def _outcome(name: str, worst: float, index: int | None, note: str = "") -> CheckOutcome:
     status = STATUS_PASS if worst <= 0.0 and math.isfinite(worst) else STATUS_FAIL
     return CheckOutcome(name, status, worst, index, note)
@@ -86,12 +96,7 @@ def check_monotone(report: RunReport) -> CheckOutcome:
     recs = report.records
     if len(recs) < 2:
         return CheckOutcome("monotone", STATUS_PASS, 0.0, None, "vacuous: fewer than two records")
-    worst = -math.inf
-    worst_k = None
-    for a, b in zip(recs, recs[1:]):
-        viol = float(np.max(b.Fx - a.Fx))
-        if viol > worst:
-            worst, worst_k = viol, a.k
+    worst, worst_k = _worst((float(np.max(b.Fx - a.Fx)), a.k) for a, b in zip(recs, recs[1:]))
     return _outcome("monotone", worst, worst_k)
 
 
@@ -99,12 +104,7 @@ def check_level_set(report: RunReport) -> CheckOutcome:
     """Every iterate stays in the initial level set: F(x^k) <= F(x^0)."""
     recs = report.records
     F0 = recs[0].Fx
-    worst = -math.inf
-    worst_k = None
-    for r in recs:
-        viol = float(np.max(r.Fx - F0))
-        if viol > worst:
-            worst, worst_k = viol, r.k
+    worst, worst_k = _worst((float(np.max(r.Fx - F0)), r.k) for r in recs)
     return _outcome("level_set", worst, worst_k)
 
 
@@ -159,12 +159,7 @@ def check_quasi_fejer(
         if problem is None:
             raise ValueError("an explicit reference requires the problem to evaluate F(x_tilde)")
         F_tilde = problem.evaluate(x_tilde)
-    worst_mem = -math.inf
-    worst_mem_k = None
-    for r in recs:
-        viol = float(np.max(F_tilde - r.Fx)) - slack
-        if viol > worst_mem:
-            worst_mem, worst_mem_k = viol, r.k
+    worst_mem, worst_mem_k = _worst((float(np.max(F_tilde - r.Fx)) - slack, r.k) for r in recs)
     if worst_mem > 0.0:
         return CheckOutcome(
             "quasi_fejer",
@@ -175,16 +170,16 @@ def check_quasi_fejer(
         )
     if len(recs) < 2:
         return CheckOutcome("quasi_fejer", STATUS_PASS, 0.0, None, "vacuous: no steps")
-    worst = -math.inf
-    worst_k = None
-    for a, b in zip(recs, recs[1:]):
+
+    def excess(a, b) -> float:
         da = a.x - x_tilde
         db = b.x - x_tilde
         sq_a = float(da @ da)
         lhs = float(db @ db)
         rhs = sq_a + a.t * a.t * float(a.v @ a.v) + 1e-10 * (1.0 + sq_a)
-        if lhs - rhs > worst:
-            worst, worst_k = lhs - rhs, a.k
+        return lhs - rhs
+
+    worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
     return _outcome("quasi_fejer", worst, worst_k)
 
 
@@ -205,8 +200,7 @@ def check_proximity(
     non-critical is flagged as a failure outright.
     """
     cfg = cfg if cfg is not None else SubproblemConfig()
-    worst = -math.inf
-    worst_k = None
+    pairs = []
     skipped = 0
     zero_flags = 0
     for r in report.stepped_records:
@@ -219,9 +213,8 @@ def check_proximity(
             continue
         alpha = exact.alpha_upper
         dv = r.v - exact.v
-        viol = float(dv @ dv) - (2.0 * sigma * abs(alpha) + 1e-8)
-        if viol > worst:
-            worst, worst_k = viol, r.k
+        pairs.append((float(dv @ dv) - (2.0 * sigma * abs(alpha) + 1e-8), r.k))
+    worst, worst_k = _worst(pairs)
     note = ""
     if skipped:
         note = f"{skipped} record(s) skipped: subproblem re-solve uncertified"
@@ -232,8 +225,7 @@ def check_proximity(
         return CheckOutcome("proximity", STATUS_FAIL, math.inf, worst_k, note)
     if worst == -math.inf:
         return CheckOutcome("proximity", STATUS_PASS, 0.0, None, note or "vacuous: no steps")
-    out = _outcome("proximity", worst, worst_k, note)
-    return out
+    return _outcome("proximity", worst, worst_k, note)
 
 
 def check_scalarized_decrease(report: RunReport, beta: float, sigma: float) -> CheckOutcome:
@@ -251,62 +243,29 @@ def check_scalarized_decrease(report: RunReport, beta: float, sigma: float) -> C
         return CheckOutcome(
             "scalarized_decrease", STATUS_PASS, 0.0, None, "vacuous: no steps"
         )
-    worst = -math.inf
-    worst_k = None
-    for a, b in zip(recs, recs[1:]):
+
+    def excess(a, b) -> float:
         pa = phi(a.Fx)
         lhs = phi(b.Fx) - pa
         rhs = beta * ((1.0 - sigma) * a.t * a.alpha_upper - 0.5 * a.t * float(a.v @ a.v))
-        viol = lhs - rhs - 1e-10 * (1.0 + abs(pa))
-        if viol > worst:
-            worst, worst_k = viol, a.k
+        return lhs - rhs - 1e-10 * (1.0 + abs(pa))
+
+    worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
     return _outcome("scalarized_decrease", worst, worst_k)
 
 
 @dataclass(frozen=True)
 class DiagnosticsSummary:
-    monotone: CheckOutcome
-    level_set: CheckOutcome
-    summability: CheckOutcome
-    quasi_fejer: CheckOutcome
-    proximity: CheckOutcome
+    """Outcomes of the check battery, in the order the report lists them."""
 
-    @property
-    def monotone_ok(self) -> bool:
-        return self.monotone.ok
-
-    @property
-    def level_set_ok(self) -> bool:
-        return self.level_set.ok
-
-    @property
-    def summability_ok(self) -> bool:
-        return self.summability.ok
-
-    @property
-    def fejer_ok(self) -> bool:
-        return self.quasi_fejer.ok
-
-    @property
-    def proximity_ok(self) -> bool:
-        return self.proximity.ok
+    checks: tuple[CheckOutcome, ...]
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            (self.monotone_ok, self.level_set_ok, self.summability_ok,
-             self.fejer_ok, self.proximity_ok)
-        )
+        return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "monotone": self.monotone.to_dict(),
-            "level_set": self.level_set.to_dict(),
-            "summability": self.summability.to_dict(),
-            "quasi_fejer": self.quasi_fejer.to_dict(),
-            "proximity": self.proximity.to_dict(),
-            "all_ok": self.all_ok,
-        }
+        return {**{c.name: c.to_dict() for c in self.checks}, "all_ok": self.all_ok}
 
 
 def run_diagnostics(
@@ -316,10 +275,10 @@ def run_diagnostics(
     ref: DominatingReference | None = None,
 ) -> DiagnosticsSummary:
     """Run the full check battery on one report."""
-    return DiagnosticsSummary(
-        monotone=check_monotone(report),
-        level_set=check_level_set(report),
-        summability=check_summability(report),
-        quasi_fejer=check_quasi_fejer(report, ref, problem),
-        proximity=check_proximity(report, problem, sigma),
-    )
+    return DiagnosticsSummary((
+        check_monotone(report),
+        check_level_set(report),
+        check_summability(report),
+        check_quasi_fejer(report, ref, problem),
+        check_proximity(report, problem, sigma),
+    ))

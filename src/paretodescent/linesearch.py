@@ -19,7 +19,6 @@ class LineSearchError(RuntimeError):
 class StepResult:
     t: float  # accepted step, exactly 2**-j
     j: int
-    trial_count: int
 
 
 def armijo_step(
@@ -56,7 +55,7 @@ def armijo_step(
         t = 2.0 ** (-j)
         trial = problem.evaluate(x + t * v, require_finite=False)
         if np.all(np.isfinite(trial)) and np.all(trial <= Fx + (beta * t) * Jv):
-            return StepResult(t=t, j=j, trial_count=j + 1)
+            return StepResult(t=t, j=j)
     raise LineSearchError(
         f"Armijo condition not met for any t = 2**-j with j <= {max_j}"
     )

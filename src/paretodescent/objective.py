@@ -7,7 +7,11 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MultiObjective", "as_point"]
+__all__ = ["MultiObjective", "NonFiniteError", "as_point"]
+
+
+class NonFiniteError(ValueError):
+    """An objective value or Jacobian came back with non-finite entries."""
 
 
 def as_point(x, n: int | None = None) -> np.ndarray:
@@ -81,7 +85,7 @@ class MultiObjective:
                 f"objective '{self.name}' returned shape {y.shape}, expected ({self.m},)"
             )
         if require_finite and not np.all(np.isfinite(y)):
-            raise ValueError(
+            raise NonFiniteError(
                 f"objective '{self.name}' returned non-finite values at {x!r}"
             )
         return y
@@ -99,5 +103,5 @@ class MultiObjective:
                 f"jacobian of '{self.name}' has shape {J.shape}, expected ({self.m}, {self.n})"
             )
         if not np.all(np.isfinite(J)):
-            raise ValueError(f"jacobian of '{self.name}' has non-finite entries at {x!r}")
+            raise NonFiniteError(f"jacobian of '{self.name}' has non-finite entries at {x!r}")
         return J

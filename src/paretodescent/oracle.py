@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import MultiObjective, as_point
+from .objective import MultiObjective, NonFiniteError, as_point
 
 __all__ = [
     "GridSpec",
@@ -174,7 +174,7 @@ def finite_diff_jacobian(problem: MultiObjective, x, h: float | None = None) -> 
         e[jcol] = hj
         J[:, jcol] = (problem.evaluate(x + e) - problem.evaluate(x - e)) / (2.0 * hj)
     if not np.all(np.isfinite(J)):
-        raise ValueError(f"non-finite finite-difference Jacobian near {x!r}")
+        raise NonFiniteError(f"non-finite finite-difference Jacobian near {x!r}")
     return J
 
 

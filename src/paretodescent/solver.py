@@ -14,7 +14,7 @@ from .direction import (
     solve_sigma_approx,
 )
 from .linesearch import LineSearchError, armijo_step
-from .objective import MultiObjective, as_point
+from .objective import MultiObjective, NonFiniteError, as_point
 
 __all__ = [
     "SolverConfig",
@@ -27,12 +27,14 @@ __all__ = [
     "TERMINATION_MAX_ITER",
     "TERMINATION_LINESEARCH",
     "TERMINATION_SUBPROBLEM",
+    "TERMINATION_NUMERICAL",
 ]
 
 TERMINATION_CRITICAL = "critical_point"
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_LINESEARCH = "linesearch_failure"
 TERMINATION_SUBPROBLEM = "subproblem_failure"
+TERMINATION_NUMERICAL = "numerical_failure"
 
 
 class SubproblemError(RuntimeError):
@@ -80,8 +82,14 @@ class IterationRecord:
 class RunReport:
     records: tuple[IterationRecord, ...]
     termination: str
-    final_x: np.ndarray
-    final_alpha: float
+
+    @property
+    def final_x(self) -> np.ndarray:
+        return self.records[-1].x
+
+    @property
+    def final_alpha(self) -> float:
+        return self.records[-1].alpha_upper
 
     @property
     def iterations(self) -> int:
@@ -97,18 +105,34 @@ class RunReport:
         return tuple(r for r in self.records if r.t > 0.0)
 
 
-def _terminal_record(k: int, x, Fx, res: DirectionResult) -> IterationRecord:
+def _record(k: int, x, Fx, res: DirectionResult, t: float = 0.0, j: int = -1) -> IterationRecord:
     return IterationRecord(
         k=k,
         x=x,
         Fx=Fx,
         v=res.v,
-        t=0.0,
+        t=t,
         alpha_upper=res.alpha_upper,
         alpha_lower=res.alpha_lower,
-        j=-1,
+        j=j,
         sigma_certified=res.sigma_certified,
         inner_iterations=res.inner_iterations,
+    )
+
+
+def _no_direction(problem: MultiObjective) -> DirectionResult:
+    """Stand-in for the direction at a point whose Jacobian is not finite:
+    zero direction, NaN bounds, nothing certified and no inner iterations."""
+    nan = float("nan")
+    return DirectionResult(
+        v=np.zeros(problem.n),
+        alpha_lower=nan,
+        alpha_upper=nan,
+        weights=np.full(problem.m, nan),
+        sigma_certified=False,
+        critical=False,
+        inner_iterations=0,
+        status=TERMINATION_NUMERICAL,
     )
 
 
@@ -119,7 +143,8 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     inherits the solver's eps_critical so its criticality certificate and
     the outer stop test agree), takes the largest dyadic Armijo step, and
     sets x^{k+1} = x^k + t_k * v^k.  Failures terminate the run with a
-    status in the report; they are never raised.
+    status in the report; they are never raised.  A Jacobian with
+    non-finite entries at x^k ends the run with ``numerical_failure``.
 
     The record list always ends with a terminal record (t = 0) for the last
     visited point, so a run that starts at a critical point has exactly one
@@ -131,52 +156,32 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     sub = replace(cfg.subproblem, eps_critical=cfg.eps_critical)
     records: list[IterationRecord] = []
     k = 0
-    while True:
+    termination = None
+    while termination is None:
         Fx = problem.evaluate(x)
-        J = problem.jacobian(x)
+        try:
+            J = problem.jacobian(x)
+        except NonFiniteError:
+            res, termination = _no_direction(problem), TERMINATION_NUMERICAL
+            break
         res = solve_sigma_approx(J, cfg.sigma, sub)
         if res.critical:
-            records.append(_terminal_record(k, x, Fx, res))
             termination = TERMINATION_CRITICAL
-            break
-        if not res.sigma_certified:
-            records.append(_terminal_record(k, x, Fx, res))
+        elif not res.sigma_certified:
             termination = TERMINATION_SUBPROBLEM
-            break
-        if k >= cfg.max_iter:
-            records.append(_terminal_record(k, x, Fx, res))
+        elif k >= cfg.max_iter:
             termination = TERMINATION_MAX_ITER
-            break
-        Jv = J @ res.v
-        try:
-            st = armijo_step(problem, x, Fx, res.v, Jv, cfg.beta, cfg.max_j)
-        except LineSearchError:
-            records.append(_terminal_record(k, x, Fx, res))
-            termination = TERMINATION_LINESEARCH
-            break
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x,
-                Fx=Fx,
-                v=res.v,
-                t=st.t,
-                alpha_upper=res.alpha_upper,
-                alpha_lower=res.alpha_lower,
-                j=st.j,
-                sigma_certified=res.sigma_certified,
-                inner_iterations=res.inner_iterations,
-            )
-        )
-        x = x + st.t * res.v
-        k += 1
-    final = records[-1]
-    return RunReport(
-        records=tuple(records),
-        termination=termination,
-        final_x=final.x,
-        final_alpha=final.alpha_upper,
-    )
+        else:
+            try:
+                st = armijo_step(problem, x, Fx, res.v, J @ res.v, cfg.beta, cfg.max_j)
+            except LineSearchError:
+                termination = TERMINATION_LINESEARCH
+            else:
+                records.append(_record(k, x, Fx, res, st.t, st.j))
+                x = x + st.t * res.v
+                k += 1
+    records.append(_record(k, x, Fx, res))
+    return RunReport(records=tuple(records), termination=termination)
 
 
 def is_critical(J, cfg: SolverConfig | None = None) -> tuple[bool, float]:

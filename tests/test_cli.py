@@ -138,6 +138,23 @@ class TestSolveCommand:
         assert doc["termination"] == "critical_point"
         assert abs(doc["final_x"][1]) <= 1e-3
 
+    def test_numerical_failure_writes_artifacts_and_exits_three(self, tmp_path):
+        # the square root has no finite central difference at 0
+        cfg = tmp_path / "nf.cfg"
+        cfg.write_text(f"f1 = x1^0.5\nx0 = 0\noutput = {tmp_path / 'nf'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        doc = json.loads((tmp_path / "nf.report.json").read_text())
+        assert doc["termination"] == "numerical_failure"
+        assert doc["iterations"] == 0
+        report, _doc = load_run(tmp_path / "nf")
+        assert report.termination == "numerical_failure"
+        assert np.isnan(report.final_alpha)
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sigmas", "0"]])
+    def test_seed_is_a_verify_only_flag(self, tmp_path, command):
+        argv = [*command, "--problem", "quad_pair", "--seed", "1", "--out", str(tmp_path / "s")]
+        assert main(argv) == 1
+
 
 class TestSweepCommand:
     def test_four_sigmas_all_critical(self, tmp_path):
@@ -194,8 +211,7 @@ class TestRoundTripAndDeterminism:
         path = tmp_path / "t.trajectory.csv"
         write_trajectory_csv(path, rep, 2, 2)
         records = read_trajectory_csv(path)
-        replay = RunReport(records=tuple(records), termination=rep.termination,
-                           final_x=records[-1].x, final_alpha=rep.final_alpha)
+        replay = RunReport(records=tuple(records), termination=rep.termination)
         s_live = run_diagnostics(desc.problem, rep, 0.0).to_dict()
         s_replay = run_diagnostics(desc.problem, replay, 0.0).to_dict()
         assert s_live == s_replay

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretodescent import (
     DominatingReference,
@@ -39,8 +43,7 @@ def synthetic_report(xs, Fs, ts=None, vs=None):
                             alpha_lower=-1.0, j=-1 if last else 0,
                             sigma_certified=True, inner_iterations=0)
         )
-    return RunReport(records=tuple(records), termination="max_iter",
-                     final_x=xs[-1], final_alpha=-1.0)
+    return RunReport(records=tuple(records), termination="max_iter")
 
 
 class TestPhi:
@@ -160,8 +163,7 @@ class TestProximity:
         rec = IterationRecord(k=0, x=np.array([2.0, 2.0]), Fx=np.array([4.0, 2.5]),
                               v=np.zeros(2), t=1.0, alpha_upper=0.0, alpha_lower=0.0,
                               j=0, sigma_certified=True, inner_iterations=0)
-        rep = RunReport(records=(rec,), termination="max_iter",
-                        final_x=rec.x, final_alpha=0.0)
+        rep = RunReport(records=(rec,), termination="max_iter")
         out = check_proximity(rep, desc.problem, 0.0)
         assert out.status == STATUS_FAIL
         assert "zero direction" in out.note
@@ -179,6 +181,33 @@ class TestScalarizedDecrease:
         assert check_scalarized_decrease(rep, 0.5, 0.0).ok
 
 
+# few distinct values, so ties and repeats are common; NaN must never win
+_F_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan])
+_F_SEQUENCES = st.integers(1, 3).flatmap(
+    lambda m: st.lists(st.lists(_F_VALUES, min_size=m, max_size=m), min_size=2, max_size=8)
+)
+
+
+class TestWorstViolation:
+    @settings(derandomize=True, deadline=None)
+    @given(_F_SEQUENCES)
+    def test_first_index_attaining_the_maximum_is_reported(self, Fs):
+        rep = synthetic_report([[0.0]] * len(Fs), Fs)
+        F = np.array(Fs)
+        cases = (
+            (check_monotone(rep), [np.max(b - a) for a, b in zip(F, F[1:])]),
+            (check_level_set(rep), [np.max(row - F[0]) for row in F]),
+        )
+        for out, viols in cases:
+            finite = [v for v in viols if not np.isnan(v)]
+            if not finite:
+                assert out.worst_violation == -math.inf and out.worst_index is None
+                continue
+            top = max(finite)
+            assert out.worst_violation == top
+            assert out.worst_index == next(k for k, v in enumerate(viols) if v == top)
+
+
 class TestSummary:
     def test_full_battery_passes_and_is_pure(self):
         desc = get_problem("quad_pair")
@@ -187,12 +216,5 @@ class TestSummary:
         s2 = run_diagnostics(desc.problem, rep, 0.0)
         assert s1.all_ok
         assert s1.to_dict() == s2.to_dict()
-        assert set(s1.to_dict()) == {"monotone", "level_set", "summability",
-                                     "quasi_fejer", "proximity", "all_ok"}
-
-    def test_boolean_accessors_mirror_outcomes(self):
-        desc = get_problem("quad_pair")
-        s = run_diagnostics(desc.problem, quad_run(), 0.0)
-        assert s.monotone_ok == s.monotone.ok
-        assert s.fejer_ok == s.quasi_fejer.ok
-        assert s.proximity_ok and s.level_set_ok and s.summability_ok
+        assert list(s1.to_dict()) == ["monotone", "level_set", "summability",
+                                      "quasi_fejer", "proximity", "all_ok"]

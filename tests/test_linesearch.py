@@ -24,7 +24,7 @@ def take_step(problem, x, v, beta, max_j=60):
 class TestExamples:
     def test_full_step_on_quadratic(self):
         st = take_step(HALF_SQUARE, [1.0], [-1.0], 0.5)
-        assert st.t == 1.0 and st.j == 0 and st.trial_count == 1
+        assert st.t == 1.0 and st.j == 0
 
     def test_full_step_on_linear_objective(self):
         st = take_step(LINEAR, [0.0], [-1.0], 0.5)
@@ -33,7 +33,7 @@ class TestExamples:
     def test_overshooting_direction_backtracks_to_sixteenth(self):
         # j = 0..3 all fail (at j=3: 0.1953 > 0.1625); j = 4 passes
         st = take_step(HALF_SQUARE, [1.0], [-3.0], 0.9)
-        assert st.j == 4 and st.t == 0.0625 and st.trial_count == 5
+        assert st.j == 4 and st.t == 0.0625
 
 
 class TestContract:

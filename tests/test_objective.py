@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from paretodescent import MultiObjective, finite_diff_jacobian, get_problem, make_quad_pair
+from paretodescent import (
+    MultiObjective,
+    NonFiniteError,
+    finite_diff_jacobian,
+    get_problem,
+    make_quad_pair,
+)
 
 
 def cubic_pair():
@@ -41,6 +47,18 @@ class TestEvaluate:
 
 
 class TestJacobian:
+    def test_nonfinite_values_raise_nonfinite_error(self):
+        root = MultiObjective(n=1, m=1, f=lambda x: np.array([x[0] ** 0.5]),
+                              jac=lambda x: np.array([[np.inf]]))
+        with pytest.raises(NonFiniteError):
+            root.evaluate([-1.0])
+        with pytest.raises(NonFiniteError):
+            root.jacobian([0.0])
+        # finite values whose central difference overflows
+        step = MultiObjective(n=1, m=1, f=lambda x: np.array([np.sign(x[0]) * 1e308]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            step.jacobian([0.0])
+
     def test_cubic_pair_rows(self):
         np.testing.assert_allclose(cubic_pair().jacobian([2.0]), [[1.0], [-4.0]], rtol=0, atol=0)
 

@@ -15,6 +15,7 @@ from paretodescent.solver import (
     TERMINATION_CRITICAL,
     TERMINATION_LINESEARCH,
     TERMINATION_MAX_ITER,
+    TERMINATION_NUMERICAL,
     TERMINATION_SUBPROBLEM,
 )
 
@@ -124,6 +125,26 @@ class TestRunContract:
                                jac=lambda x: np.array([[-x[0]]]))
         rep = run(lying, [1.0], SolverConfig(max_j=20))
         assert rep.termination == TERMINATION_LINESEARCH
+
+    def test_nonfinite_jacobian_is_reported_not_raised(self):
+        # the first step lands at x = 0, where the Jacobian is infinite
+        p = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
+                           jac=lambda x: np.array([[x[0] if x[0] > 1.5 else np.inf]]))
+        rep = run(p, [2.0])
+        assert rep.termination == TERMINATION_NUMERICAL
+        assert rep.iterations == 1
+        first, last = rep.records
+        assert last.k == 1 and np.array_equal(last.x, first.x + first.t * first.v)
+        assert np.array_equal(last.Fx, p.evaluate(last.x))
+        assert np.array_equal(last.v, [0.0]) and last.t == 0.0 and last.j == -1
+        assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
+        assert not last.sigma_certified and last.inner_iterations == 0
+
+    def test_jacobian_shape_errors_still_raise(self):
+        p = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
+                           jac=lambda x: np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            run(p, [2.0])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
