@@ -7,7 +7,9 @@ cap reached, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -57,8 +59,10 @@ def _fmt(value: float) -> str:
 # inline expression problems
 #
 # Grammar: + - * / ^ (right associative), unary minus, parentheses, numeric
-# literals, variables x1..xn.  Compiled to nested closures; derivatives come
-# from the finite-difference fallback of the objective module.
+# literals, variables x1..xn.  Each token is respelled as Python (xK as
+# x[K-1], ^ as **, integer literals as floats) so that Python's parser
+# applies the same precedence; the checked tree compiles to one lambda.
+# Derivatives come from the finite-difference fallback of the objective module.
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -66,105 +70,61 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-# One closure per operator rather than a generic op(l(x), r(x)): evaluation
-# of these trees is the hot path of every inline problem.
-_BINARY = {
-    "+": lambda l, r: lambda x: l(x) + r(x),
-    "-": lambda l, r: lambda x: l(x) - r(x),
-    "*": lambda l, r: lambda x: l(x) * r(x),
-    "/": lambda l, r: lambda x: l(x) / r(x),
-}
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip() == "":
-                    break
-                raise ConfigError(f"column {pos + 1}: unexpected character {text[pos]!r}")
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-        self.max_var = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def _take(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def parse(self) -> Callable[[np.ndarray], float]:
-        fn = self._expr()
-        kind, val, col = self._peek()
-        if kind is not None:
-            raise ConfigError(f"column {col + 1}: unexpected token {val!r}")
-        return fn
-
-    def _left_assoc(self, ops: str, operand):
-        fn = operand()
-        while True:
-            kind, val, _ = self._peek()
-            if kind != "op" or val not in ops:
-                return fn
-            self._take()
-            fn = _BINARY[val](fn, operand())
-
-    def _expr(self):
-        return self._left_assoc("+-", self._term)
-
-    def _term(self):
-        return self._left_assoc("*/", self._unary)
-
-    def _unary(self):
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "-":
-            self._take()
-            inner = self._unary()
-            return lambda x: -inner(x)
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "^":
-            self._take()
-            exp = self._unary()  # right associative, binds tighter than unary on the left
-            return lambda x: base(x) ** exp(x)
-        return base
-
-    def _atom(self):
-        kind, val, col = self._take()
-        if kind == "num":
-            c = float(val)
-            return lambda x: c
-        if kind == "var":
-            idx = int(val[1:])
-            if idx < 1:
-                raise ConfigError(f"column {col + 1}: variable indices start at x1")
-            self.max_var = max(self.max_var, idx)
-            return lambda x: x[idx - 1]
-        if kind == "op" and val == "(":
-            fn = self._expr()
-            kind, val, col = self._take()
-            if val != ")":
-                raise ConfigError(f"column {col + 1}: expected ')'")
-            return fn
-        raise ConfigError(f"column {col + 1}: expected a number, variable, or '('")
+# The only expression nodes (or, for BinOp/UnaryOp, operators) the grammar
+# produces; a call, a tuple or unary plus is a syntax error of the criterion.
+_GRAMMAR_NODES = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.Constant, ast.Name, ast.Subscript,
+)
+_PREFIX = "lambda x: "
 
 
 def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     """Compile one criterion expression; returns (callable, max variable index)."""
-    parser = _ExprParser(text)
-    fn = parser.parse()
-    return fn, parser.max_var
+    parts: list[str] = []  # the tokens spelled as Python
+    where = [0] * len(_PREFIX)  # column in text of each character of the Python source
+    pos = max_var = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            if text[pos:].strip() == "":
+                break
+            raise ConfigError(f"column {pos + 1}: unexpected character {text[pos]!r}")
+        kind = m.lastgroup
+        tok, col = m.group(kind), m.start(kind)
+        if kind == "var":
+            idx = int(tok[1:])
+            if idx < 1:
+                raise ConfigError(f"column {col + 1}: variable indices start at x1")
+            max_var = max(max_var, idx)
+            tok = f"x[{idx - 1}]"
+        elif kind == "num":
+            if not tok.isascii():  # float() reads any Unicode digit, Python source only ASCII
+                tok = "".join(c if c in ".eE+-" else str(int(c)) for c in tok)
+            if tok.isdigit():  # an int literal would make 3^40 exact and 10^400 not overflow
+                tok += ".0"
+        elif tok == "^":
+            tok = "**"
+        parts.append(tok)
+        where += [col] * (len(tok) + 1)
+        pos = m.end()
+    where.append(len(text))
+    # single spaces keep "x1 * * 2" an error instead of a power
+    source = _PREFIX + " ".join(parts)
+    try:
+        tree = ast.parse(source, mode="eval")
+        for node in ast.walk(tree.body.body):  # iterative: deep trees do not recurse here
+            checked = getattr(node, "op", node)
+            if isinstance(node, ast.expr) and not isinstance(checked, _GRAMMAR_NODES):
+                raise SyntaxError("unexpected expression", ("", 1, node.col_offset + 1, source))
+        # compiling the tree would re-validate it recursively and fail near
+        # 1000 terms; the same source compiles past 2000
+        code = compile(source, "<criterion>", "eval")
+    except SyntaxError as exc:  # offset is 1-based; 0 or None stands for the end of text
+        msg = exc.msg.partition(". ")[0]  # drop hints such as "Perhaps you forgot a comma?"
+        raise ConfigError(f"column {where[(exc.offset or 0) - 1] + 1}: {msg}") from None
+    except (RecursionError, MemoryError):
+        raise ConfigError("column 1: expression too long for Python's parser") from None
+    return eval(code, {"__builtins__": {}}), max_var
 
 
 def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjective:
@@ -373,7 +333,15 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     return RunReport(records=tuple(records), termination=doc["termination"]), doc
 
 
+def _json_float(value: float) -> float | None:
+    """JSON has no NaN or infinity: such values are written as null."""
+    return float(value) if math.isfinite(value) else None
+
+
 def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
+    diagnostics = summary.to_dict()
+    for check in summary.checks:
+        diagnostics[check.name]["worst_violation"] = _json_float(check.worst_violation)
     return {
         "schema": "paretodescent.run/1",
         "config": {
@@ -389,9 +357,9 @@ def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
         "iterations": report.iterations,
         "total_inner_iterations": report.total_inner_iterations,
         "final_x": [float(val) for val in report.final_x],
-        "final_F": [float(val) for val in report.records[-1].Fx],
-        "final_alpha": report.final_alpha,
-        "diagnostics": summary.to_dict(),
+        "final_F": [_json_float(val) for val in report.records[-1].Fx],
+        "final_alpha": _json_float(report.final_alpha),
+        "diagnostics": diagnostics,
     }
 
 
@@ -413,7 +381,8 @@ def cmd_solve(args) -> int:
         f"{settings.out_prefix}.trajectory.csv", report, settings.problem.n, settings.problem.m
     )
     doc = _report_document(settings, report, summary)
-    Path(f"{settings.out_prefix}.report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    Path(f"{settings.out_prefix}.report.json").write_text(text + "\n")
     print(
         f"{settings.problem_name}: {report.termination} after {report.iterations} step(s), "
         f"final alpha {_fmt(report.final_alpha)} -> {settings.out_prefix}.{{trajectory.csv,report.json}}"
@@ -423,7 +392,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _resolve_settings(args)
-    sigmas = [float(part) for part in args.sigmas.split(",") if part.strip() != ""]
+    parts = [part for part in args.sigmas.split(",") if part.strip() != ""]
+    sigmas = [_parse(part, "sigmas", float) for part in parts]
     if not sigmas:
         raise ConfigError("no sigma values given")
     for s in sigmas:

@@ -121,7 +121,7 @@ def _record(k: int, x, Fx, res: DirectionResult, t: float = 0.0, j: int = -1) ->
 
 
 def _no_direction(problem: MultiObjective) -> DirectionResult:
-    """Stand-in for the direction at a point whose Jacobian is not finite:
+    """Stand-in for the direction at a point whose F or Jacobian is not finite:
     zero direction, NaN bounds, nothing certified and no inner iterations."""
     nan = float("nan")
     return DirectionResult(
@@ -143,8 +143,8 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     inherits the solver's eps_critical so its criticality certificate and
     the outer stop test agree), takes the largest dyadic Armijo step, and
     sets x^{k+1} = x^k + t_k * v^k.  Failures terminate the run with a
-    status in the report; they are never raised.  A Jacobian with
-    non-finite entries at x^k ends the run with ``numerical_failure``.
+    status in the report; they are never raised.  A value F(x^k) or a
+    Jacobian with non-finite entries ends the run with ``numerical_failure``.
 
     The record list always ends with a terminal record (t = 0) for the last
     visited point, so a run that starts at a critical point has exactly one
@@ -158,10 +158,12 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     k = 0
     termination = None
     while termination is None:
-        Fx = problem.evaluate(x)
+        Fx = problem.evaluate(x, require_finite=False)
         try:
-            J = problem.jacobian(x)
+            J = problem.jacobian(x) if np.all(np.isfinite(Fx)) else None
         except NonFiniteError:
+            J = None
+        if J is None:
             res, termination = _no_direction(problem), TERMINATION_NUMERICAL
             break
         res = solve_sigma_approx(J, cfg.sigma, sub)

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretodescent import RunReport, SolverConfig, get_problem, run, run_diagnostics
 from paretodescent.cli import (
@@ -19,6 +22,79 @@ from paretodescent.cli import (
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Expression trees of the criterion grammar: ("num", literal), ("var", K),
+# ("neg", t), ("par", t) for redundant parentheses, ("bin", op, l, r).
+_LITERALS = ["0", "1", "2", "3", "10", "40", "400", "0.5", ".25", "7.", "1e3", "2.5e-1", "1E+2",
+             "1e400", "007"]
+_TREES = st.recursive(
+    st.sampled_from(_LITERALS).map(lambda s: ("num", s))
+    | st.integers(1, 3).map(lambda k: ("var", k)),
+    lambda sub: (
+        st.tuples(st.just("neg"), sub)
+        | st.tuples(st.just("par"), sub)
+        | st.tuples(st.just("bin"), st.sampled_from("+-*/^"), sub, sub)
+    ),
+    max_leaves=12,
+)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def render(tree) -> tuple[str, int]:
+    """Text of a tree with only the parentheses precedence needs (plus the
+    redundant "par" ones), and the precedence of its top node."""
+    kind = tree[0]
+    if kind == "num":
+        return tree[1], 5
+    if kind == "var":
+        return f"x{tree[1]}", 5
+    if kind == "par":
+        return f"({render(tree[1])[0]})", 5
+    if kind == "neg":
+        text, prec = render(tree[1])
+        return "-" + (text if prec >= 3 else f"({text})"), 3
+    _, op, left, right = tree
+    (ltext, lprec), (rtext, rprec) = render(left), render(right)
+    p = _PREC[op]
+    if op == "^":  # the base is an atom; the exponent may carry a unary minus
+        lparen, rparen = lprec < 5, rprec < 3
+    else:  # left associative
+        lparen, rparen = lprec < p, rprec <= p
+    ltext = f"({ltext})" if lparen else ltext
+    rtext = f"({rtext})" if rparen else rtext
+    return f"{ltext} {op} {rtext}", p
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+
+
+def reference(tree, x):
+    """The value the grammar defines: Python-float literals, np.float64
+    variables, operands evaluated left to right."""
+    kind = tree[0]
+    if kind == "num":
+        return float(tree[1])
+    if kind == "var":
+        return x[tree[1] - 1]
+    if kind == "par":
+        return reference(tree[1], x)
+    if kind == "neg":
+        return -reference(tree[1], x)
+    _, op, left, right = tree
+    a = reference(left, x)
+    return _OPS[op](a, reference(right, x))
+
+
+def outcome(fn, *args):
+    """(type, bytes) of a value, or the type of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+    return type(value), np.asarray(value).tobytes()
 
 
 class TestExpressionParser:
@@ -44,8 +120,28 @@ class TestExpressionParser:
             parse_expression("x1 + $")
 
     def test_unbalanced_parenthesis(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^column 1:"):  # the unclosed parenthesis
             parse_expression("(x1 + 2")
+
+    @pytest.mark.parametrize(
+        "text", ["(x1 + 2", "x1 + ", "2 (x1)", "()", "+x1", "x1 ** 2", "x1 x2", "x1)", ""]
+    )
+    def test_malformed_input_reports_a_column(self, text):
+        with pytest.raises(ConfigError, match=r"^column \d+:"):
+            parse_expression(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(tree=_TREES, x=st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, 1e300])
+                                   | st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    def test_values_match_the_grammar_bit_for_bit(self, tree, x):
+        text, _prec = render(tree)
+        fn, _max_var = parse_expression(text)
+        x = np.array(x)
+        assert outcome(fn, x) == outcome(reference, tree, x), text
+
+    def test_compiled_criterion_sees_no_builtins(self):
+        fn, _ = parse_expression("x1 + 1")
+        assert fn.__globals__ == {"__builtins__": {}}
 
     def test_variable_indexing(self):
         fn, max_var = parse_expression("x3 + x1")
@@ -150,6 +246,33 @@ class TestSolveCommand:
         assert report.termination == "numerical_failure"
         assert np.isnan(report.final_alpha)
 
+    def test_nonfinite_start_value_writes_strict_json_and_exits_three(self, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"f1 = 1/x1\nf2 = x1^2\nx0 = 0\noutput = {tmp_path / 'inf'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert (tmp_path / "inf.trajectory.csv").exists()
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "inf.report.json").read_text(), parse_constant=reject)
+        assert doc["termination"] == "numerical_failure"
+        assert doc["iterations"] == 0
+        assert doc["final_F"] == [None, 0.0]
+        assert doc["final_alpha"] is None
+
+    def test_thousand_term_criterion_solves(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        f1 = " + ".join(["0.001*(x1-1)^2"] * 1000)
+        cfg.write_text(f"f1 = {f1}\nf2 = x1^2\nx0 = 3\noutput = {tmp_path / 'long'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+
+    def test_criterion_too_long_for_the_parser_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"f1 = {' + '.join(['x1'] * 20000)}\nx0 = 3\noutput = {tmp_path / 'h'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: f1: column 1:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sigmas", "0"]])
     def test_seed_is_a_verify_only_flag(self, tmp_path, command):
         argv = [*command, "--problem", "quad_pair", "--seed", "1", "--out", str(tmp_path / "s")]
@@ -169,6 +292,11 @@ class TestSweepCommand:
 
     def test_sigma_one_is_rejected(self, tmp_path):
         code = main(["sweep", "--problem", "scalar_quad", "--sigmas", "1.0",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+
+    def test_unparsable_sigma_is_a_config_error(self, tmp_path):
+        code = main(["sweep", "--problem", "quad_pair", "--sigmas", "0,abc",
                      "--out", str(tmp_path / "x")])
         assert code == 1
 

@@ -140,6 +140,28 @@ class TestRunContract:
         assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
         assert not last.sigma_certified and last.inner_iterations == 0
 
+    def test_nonfinite_value_at_start_is_reported_not_raised(self):
+        calls = []
+
+        def f(x):
+            calls.append("F")
+            return np.array([1.0 / x[0], x[0] ** 2])
+
+        def jac(x):
+            calls.append("J")
+            return np.array([[-1.0 / x[0] ** 2], [2 * x[0]]])
+
+        p = MultiObjective(n=1, m=2, f=f, jac=jac)
+        rep = run(p, [0.0])
+        assert rep.termination == TERMINATION_NUMERICAL
+        assert calls == ["F"]  # F once at x^0 and no Jacobian
+        (last,) = rep.records
+        assert last.k == 0 and np.array_equal(last.x, [0.0])
+        assert np.array_equal(last.Fx, [np.inf, 0.0])
+        assert np.array_equal(last.v, [0.0]) and last.t == 0.0 and last.j == -1
+        assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
+        assert not last.sigma_certified and last.inner_iterations == 0
+
     def test_jacobian_shape_errors_still_raise(self):
         p = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
                            jac=lambda x: np.zeros((2, 1)))
