@@ -22,7 +22,6 @@ from .diagnostics import (
 )
 from .direction import (
     DirectionResult,
-    SubproblemConfig,
     check_sigma_certificate,
     primal_value,
     project_simplex,
@@ -68,7 +67,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "StepResult",
-    "SubproblemConfig",
     "SubproblemError",
     "UnknownProblemError",
     "ViolationReport",

@@ -86,9 +86,10 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
+            bad = len(text) - len(text[pos:].lstrip())  # the first non-blank character
+            if bad == len(text):
                 break
-            raise ConfigError(f"column {pos + 1}: unexpected character {text[pos]!r}")
+            raise ConfigError(f"column {bad + 1}: unexpected character {text[bad]!r}")
         kind = m.lastgroup
         tok, col = m.group(kind), m.start(kind)
         if kind == "var":

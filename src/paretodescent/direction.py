@@ -12,8 +12,9 @@ simplex, with v = -J^T w.  Every dual iterate w yields
 
 so inexactness is certifiable without knowing the optimum: the direction is
 sigma-approximate whenever alpha_upper <= (1 - sigma) * alpha_lower.  The
-dual is solved by projected gradient with fixed step 1/L, L an estimate of
-||J J^T||_2, started from the barycenter.
+dual is solved by projected gradient from the barycenter with fixed step 1/L,
+where L = ||J J^T||_2, the Lipschitz constant of grad psi, is the largest
+eigenvalue of the m x m Gram matrix J J^T, computed exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SubproblemConfig",
     "DirectionResult",
     "project_simplex",
     "primal_value",
@@ -36,24 +36,8 @@ STATUS_CERTIFIED = "certified"
 STATUS_CRITICAL = "critical"
 STATUS_MAX_INNER = "max_inner"
 
-
-@dataclass(frozen=True)
-class SubproblemConfig:
-    """Stopping control for the dual solver.
-
-    tol_gap : relative duality-gap tolerance for the exact (sigma=0) solve.
-    max_inner : cap on projected-gradient updates.
-    eps_critical : declare the point Pareto critical once the certified
-        lower bound alpha_lower rises above -eps_critical.
-    """
-
-    tol_gap: float = 1e-10
-    max_inner: int = 10_000
-    eps_critical: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.tol_gap <= 0 or self.max_inner <= 0 or self.eps_critical <= 0:
-            raise ValueError("SubproblemConfig fields must all be positive")
+# relative duality-gap tolerance of the exact (sigma = 0) solve
+TOL_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,16 +48,24 @@ class DirectionResult:
     every emitted direction is scalarization compatible.  The one exception
     is a critical result, where v is snapped to exact zero while ``weights``
     retains the dual certificate with ||J^T weights||^2 <= 2*eps_critical.
+    ``critical`` and ``sigma_certified`` are read off ``status``: a critical
+    result is also certified, and any other status is neither.
     """
 
     v: np.ndarray
     alpha_lower: float
     alpha_upper: float
     weights: np.ndarray
-    sigma_certified: bool
-    critical: bool
     inner_iterations: int
     status: str
+
+    @property
+    def critical(self) -> bool:
+        return self.status == STATUS_CRITICAL
+
+    @property
+    def sigma_certified(self) -> bool:
+        return self.status in (STATUS_CERTIFIED, STATUS_CRITICAL)
 
 
 def project_simplex(y) -> np.ndarray:
@@ -113,51 +105,28 @@ def primal_value(J, v) -> float:
     return float(np.max(J @ v)) + 0.5 * float(v @ v)
 
 
-def _spectral_bound(G: np.ndarray) -> float:
-    """Estimate ||G||_2 for symmetric PSD G: 50 power iterations, floored by
-    the largest diagonal entry (a true lower bound on the spectral norm)."""
-    m = G.shape[0]
-    diag_max = float(np.max(np.diag(G))) if m else 0.0
-    u = np.arange(1.0, m + 1.0)  # asymmetric deterministic start
-    u /= np.linalg.norm(u)
-    lam = 0.0
-    nudged = False
-    for _ in range(50):
-        Gu = G @ u
-        nrm = float(np.linalg.norm(Gu))
-        if nrm <= 1e-30 * max(1.0, diag_max):
-            if nudged or diag_max <= 0.0:
-                break
-            u = u.copy()
-            u[int(np.argmax(np.diag(G)))] += 1.0
-            u /= np.linalg.norm(u)
-            nudged = True
-            continue
-        u = Gu / nrm
-        lam = float(u @ (G @ u))
-    return max(lam, diag_max)
-
-
-def solve_sigma_approx(J, sigma: float, cfg: SubproblemConfig | None = None) -> DirectionResult:
+def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
+                       max_inner: int = 10_000) -> DirectionResult:
     """Compute a sigma-approximate steepest-descent direction at J.
 
     The dual projected-gradient loop terminates as soon as the sufficient
     certificate alpha_upper <= (1 - sigma) * alpha_lower holds (for sigma=0,
-    once the relative duality gap drops below ``tol_gap``), so larger sigma
+    once the relative duality gap drops below ``TOL_GAP``), so larger sigma
     buys earlier termination.  A critical point is reported, with v snapped
     to zero and alpha_upper = 0, once alpha_lower >= -eps_critical; this is
     sound because alpha_lower never exceeds the true optimal value.
 
-    Exhausting ``max_inner`` returns the best iterate seen with
-    ``sigma_certified=False`` and status ``"max_inner"``.
+    Exhausting ``max_inner`` projected-gradient updates returns the best
+    iterate seen with status ``"max_inner"``, which is not certified.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    cfg = cfg if cfg is not None else SubproblemConfig()
+    if eps_critical <= 0.0 or max_inner < 1:
+        raise ValueError("eps_critical must be positive and max_inner >= 1")
     J = _as_jacobian(J)
     m = J.shape[0]
     G = J @ J.T
-    step = 1.0 / max(_spectral_bound(G), 1e-30)
+    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
     # The computed primal-dual gap bottoms out around machine epsilon times
     # the Gram scale; near-critical points can push the relative target below
     # that floor, so the certificate also accepts a gap at the floor.
@@ -172,21 +141,19 @@ def solve_sigma_approx(J, sigma: float, cfg: SubproblemConfig | None = None) -> 
         p = float(np.max(J @ v)) + 0.5 * vv
         if best is None or p < best[0]:
             best = (p, v, d, w)
-        if d >= -cfg.eps_critical:
+        if d >= -eps_critical:
             return DirectionResult(
                 v=np.zeros_like(v),
                 alpha_lower=d,
                 alpha_upper=0.0,
                 weights=w,
-                sigma_certified=True,
-                critical=True,
                 inner_iterations=it,
                 status=STATUS_CRITICAL,
             )
         if sigma > 0.0:
             certified = p - (1.0 - sigma) * d <= gap_floor
         else:
-            certified = (p - d) <= max(cfg.tol_gap * abs(d), gap_floor)
+            certified = (p - d) <= max(TOL_GAP * abs(d), gap_floor)
         # the floor could otherwise admit a candidate with positive primal
         # value in the sliver where |alpha| sits within gap_floor of
         # eps_critical; a certified direction must always beat v = 0
@@ -196,20 +163,16 @@ def solve_sigma_approx(J, sigma: float, cfg: SubproblemConfig | None = None) -> 
                 alpha_lower=d,
                 alpha_upper=p,
                 weights=w,
-                sigma_certified=True,
-                critical=False,
                 inner_iterations=it,
                 status=STATUS_CERTIFIED,
             )
-        if it >= cfg.max_inner:
+        if it >= max_inner:
             p_b, v_b, d_b, w_b = best
             return DirectionResult(
                 v=v_b,
                 alpha_lower=d_b,
                 alpha_upper=p_b,
                 weights=w_b,
-                sigma_certified=False,
-                critical=False,
                 inner_iterations=it,
                 status=STATUS_MAX_INNER,
             )
@@ -217,12 +180,12 @@ def solve_sigma_approx(J, sigma: float, cfg: SubproblemConfig | None = None) -> 
         it += 1
 
 
-def solve_exact(J, cfg: SubproblemConfig | None = None) -> DirectionResult:
+def solve_exact(J, *, eps_critical: float = 1e-12, max_inner: int = 10_000) -> DirectionResult:
     """Solve the direction subproblem to the relative duality-gap tolerance.
 
     Identical to ``solve_sigma_approx`` with sigma = 0.
     """
-    return solve_sigma_approx(J, 0.0, cfg)
+    return solve_sigma_approx(J, 0.0, eps_critical=eps_critical, max_inner=max_inner)
 
 
 def check_sigma_certificate(J, v, alpha_exact: float, sigma: float) -> bool:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .direction import (
     STATUS_MAX_INNER,
     DirectionResult,
-    SubproblemConfig,
     solve_exact,
     solve_sigma_approx,
 )
@@ -48,7 +47,7 @@ class SolverConfig:
     eps_critical: float = 1e-8
     max_iter: int = 10_000
     max_j: int = 60
-    subproblem: SubproblemConfig = field(default_factory=SubproblemConfig)
+    max_inner: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
@@ -57,8 +56,8 @@ class SolverConfig:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         if self.eps_critical <= 0.0:
             raise ValueError("eps_critical must be positive")
-        if self.max_iter < 1 or self.max_j < 0:
-            raise ValueError("max_iter must be >= 1 and max_j >= 0")
+        if self.max_iter < 1 or self.max_j < 0 or self.max_inner < 1:
+            raise ValueError("max_iter and max_inner must be >= 1 and max_j >= 0")
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,6 @@ def _no_direction(problem: MultiObjective) -> DirectionResult:
         alpha_lower=nan,
         alpha_upper=nan,
         weights=np.full(problem.m, nan),
-        sigma_certified=False,
-        critical=False,
         inner_iterations=0,
         status=TERMINATION_NUMERICAL,
     )
@@ -153,7 +150,6 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_point(x0, problem.n)
-    sub = replace(cfg.subproblem, eps_critical=cfg.eps_critical)
     records: list[IterationRecord] = []
     k = 0
     termination = None
@@ -166,7 +162,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
         if J is None:
             res, termination = _no_direction(problem), TERMINATION_NUMERICAL
             break
-        res = solve_sigma_approx(J, cfg.sigma, sub)
+        res = solve_sigma_approx(J, cfg.sigma, eps_critical=cfg.eps_critical, max_inner=cfg.max_inner)
         if res.critical:
             termination = TERMINATION_CRITICAL
         elif not res.sigma_certified:
@@ -195,10 +191,9 @@ def is_critical(J, cfg: SolverConfig | None = None) -> tuple[bool, float]:
     if the dual solver exhausts its iteration cap uncertified.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    sub = replace(cfg.subproblem, eps_critical=cfg.eps_critical)
-    res = solve_exact(J, sub)
+    res = solve_exact(J, eps_critical=cfg.eps_critical, max_inner=cfg.max_inner)
     if res.status == STATUS_MAX_INNER:
         raise SubproblemError(
-            f"direction subproblem did not certify within {sub.max_inner} iterations"
+            f"direction subproblem did not certify within {cfg.max_inner} iterations"
         )
     return res.alpha_upper >= -cfg.eps_critical, res.alpha_upper

@@ -116,7 +116,7 @@ class TestExpressionParser:
         assert fn(np.asarray(x)) == pytest.approx(expected, rel=1e-15)
 
     def test_reports_column_on_bad_token(self):
-        with pytest.raises(ConfigError, match="column"):
+        with pytest.raises(ConfigError, match=r"^column 6: unexpected character '\$'"):
             parse_expression("x1 + $")
 
     def test_unbalanced_parenthesis(self):
@@ -246,6 +246,7 @@ class TestSolveCommand:
         assert report.termination == "numerical_failure"
         assert np.isnan(report.final_alpha)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_start_value_writes_strict_json_and_exits_three(self, tmp_path):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text(f"f1 = 1/x1\nf2 = x1^2\nx0 = 0\noutput = {tmp_path / 'inf'}\n")
@@ -260,6 +261,7 @@ class TestSolveCommand:
         assert doc["iterations"] == 0
         assert doc["final_F"] == [None, 0.0]
         assert doc["final_alpha"] is None
+        assert doc["diagnostics"]["level_set"]["ok"]
 
     def test_thousand_term_criterion_solves(self, tmp_path):
         cfg = tmp_path / "long.cfg"

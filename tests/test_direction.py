@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from paretodescent import (
-    SubproblemConfig,
     brute_force_direction,
     check_sigma_certificate,
     kkt_direction,
@@ -18,6 +20,11 @@ def random_jacobian(rng, scale=10.0):
     m = int(rng.integers(2, 4))
     n = int(rng.integers(1, 6))
     return rng.uniform(-scale, scale, size=(m, n))
+
+
+_JACOBIANS = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0))
+)
 
 
 class TestProjectSimplex:
@@ -78,7 +85,7 @@ class TestSolveExact:
 
     def test_max_inner_exhaustion_reports_distinct_status(self):
         J = np.array([[0.4, 16.0], [-0.6, 16.0]])  # ill-conditioned Gram matrix
-        res = solve_exact(J, SubproblemConfig(max_inner=5))
+        res = solve_exact(J, max_inner=5)
         assert res.status == STATUS_MAX_INNER
         assert not res.sigma_certified
         assert not res.critical
@@ -214,3 +221,19 @@ class TestInvariants:
             if res.sigma_certified:
                 assert res.alpha_upper <= 0.0
                 assert res.alpha_lower <= res.alpha_upper + 1e-15
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(J=_JACOBIANS, sigma=st.floats(0.0, 0.99))
+    def test_certified_directions_satisfy_their_sigma_inequality(self, J, sigma):
+        res = solve_sigma_approx(J, sigma)
+        if not res.sigma_certified:
+            return  # a max_inner result claims nothing
+        _w, _v, alpha = kkt_direction(J)
+        # sigma = 0 certifies only to the relative gap tolerance, not to 1e-12
+        slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
+        assert res.alpha_lower <= alpha + slack
+        if res.critical:
+            assert alpha >= -1e-12 - slack
+        else:
+            assert primal_value(J, res.v) <= (1.0 - sigma) * alpha + slack
+            assert res.alpha_upper <= 0.0

@@ -4,7 +4,6 @@ import pytest
 from paretodescent import (
     MultiObjective,
     SolverConfig,
-    SubproblemConfig,
     SubproblemError,
     get_problem,
     is_critical,
@@ -114,7 +113,7 @@ class TestRunContract:
         assert rep.records[-1].t == 0.0 and rep.records[-1].j == -1
 
     def test_subproblem_failure_is_reported_not_raised(self):
-        cfg = SolverConfig(subproblem=SubproblemConfig(max_inner=3))
+        cfg = SolverConfig(max_inner=3)
         rep = run(get_problem("quad_pair").problem, [2.0, 2.0], cfg)
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
@@ -175,6 +174,8 @@ class TestRunContract:
             SolverConfig(sigma=1.0)
         with pytest.raises(ValueError):
             SolverConfig(eps_critical=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_inner=0)
 
 
 class TestIsCritical:
@@ -194,4 +195,4 @@ class TestIsCritical:
     def test_uncertified_subproblem_raises(self):
         J = np.array([[0.4, 16.0], [-0.6, 16.0]])
         with pytest.raises(SubproblemError):
-            is_critical(J, SolverConfig(subproblem=SubproblemConfig(max_inner=3)))
+            is_critical(J, SolverConfig(max_inner=3))
