@@ -13,7 +13,14 @@ from paretodescent import (
     solve_exact,
     solve_sigma_approx,
 )
-from paretodescent.direction import STATUS_MAX_INNER
+from paretodescent.direction import (
+    STATUS_CERTIFIED,
+    STATUS_CRITICAL,
+    STATUS_MAX_INNER,
+    TOL_GAP,
+    _allowance,
+    _project,
+)
 
 
 def random_jacobian(rng, scale=10.0):
@@ -25,6 +32,57 @@ def random_jacobian(rng, scale=10.0):
 _JACOBIANS = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
     lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0))
 )
+
+
+@st.composite
+def _hard_jacobians(draw):
+    """Near-parallel rows at scales 1e-4..1e4, some of them reversed."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 300))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    log_scales = draw(arrays(float, m, elements=st.floats(-4.0, 4.0)))
+    signs = draw(arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=n) + spread * rng.normal(size=(m, n))
+    return rows * (signs * 10.0**log_scales)[:, None]
+
+
+def _reference_solve(J, sigma, eps_critical, max_inner):
+    """The dual loop with v = -J^T w formed at every step, as a reference.
+
+    Returns (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
+    """
+    m = J.shape[0]
+    G = J @ J.T
+    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
+    gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
+    w = np.full(m, 1.0 / m)
+    best = None
+    it = 0
+    while True:
+        v = -(J.T @ w)
+        vv = float(v @ v)
+        d = -0.5 * vv
+        p = float(np.max(J @ v)) + 0.5 * vv
+        if best is None or p < best[0]:
+            best = (p, v, d, w)
+        if d >= -eps_critical:
+            return np.zeros_like(v), d, 0.0, w, it, STATUS_CRITICAL
+        if sigma > 0.0:
+            certified = p - (1.0 - sigma) * d <= gap_floor
+        else:
+            certified = (p - d) <= max(TOL_GAP * abs(d), gap_floor)
+        if certified and p <= 0.0:
+            return v, d, p, w, it, STATUS_CERTIFIED
+        if it >= max_inner:
+            p_b, v_b, d_b, w_b = best
+            return v_b, d_b, p_b, w_b, it, STATUS_MAX_INNER
+        y = w - step * (G @ w)
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = int(np.nonzero(u - css / np.arange(1, m + 1, dtype=float) > 0.0)[0][-1])
+        w = np.maximum(y - css[rho] / (rho + 1.0), 0.0)
+        it += 1
 
 
 class TestProjectSimplex:
@@ -49,6 +107,29 @@ class TestProjectSimplex:
             tau = (y[active].sum() - 1.0) / active.sum()
             np.testing.assert_allclose(w[active], y[active] - tau, atol=1e-12)
             assert np.all(y[~active] - tau <= 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "y, expected",
+        [
+            ([1e17, 0.0], [1.0, 0.0]),
+            ([1e16, 3.0], [1.0, 0.0]),
+            ([1e300, 1e300], [0.5, 0.5]),
+            ([1.7e308, -1.7e308], [1.0, 0.0]),
+            ([-1e300, 1e300, -1e17], [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_large_finite_inputs_project_onto_the_simplex(self, y, expected):
+        assert np.array_equal(project_simplex(y), expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_inputs_of_any_finite_scale_project_onto_the_simplex(self):
+        rng = np.random.default_rng(8)
+        for exponent in range(-300, 308, 7):
+            y = rng.normal(size=int(rng.integers(1, 7))) * 10.0**exponent
+            w = project_simplex(y)
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= 4 * np.finfo(float).eps * y.size
 
     def test_projection_beats_random_feasible_points(self):
         rng = np.random.default_rng(6)
@@ -84,11 +165,20 @@ class TestSolveExact:
         assert abs(res.alpha_lower) <= 1e-12
 
     def test_max_inner_exhaustion_reports_distinct_status(self):
-        J = np.array([[0.4, 16.0], [-0.6, 16.0]])  # ill-conditioned Gram matrix
-        res = solve_exact(J, max_inner=5)
-        assert res.status == STATUS_MAX_INNER
-        assert not res.sigma_certified
-        assert not res.critical
+        jacobians = [
+            np.array([[0.4, 16.0], [-0.6, 16.0]]),  # ill-conditioned Gram matrix
+            np.random.default_rng(3).uniform(0.5, 2.0, size=(20, 50)) * 5.0,
+        ]
+        for J in jacobians:
+            res = solve_exact(J, max_inner=5)
+            assert res.status == STATUS_MAX_INNER
+            assert res.inner_iterations == 5
+            assert not res.sigma_certified
+            assert not res.critical
+            # the returned bounds are those of the returned direction
+            assert np.array_equal(res.v, -(J.T @ res.weights))
+            assert res.alpha_lower == -0.5 * float(res.v @ res.v)
+            assert res.alpha_upper == primal_value(J, res.v)
 
     def test_rejects_nonfinite_jacobian(self):
         with pytest.raises(ValueError):
@@ -127,6 +217,61 @@ class TestSolveSigmaApprox:
         exact = solve_exact(J)
         loose = solve_sigma_approx(J, 0.9)
         assert loose.inner_iterations <= exact.inner_iterations
+
+
+class TestGramSpaceLoop:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        J=_hard_jacobians(),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        eps_critical=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, None]),
+    )
+    def test_stops_where_the_j_space_loop_stops_with_the_same_bits(self, J, sigma, eps_critical):
+        if eps_critical is None:
+            # the J-space critical test passes at the barycenter with equality,
+            # so the Gram-space screen has no rounding room to spare
+            v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
+            eps_critical = 0.5 * float(v0 @ v0)
+            if eps_critical <= 0.0:
+                return
+        ref = _reference_solve(J, sigma, eps_critical, max_inner=300)
+        res = solve_sigma_approx(J, sigma, eps_critical=eps_critical, max_inner=300)
+        assert (res.status, res.inner_iterations) == (ref[5], ref[4])
+        if res.status != STATUS_MAX_INNER:
+            assert np.array_equal(res.v, ref[0])
+            assert res.alpha_lower == ref[1]
+            assert res.alpha_upper == ref[2]
+            assert np.array_equal(res.weights, ref[3])
+
+    def test_gram_space_bounds_stay_within_the_allowance(self):
+        rng = np.random.default_rng(41)
+        # the anisotropic quadratics of the wide benchmark sweep at x = 5 and
+        # near their centres: m = 10 near-parallel gradients in R^10000
+        curv = rng.uniform(0.5, 2.0, size=(10, 10_000))
+        centres = rng.uniform(-1.0, 1.0, size=(10, 10_000))
+        jacobians = [curv * (5.0 - centres), curv * (centres.mean(axis=0) - centres)]
+        jacobians += [random_jacobian(rng, scale=10.0 ** rng.uniform(-4, 4)) for _ in range(50)]
+        for J in jacobians:
+            m = J.shape[0]
+            G = J @ J.T
+            allowance = _allowance(G, J.shape[1])
+            step = 1.0 / float(np.linalg.eigvalsh(G)[-1])
+            idx = np.arange(1, m + 1, dtype=float)
+            points = list(rng.dirichlet(np.ones(m), size=20))
+            w = np.full(m, 1.0 / m)
+            for _ in range(30):
+                points.append(w)
+                w = _project(w - step * (G @ w), idx)
+            for w in points:
+                Gw = G @ w
+                wGw = float(w @ Gw)
+                v = -(J.T @ w)
+                vv = float(v @ v)
+                Jv_max = float(np.max(J @ v))
+                assert abs(wGw - vv) <= allowance
+                assert abs(-float(Gw.min()) - Jv_max) <= allowance
+                # the loop's screened bounds against the J-space ones
+                assert abs((0.5 * wGw - float(Gw.min())) - (Jv_max + 0.5 * vv)) <= allowance
 
 
 class TestSigmaCertificate:
