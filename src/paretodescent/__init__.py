@@ -15,7 +15,6 @@ from .diagnostics import (
     check_monotone,
     check_proximity,
     check_quasi_fejer,
-    check_scalarized_decrease,
     check_summability,
     phi,
     run_diagnostics,
@@ -78,7 +77,6 @@ __all__ = [
     "check_monotone",
     "check_proximity",
     "check_quasi_fejer",
-    "check_scalarized_decrease",
     "check_sigma_certificate",
     "check_summability",
     "check_weak_pareto_local",

@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -331,7 +331,8 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     """Reload a solve's outputs: (report rebuilt from CSV + JSON, report JSON)."""
     records = read_trajectory_csv(f"{prefix}.trajectory.csv")
     doc = json.loads(Path(f"{prefix}.report.json").read_text())
-    return RunReport(records=tuple(records), termination=doc["termination"]), doc
+    cfg = SolverConfig(**{f.name: doc["config"][f.name] for f in fields(SolverConfig)})
+    return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
 
 def _json_float(value: float) -> float | None:
@@ -344,14 +345,11 @@ def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
     for check in summary.checks:
         diagnostics[check.name]["worst_violation"] = _json_float(check.worst_violation)
     return {
-        "schema": "paretodescent.run/1",
+        "schema": "paretodescent.run/2",
         "config": {
             "problem": settings.problem_name,
             "x0": [float(val) for val in settings.x0],
-            "beta": settings.cfg.beta,
-            "sigma": settings.cfg.sigma,
-            "eps_critical": settings.cfg.eps_critical,
-            "max_iter": settings.cfg.max_iter,
+            **asdict(settings.cfg),
             "output": settings.out_prefix,
         },
         "termination": report.termination,

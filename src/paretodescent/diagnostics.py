@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import STATUS_MAX_INNER, solve_exact
+from .direction import STATUS_MAX_INNER, TOL_GAP, _gap_floor, solve_exact
 from .objective import MultiObjective, as_point
 from .solver import RunReport
 
@@ -26,7 +26,6 @@ __all__ = [
     "check_summability",
     "check_quasi_fejer",
     "check_proximity",
-    "check_scalarized_decrease",
     "run_diagnostics",
 ]
 
@@ -110,29 +109,73 @@ def check_level_set(report: RunReport) -> CheckOutcome:
     return _outcome("level_set", worst, worst_k)
 
 
-def check_summability(report: RunReport) -> CheckOutcome:
-    """Vanishing step energy along the trajectory.
+def check_summability(report: RunReport, jacobians) -> CheckOutcome:
+    """The energy inequality of the method, per step and telescoped.
 
-    Partial sums of t_k^2 ||v^k||^2 must be finite (they are monotone by
-    nonnegativity), and the mean of t_k ||v^k||^2 over the last 10% of the
-    steps must not exceed 1e-6 times its first value.  Finite trajectories
-    cannot verify a limit, so the tail mean stands in for it.
+    ``jacobians`` holds J(x^k) for each stepped record, in order.  With beta
+    and sigma from the report's config, every stepped record must carry the
+    certificate the solver tested, alpha_upper <= (1 - sigma) * alpha_lower
+    <= 0 (for sigma = 0, alpha_upper - alpha_lower <= TOL_GAP * |alpha_lower|),
+    each within the solver's rounding floor at G = J J^T.  The Armijo test
+    along such a direction gives, with alpha_k = alpha_upper,
+
+        beta * t_k * (||v^k||^2 / 2 - alpha_k) <= min_i (f_i(x^k) - f_i(x^{k+1})),
+
+    and, since alpha_k <= 0, telescoped over the run
+
+        sum_k t_k ||v^k||^2 <= (2 / beta) * min_i (f_i(x^0) - f_i(x^K)),
+
+    a finite certificate of the summability that drives convergence.  Both
+    inequalities allow only the rounding of the Armijo test and of their own
+    arithmetic (``_decrease_tolerance``).
     """
-    stepped = report.stepped_records
-    if len(stepped) <= 1:
-        return CheckOutcome(
-            "summability", STATUS_PASS, 0.0, None, "vacuous: fewer than two steps"
-        )
-    u = np.array([r.t * float(r.v @ r.v) for r in stepped])
-    s = np.array([r.t * r.t * float(r.v @ r.v) for r in stepped])
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(u))):
-        return CheckOutcome("summability", STATUS_FAIL, math.inf, None, "non-finite step energy")
-    tail_len = max(1, math.ceil(0.1 * len(u)))
-    tail_mean = float(np.mean(u[-tail_len:]))
-    threshold = 1e-6 * (u[0] + 1e-300)
-    viol = tail_mean - threshold
-    note = f"tail_mean={tail_mean:.3e} threshold={threshold:.3e} partial_sum={float(np.sum(s)):.3e}"
-    return _outcome("summability", viol, stepped[-tail_len].k, note)
+    recs = report.records
+    steps = [(r, nxt) for r, nxt in zip(recs, recs[1:]) if r.t > 0.0]
+    if len(jacobians) != len(steps):
+        raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
+    if not steps:
+        return CheckOutcome("summability", STATUS_PASS, 0.0, None, "vacuous: no steps")
+    beta, sigma = report.config.beta, report.config.sigma
+    pairs = []
+    energy, tols = [], []
+    for (r, nxt), J in zip(steps, jacobians):
+        p, d = r.alpha_upper, r.alpha_lower
+        floor = _gap_floor(J @ J.T)
+        if sigma > 0.0:
+            cert = p - (1.0 - sigma) * d - floor
+        else:
+            cert = p - d - max(TOL_GAP * abs(d), floor)
+        vv = float(r.v @ r.v)
+        need = beta * r.t * (0.5 * vv - p)
+        tol = _decrease_tolerance(r.Fx, nxt.Fx, need)
+        excess = need - (r.Fx - nxt.Fx) - tol
+        if not all(math.isfinite(val) for val in (cert, need, *excess)):
+            return CheckOutcome("summability", STATUS_FAIL, math.inf, r.k, "non-finite step energy")
+        pairs.append((max(cert, p, float(np.max(excess))), r.k))
+        energy.append(r.t * vv)
+        tols.append(tol)
+    total = math.fsum(energy)
+    drop = recs[0].Fx - recs[-1].Fx
+    slack = np.array([math.fsum(col) for col in zip(*tols)])
+    pairs.append((total - float(np.min((2.0 / beta) * (drop + slack))), recs[-1].k))
+    worst, worst_k = _worst(pairs)
+    ratio = total / ((2.0 / beta) * float(np.min(drop))) if np.min(drop) > 0.0 else math.inf
+    note = f"sum t|v|^2={total:.3e} telescoped ratio={ratio:.3g}"
+    return _outcome("summability", worst, worst_k, note)
+
+
+def _decrease_tolerance(F: np.ndarray, F_next: np.ndarray, need: float) -> np.ndarray:
+    """Rounding allowance of the per-step decrease, one entry per criterion.
+
+    With u = eps/2, the accepted Armijo test F_next <= fl(F + fl(beta*t*(Jv)))
+    gives F - F_next >= D*(1 - 2u) - u*|F| for D = -beta*t*(Jv)_i, and
+    alpha_upper = fl(max(Jv) + ||v||^2/2) gives D >= beta*t*(||v||^2/2 -
+    alpha_upper) - u*beta*t*|alpha_upper|.  The check's own three roundings
+    add at most u*(|F| + |F_next|) + 2u*need, so the total stays below
+    u*(2|F| + |F_next| + 5*need) to first order; 8u*(|F| + |F_next| + need)
+    covers it with room for the terms of order u^2.
+    """
+    return 4.0 * np.finfo(float).eps * (np.abs(F) + np.abs(F_next) + need)
 
 
 def check_quasi_fejer(
@@ -187,10 +230,11 @@ def check_quasi_fejer(
     return _outcome("quasi_fejer", worst, worst_k)
 
 
-def check_proximity(report: RunReport, problem: MultiObjective, sigma: float) -> CheckOutcome:
+def check_proximity(report: RunReport, jacobians, sigma: float) -> CheckOutcome:
     """Distance of each recorded direction from the exact one.
 
-    Re-solves the subproblem exactly at every stepped x^k and asserts
+    Re-solves the subproblem exactly at J(x^k), given in ``jacobians`` for
+    each stepped record in order, and asserts
 
         ||v^k - v(x^k)||^2 <= 2 * sigma * |alpha(x^k)| + 1e-8.
 
@@ -201,8 +245,8 @@ def check_proximity(report: RunReport, problem: MultiObjective, sigma: float) ->
     pairs = []
     skipped = 0
     zero_flags = 0
-    for r in report.stepped_records:
-        exact = solve_exact(problem.jacobian(r.x))
+    for r, J in zip(report.stepped_records, jacobians):
+        exact = solve_exact(J)
         if exact.status == STATUS_MAX_INNER:
             skipped += 1
             continue
@@ -226,32 +270,6 @@ def check_proximity(report: RunReport, problem: MultiObjective, sigma: float) ->
     return _outcome("proximity", worst, worst_k, note)
 
 
-def check_scalarized_decrease(report: RunReport, beta: float, sigma: float) -> CheckOutcome:
-    """Per-step decrease of the max-component scalarization.
-
-    Each accepted step must satisfy
-
-        phi(F(x^{k+1})) - phi(F(x^k))
-            <= beta * ((1 - sigma) * t_k * alpha_k - 0.5 * t_k * ||v^k||^2)
-
-    with the recorded upper value alpha_k and slack 1e-10 * (1 + |phi(F^k)|).
-    """
-    recs = report.records
-    if len(recs) < 2:
-        return CheckOutcome(
-            "scalarized_decrease", STATUS_PASS, 0.0, None, "vacuous: no steps"
-        )
-
-    def excess(a, b) -> float:
-        pa = phi(a.Fx)
-        lhs = phi(b.Fx) - pa
-        rhs = beta * ((1.0 - sigma) * a.t * a.alpha_upper - 0.5 * a.t * float(a.v @ a.v))
-        return lhs - rhs - 1e-10 * (1.0 + abs(pa))
-
-    worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
-    return _outcome("scalarized_decrease", worst, worst_k)
-
-
 @dataclass(frozen=True)
 class DiagnosticsSummary:
     """Outcomes of the check battery, in the order the report lists them."""
@@ -272,11 +290,17 @@ def run_diagnostics(
     sigma: float,
     ref: DominatingReference | None = None,
 ) -> DiagnosticsSummary:
-    """Run the full check battery on one report."""
+    """Run the full check battery on one report.
+
+    ``sigma`` must be the sigma the run used, which the report records.
+    """
+    if sigma != report.config.sigma:
+        raise ValueError(f"sigma {sigma} differs from the run's sigma {report.config.sigma}")
+    jacobians = [problem.jacobian(r.x) for r in report.stepped_records]
     return DiagnosticsSummary((
         check_monotone(report),
         check_level_set(report),
-        check_summability(report),
+        check_summability(report, jacobians),
         check_quasi_fejer(report, ref, problem),
-        check_proximity(report, problem, sigma),
+        check_proximity(report, jacobians, sigma),
     ))

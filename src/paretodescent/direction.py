@@ -153,6 +153,16 @@ def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
     return None
 
 
+def _gap_floor(G: np.ndarray) -> float:
+    """Absolute floor of the certificate tests at Gram matrix G.
+
+    The computed primal-dual gap bottoms out around machine epsilon times
+    the Gram scale; near-critical points can push the relative target below
+    that floor, so the certificate also accepts a gap at the floor.
+    """
+    return 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
+
+
 def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
     """v = -J^T w with its lower and upper bounds, read off J."""
     v = -(J.T @ w)
@@ -209,10 +219,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     m, n = J.shape
     G = J @ J.T
     step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    # The computed primal-dual gap bottoms out around machine epsilon times
-    # the Gram scale; near-critical points can push the relative target below
-    # that floor, so the certificate also accepts a gap at the floor.
-    gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
+    gap_floor = _gap_floor(G)
     allowance = _allowance(G, n)
     idx = np.arange(1, m + 1, dtype=float)
     w = np.full(m, 1.0 / m)

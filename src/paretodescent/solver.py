@@ -79,8 +79,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
+    """The visited points, why the run stopped, and the config it ran with."""
+
     records: tuple[IterationRecord, ...]
     termination: str
+    config: SolverConfig
 
     @property
     def final_x(self) -> np.ndarray:
@@ -179,7 +182,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
                 x = x + st.t * res.v
                 k += 1
     records.append(_record(k, x, Fx, res))
-    return RunReport(records=tuple(records), termination=termination)
+    return RunReport(records=tuple(records), termination=termination, config=cfg)
 
 
 def is_critical(J, cfg: SolverConfig | None = None) -> tuple[bool, float]:

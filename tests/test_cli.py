@@ -341,7 +341,7 @@ class TestRoundTripAndDeterminism:
         path = tmp_path / "t.trajectory.csv"
         write_trajectory_csv(path, rep, 2, 2)
         records = read_trajectory_csv(path)
-        replay = RunReport(records=tuple(records), termination=rep.termination)
+        replay = RunReport(records=tuple(records), termination=rep.termination, config=rep.config)
         s_live = run_diagnostics(desc.problem, rep, 0.0).to_dict()
         s_replay = run_diagnostics(desc.problem, replay, 0.0).to_dict()
         assert s_live == s_replay
@@ -352,6 +352,8 @@ class TestRoundTripAndDeterminism:
         report, doc = load_run(out)
         rep = run(get_problem("quasi_exp").problem,
                   get_problem("quasi_exp").recommended_x0, SolverConfig())
+        assert doc["schema"] == "paretodescent.run/2"
+        assert report.config == rep.config
         assert len(report.records) == len(rep.records)
         for a, b in zip(report.records, rep.records):
             assert np.array_equal(a.x, b.x)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,29 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretodescent import (
+    DirectionResult,
     DominatingReference,
     IterationRecord,
+    MultiObjective,
     RunReport,
     SolverConfig,
+    StepResult,
     check_level_set,
     check_monotone,
     check_proximity,
     check_quasi_fejer,
-    check_scalarized_decrease,
     check_summability,
     get_problem,
     phi,
     run,
     run_diagnostics,
 )
+from paretodescent import solver as solver_module
 from paretodescent.diagnostics import STATUS_FAIL, STATUS_PRECONDITION
+from paretodescent.direction import STATUS_CERTIFIED
 
 
 def quad_run(x0=(0.4, 2.5), sigma=0.0):
     return run(get_problem("quad_pair").problem, list(x0), SolverConfig(sigma=sigma))
 
 
-def synthetic_report(xs, Fs, ts=None, vs=None):
+def stepped_jacobians(problem, report):
+    return [problem.jacobian(r.x) for r in report.stepped_records]
+
+
+def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
     """Hand-built report; positions/values given, steps default to 1."""
     xs = [np.asarray(x, dtype=float) for x in xs]
     Fs = [np.asarray(F, dtype=float) for F in Fs]
@@ -39,11 +48,11 @@ def synthetic_report(xs, Fs, ts=None, vs=None):
         v = np.zeros(n) if vs is None else np.asarray(vs[k], dtype=float)
         t = 0.0 if last else (1.0 if ts is None else float(ts[k]))
         records.append(
-            IterationRecord(k=k, x=x, Fx=F, v=v, t=t, alpha_upper=-1.0,
-                            alpha_lower=-1.0, j=-1 if last else 0,
+            IterationRecord(k=k, x=x, Fx=F, v=v, t=t, alpha_upper=alpha,
+                            alpha_lower=alpha, j=-1 if last else 0,
                             sigma_certified=True, inner_iterations=0)
         )
-    return RunReport(records=tuple(records), termination="max_iter")
+    return RunReport(records=tuple(records), termination="max_iter", config=SolverConfig())
 
 
 class TestPhi:
@@ -103,19 +112,133 @@ class TestSummability:
     def test_passes_on_convergent_run(self):
         rep = quad_run()
         assert len(rep.stepped_records) >= 10
-        assert check_summability(rep).ok
+        out = check_summability(rep, stepped_jacobians(get_problem("quad_pair").problem, rep))
+        assert out.ok
+        assert "telescoped ratio" in out.note
 
     def test_fails_on_constant_step_energy(self):
+        # g = -1 and v = 1 give alpha = -1/2, so each unit step must lower
+        # both criteria by beta * (1/2 + 1/2) = 1/2; they fall by 1/4
         xs = [[float(k)] for k in range(30)]
-        Fs = [[30.0 - k, 30.0 - k] for k in range(30)]
-        rep = synthetic_report(xs, Fs, vs=[[1.0]] * 30)
-        out = check_summability(rep)
+        Fs = [[30.0 - 0.25 * k, 30.0 - 0.25 * k] for k in range(30)]
+        rep = synthetic_report(xs, Fs, vs=[[1.0]] * 30, alpha=-0.5)
+        out = check_summability(rep, [np.array([[-1.0], [-1.0]])] * 29)
+        assert out.status == STATUS_FAIL
+        assert out.worst_violation == pytest.approx(0.25)
+
+    def test_vacuous_without_steps(self):
+        rep = run(get_problem("paper_cubic").problem, [2.0])
+        out = check_summability(rep, [])
+        assert out.ok and "vacuous" in out.note
+        # one step is already checked
+        desc = get_problem("scalar_quad")
+        rep = run(desc.problem, [1.0])
+        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
+        assert len(rep.stepped_records) == 1
+        assert out.ok and "vacuous" not in out.note
+
+    def test_jacobian_count_must_match_the_steps(self):
+        with pytest.raises(ValueError):
+            check_summability(quad_run(), [])
+
+
+def steep_pair():
+    """Two criteria of curvature 10: a unit step along the exact direction
+    overshoots, so Armijo backtracks at every step."""
+    c = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return MultiObjective(
+        n=2, m=2,
+        f=lambda x: 5.0 * np.sum((x - c) ** 2, axis=1),
+        jac=lambda x: 10.0 * (x - c),
+    )
+
+
+def _summability(problem, rep):
+    return check_summability(rep, stepped_jacobians(problem, rep))
+
+
+class TestEnergyInequalityMutations:
+    """Each mutation of a correct run must fail the energy-inequality check,
+    which passes on the run itself."""
+
+    def test_step_accepted_against_armijo(self, monkeypatch):
+        problem = steep_pair()
+        cfg = SolverConfig(max_iter=3)
+        assert _summability(problem, run(problem, [2.0, 2.0], cfg)).ok
+        monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(t=1.0, j=0))
+        out = _summability(problem, run(problem, [2.0, 2.0], cfg))
         assert out.status == STATUS_FAIL
 
-    def test_vacuous_on_one_step_run(self):
-        rep = run(get_problem("scalar_quad").problem, [1.0])
-        out = check_summability(rep)
-        assert out.ok and "vacuous" in out.note
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_alpha_upper_made_less_negative(self, sigma):
+        desc = get_problem("quad_pair")
+        rep = quad_run(sigma=sigma)
+        assert _summability(desc.problem, rep).ok
+        first = rep.records[0]
+        mutated = dataclasses.replace(first, alpha_upper=0.5 * first.alpha_upper)
+        rep = dataclasses.replace(rep, records=(mutated,) + rep.records[1:])
+        out = _summability(desc.problem, rep)
+        assert out.status == STATUS_FAIL and out.worst_index == 0
+
+    def test_sigma_mismatch(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run(x0=(3.0, 3.0), sigma=0.5)
+        assert _summability(desc.problem, rep).ok
+        with pytest.raises(ValueError):
+            run_diagnostics(desc.problem, rep, 0.0)
+        claimed = dataclasses.replace(rep, config=SolverConfig(sigma=0.0))
+        assert _summability(desc.problem, claimed).status == STATUS_FAIL
+
+    def test_uncertified_direction_recorded_as_certified(self, monkeypatch):
+        desc = get_problem("quad_pair")
+        cfg = SolverConfig(max_iter=5)
+        assert _summability(desc.problem, run(desc.problem, [3.0, 3.0], cfg)).ok
+
+        def barycenter(J, sigma, **kwargs):
+            # the first dual iterate, not solved, labelled certified
+            w = np.full(J.shape[0], 1.0 / J.shape[0])
+            v = -(J.T @ w)
+            vv = float(v @ v)
+            return DirectionResult(v, -0.5 * vv, float(np.max(J @ v)) + 0.5 * vv, w, 0,
+                                   STATUS_CERTIFIED)
+
+        monkeypatch.setattr(solver_module, "solve_sigma_approx", barycenter)
+        rep = run(desc.problem, [3.0, 3.0], cfg)
+        assert rep.iterations == 5
+        assert _summability(desc.problem, rep).status == STATUS_FAIL
+
+
+def _convex_problem(rng, m, n):
+    """Sum of a diagonal and a random positive semidefinite quadratic per criterion."""
+    C = rng.uniform(-2.0, 2.0, size=(m, n))
+    A = rng.normal(size=(m, n, n)) * rng.uniform(0.0, 1.0)
+    H = np.einsum("mij,mkj->mik", A, A) + np.eye(n) * rng.uniform(0.1, 2.0, size=(m, 1, n))
+
+    def f(x):
+        d = x - C
+        return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
+
+    def jac(x):
+        return np.einsum("mij,mj->mi", H, x - C)
+
+    return MultiObjective(n=n, m=m, f=f, jac=jac)
+
+
+class TestSeededConvexProblems:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 5),
+        sigma=st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_check_passes(self, m, n, sigma, seed):
+        rng = np.random.default_rng(seed)
+        problem = _convex_problem(rng, m, n)
+        x0 = rng.uniform(-5.0, 5.0, size=n)
+        rep = run(problem, x0, SolverConfig(sigma=sigma, max_iter=500))
+        summary = run_diagnostics(problem, rep, sigma)
+        assert summary.all_ok, summary.to_dict()
 
 
 class TestQuasiFejer:
@@ -145,7 +268,7 @@ class TestProximity:
     def test_exact_runs_recover_the_exact_direction(self):
         desc = get_problem("quad_pair")
         rep = quad_run()
-        out = check_proximity(rep, desc.problem, 0.0)
+        out = check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.0)
         assert out.ok
         # sigma = 0: recorded directions coincide with re-solves to 1e-4
         from paretodescent import solve_exact
@@ -156,29 +279,17 @@ class TestProximity:
     def test_relaxed_runs_satisfy_the_proximity_bound(self):
         desc = get_problem("quad_pair")
         rep = quad_run(sigma=0.5)
-        assert check_proximity(rep, desc.problem, 0.5).ok
+        assert check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.5).ok
 
     def test_zero_direction_at_noncritical_point_is_flagged(self):
         desc = get_problem("quad_pair")
         rec = IterationRecord(k=0, x=np.array([2.0, 2.0]), Fx=np.array([4.0, 2.5]),
                               v=np.zeros(2), t=1.0, alpha_upper=0.0, alpha_lower=0.0,
                               j=0, sigma_certified=True, inner_iterations=0)
-        rep = RunReport(records=(rec,), termination="max_iter")
-        out = check_proximity(rep, desc.problem, 0.0)
+        rep = RunReport(records=(rec,), termination="max_iter", config=SolverConfig())
+        out = check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.0)
         assert out.status == STATUS_FAIL
         assert "zero direction" in out.note
-
-
-class TestScalarizedDecrease:
-    @pytest.mark.parametrize("sigma", [0.0, 0.5])
-    def test_holds_along_solver_runs(self, sigma):
-        rep = quad_run(sigma=sigma)
-        assert check_scalarized_decrease(rep, 0.5, sigma).ok
-
-    def test_holds_on_quasi_exp(self):
-        desc = get_problem("quasi_exp")
-        rep = run(desc.problem, desc.recommended_x0)
-        assert check_scalarized_decrease(rep, 0.5, 0.0).ok
 
 
 # few distinct values, so ties and repeats are common; NaN must never win
