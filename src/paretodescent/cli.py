@@ -350,7 +350,8 @@ def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
             "problem": settings.problem_name,
             "x0": [float(val) for val in settings.x0],
             **asdict(settings.cfg),
-            "output": settings.out_prefix,
+            # the base name only, so the bytes do not depend on the directory
+            "output": Path(settings.out_prefix).name,
         },
         "termination": report.termination,
         "iterations": report.iterations,

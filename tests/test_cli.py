@@ -360,6 +360,14 @@ class TestRoundTripAndDeterminism:
             assert np.array_equal(a.v, b.v)
             assert a.t == b.t and a.alpha_upper == b.alpha_upper
 
+    def test_report_bytes_do_not_depend_on_the_output_directory(self, tmp_path):
+        shallow, deep = tmp_path / "a", tmp_path / "b" / "much" / "deeper" / "dir"
+        for d in (shallow, deep):
+            assert main(["solve", "--problem", "quad_pair", "--out", str(d / "r")]) == 0
+        for ext in ("report.json", "trajectory.csv"):
+            assert (shallow / f"r.{ext}").read_bytes() == (deep / f"r.{ext}").read_bytes()
+        assert json.loads((deep / "r.report.json").read_text())["config"]["output"] == "r"
+
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         d1.mkdir(), d2.mkdir()
