@@ -11,19 +11,28 @@ simplex, with v = -J^T w.  Every dual iterate w yields
   * an upper bound alpha_upper = max_i <g_i, v> + 0.5*||v||^2 (primal value),
 
 so inexactness is certifiable without knowing the optimum: the direction is
-sigma-approximate whenever alpha_upper <= (1 - sigma) * alpha_lower.  The
-dual is solved by projected gradient from the barycenter with fixed step 1/L,
-where L = ||J J^T||_2, the Lipschitz constant of grad psi, is the largest
-eigenvalue of the m x m Gram matrix G = J J^T, computed exactly.
+sigma-approximate whenever alpha_upper <= (1 - sigma) * alpha_lower.
 
-The loop runs in Gram space.  Since J v = -G w and ||v||^2 = w^T G w, one
-product G w per step gives the gradient step and screened copies of both
-bounds, so a step costs O(m^2) after the O(m^2 n) product that forms G.  Only
-when a screened bound comes within a rounding allowance of a stop test is
-v = -J^T w formed, at O(mn), and the test run on the J-space bounds; only
-that confirmation may stop the loop.  The allowance makes the screen a
-necessary condition for the J-space test, so the loop stops at the same
-iterate, with the same bits, as one that formed v at every step.
+The dual optimum is the min-norm point of the convex hull of the gradients,
+found by Wolfe's active-set method (Wolfe 1976, "Finding the nearest point
+in a polytope") on the m x m Gram matrix G = J J^T, from the barycenter.
+Each inner iteration makes one move on the support S of w.  It solves the
+bordered system [G_SS 1; 1^T 0] for the minimizer of psi on the affine hull
+of the face S (by least squares when the face's gradients are affinely
+dependent).  If that point is nonnegative, w moves there; otherwise w moves
+along the segment towards it until a weight reaches zero, and that weight
+leaves S.  Once w minimizes psi on its face, the next move first adds the
+vertex with the smallest (G w)_i to S.  In exact arithmetic psi falls with
+every move that changes w, and the method ends at the optimum after finitely
+many moves.
+
+Since J v = -G w and ||v||^2 = w^T G w, one product G w per iterate gives
+screened copies of both bounds, at O(m^2) after the O(m^2 n) product that
+forms G.  Only when a screened bound comes within a rounding allowance of a
+stop test is v = -J^T w formed, at O(mn), and the test run on the J-space
+bounds; only that confirmation may stop the loop.  The allowance makes the
+screen a necessary condition for the J-space test, so the loop stops at the
+first iterate whose J-space bounds pass.
 """
 
 from __future__ import annotations
@@ -95,20 +104,10 @@ def project_simplex(y) -> np.ndarray:
     # overflowed difference (-inf) out of the cumulative sum
     with np.errstate(over="ignore"):
         z = np.maximum(y - np.max(y), -2.0)
-    return _project(z, np.arange(1, y.size + 1, dtype=float))
-
-
-def _project(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Unchecked sorted-threshold kernel of ``project_simplex``.
-
-    ``y`` is finite with max(y) far below 1/eps, and ``idx`` is
-    arange(1, y.size + 1) as floats.
-    """
-    u = np.sort(y)[::-1]
+    u = np.sort(z)[::-1]
     css = np.cumsum(u) - 1.0
-    rho = int(np.nonzero(u - css / idx > 0.0)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
+    rho = int(np.nonzero(u - css / np.arange(1, z.size + 1) > 0.0)[0][-1])
+    return np.maximum(z - css[rho] / (rho + 1.0), 0.0)
 
 
 def _as_jacobian(J) -> np.ndarray:
@@ -196,20 +195,48 @@ def _allowance(G: np.ndarray, n: int) -> float:
     return 4.0 * (n + m) * np.finfo(float).eps * max(1.0, float(np.max(np.diag(G))))
 
 
+def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Minimizer of w.Gw over the affine hull {sum(w) = 1, w = 0 off support}.
+
+    Solves the bordered KKT system [G_SS 1; 1^T 0] [y; lam] = [0; 1], with
+    G_SS scaled to a unit diagonal maximum, and falls back to least squares
+    when the face's gradients are affinely dependent and the system singular.
+    """
+    idx = np.flatnonzero(support)
+    k = idx.size
+    G_SS = G[np.ix_(idx, idx)]
+    K = np.ones((k + 1, k + 1))
+    K[:k, :k] = G_SS / max(float(np.max(np.diag(G_SS))), np.finfo(float).tiny)
+    K[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(K, rhs)[0]
+    y = np.zeros(G.shape[0])
+    y[idx] = sol[:k]
+    return y
+
+
 def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
                        max_inner: int = 10_000) -> DirectionResult:
     """Compute a sigma-approximate steepest-descent direction at J.
 
-    The dual projected-gradient loop terminates as soon as the sufficient
+    The dual active-set loop terminates as soon as the sufficient
     certificate alpha_upper <= (1 - sigma) * alpha_lower holds (for sigma=0,
     once the relative duality gap drops below ``TOL_GAP``), so larger sigma
-    buys earlier termination.  A critical point is reported, with v snapped
-    to zero and alpha_upper = 0, once alpha_lower >= -eps_critical; this is
-    sound because alpha_lower never exceeds the true optimal value.
+    may stop at an earlier iterate.  A critical point is reported, with v
+    snapped to zero and alpha_upper = 0, once alpha_lower >= -eps_critical;
+    this is sound because alpha_lower never exceeds the true optimal value.
 
-    Exhausting ``max_inner`` projected-gradient updates returns the best
-    iterate seen, by its Gram-space upper bound, with status ``"max_inner"``,
-    which is not certified; its bounds are those of the returned v.
+    Every iterate is a simplex point and each inner iteration one move of
+    the active-set method, so the loop normally certifies within a few
+    moves per criterion.  ``max_inner`` is a safety cap for Gram matrices
+    whose optimal value lies below their rounding floor: exhausting it
+    returns the best iterate seen, by its Gram-space upper bound, with
+    status ``"max_inner"``, which is not certified; its bounds are those of
+    the returned v.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
@@ -218,11 +245,11 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     J = _as_jacobian(J)
     m, n = J.shape
     G = J @ J.T
-    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
     gap_floor = _gap_floor(G)
     allowance = _allowance(G, n)
-    idx = np.arange(1, m + 1, dtype=float)
     w = np.full(m, 1.0 / m)
+    support = np.ones(m, dtype=bool)
+    on_face_min = False  # w minimizes psi on the face of its support
     best_p, best_w = np.inf, w
     it = 0
     while True:
@@ -242,9 +269,21 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
                 return DirectionResult(v, d, p, w, it, status)
         if it >= max_inner:
             return DirectionResult(*_bounds(J, best_w), best_w, it, STATUS_MAX_INNER)
-        # entries of w - step*Gw lie in [-1, 2] (step*|Gw|_i <= 1), so the
-        # kernel needs none of project_simplex's checks or its shift
-        w = _project(w - step * Gw, idx)
+        if on_face_min:
+            support[int(np.argmin(Gw))] = True
+        y = _face_minimizer(G, support)
+        blocking = support & (y < 0.0)
+        if not blocking.any():
+            w, on_face_min = y, True
+        else:
+            # the largest step towards y that keeps w >= 0 zeroes the first
+            # blocking weight, which leaves the support
+            ratios = w[blocking] / (w[blocking] - y[blocking])
+            first = int(np.argmin(ratios))
+            w = np.maximum(w + ratios[first] * (y - w), 0.0)
+            w[np.flatnonzero(blocking)[first]] = 0.0
+            support = w > 0.0
+            on_face_min = False
         it += 1
 
 

@@ -48,9 +48,7 @@ def _criterion(number: int, label: str, failures: list) -> None:
 
 
 def quad_pair_starts():
-    """Seeded starts whose projections fall inside the critical segment, so
-    trajectories take many steps (runs attracted to a segment endpoint
-    terminate exactly within a handful of steps)."""
+    """Seeded starts whose projections fall inside the critical segment."""
     rng = np.random.default_rng(START_SEED)
     starts = []
     for _ in range(20):

@@ -110,9 +110,10 @@ class TestLevelSet:
 
 class TestSummability:
     def test_passes_on_convergent_run(self):
-        rep = quad_run()
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0)
         assert len(rep.stepped_records) >= 10
-        out = check_summability(rep, stepped_jacobians(get_problem("quad_pair").problem, rep))
+        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
         assert out.ok
         assert "telescoped ratio" in out.note
 

@@ -17,10 +17,20 @@ from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
     STATUS_MAX_INNER,
-    TOL_GAP,
     _allowance,
-    _project,
 )
+
+
+# Jacobians on which the projected-gradient loop this solver replaced ran
+# out of updates: a zero gradient beside a near-singular face, and three
+# near-parallel gradients one of whose entries is subnormal.
+ZERO_ROW_JACOBIAN = np.array([
+    [-1.72e-4, 0.0, -3.38, 0.0],
+    [0.0, -1.72e-4, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, -1.9],
+])
+SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
 
 
 def random_jacobian(rng, scale=10.0):
@@ -47,42 +57,48 @@ def _hard_jacobians(draw):
     return rows * (signs * 10.0**log_scales)[:, None]
 
 
-def _reference_solve(J, sigma, eps_critical, max_inner):
-    """The dual loop with v = -J^T w formed at every step, as a reference.
-
-    Returns (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
-    """
+def _enumerated_alpha(J):
+    """Optimal value by enumerating every face, for any m: the least psi over
+    the faces whose bordered KKT system has a nonnegative solution."""
     m = J.shape[0]
     G = J @ J.T
-    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
-    w = np.full(m, 1.0 / m)
-    best = None
-    it = 0
-    while True:
-        v = -(J.T @ w)
-        vv = float(v @ v)
-        d = -0.5 * vv
-        p = float(np.max(J @ v)) + 0.5 * vv
-        if best is None or p < best[0]:
-            best = (p, v, d, w)
-        if d >= -eps_critical:
-            return np.zeros_like(v), d, 0.0, w, it, STATUS_CRITICAL
-        if sigma > 0.0:
-            certified = p - (1.0 - sigma) * d <= gap_floor
-        else:
-            certified = (p - d) <= max(TOL_GAP * abs(d), gap_floor)
-        if certified and p <= 0.0:
-            return v, d, p, w, it, STATUS_CERTIFIED
-        if it >= max_inner:
-            p_b, v_b, d_b, w_b = best
-            return v_b, d_b, p_b, w_b, it, STATUS_MAX_INNER
-        y = w - step * (G @ w)
-        u = np.sort(y)[::-1]
-        css = np.cumsum(u) - 1.0
-        rho = int(np.nonzero(u - css / np.arange(1, m + 1, dtype=float) > 0.0)[0][-1])
-        w = np.maximum(y - css[rho] / (rho + 1.0), 0.0)
-        it += 1
+    best = -np.inf
+    for mask in range(1, 2**m):
+        S = [i for i in range(m) if mask >> i & 1]
+        A = np.ones((len(S) + 1, len(S) + 1))
+        A[:-1, :-1] = G[np.ix_(S, S)]
+        A[-1, -1] = 0.0
+        rhs = np.zeros(len(S) + 1)
+        rhs[-1] = 1.0
+        wS = np.linalg.lstsq(A, rhs, rcond=None)[0][:-1]
+        if np.all(wS >= -1e-9) and wS.sum() > 0.0:
+            wS = np.clip(wS, 0.0, None)
+            g = J[S].T @ (wS / wS.sum())
+            best = max(best, -0.5 * float(g @ g))
+    return best
+
+
+def _reference_alpha(J):
+    return kkt_direction(J)[2] if J.shape[0] <= 4 else _enumerated_alpha(J)
+
+
+_HARD_CASES = dict(
+    J=_hard_jacobians(),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    eps_critical=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, None]),
+)
+
+
+def _hard_solve(J, sigma, eps_critical):
+    """Solve with max_inner = 300; eps_critical None stands for the value at
+    which the J-space critical test passes at the barycenter with equality,
+    where the Gram-space screen has no rounding room to spare."""
+    if eps_critical is None:
+        v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
+        eps_critical = 0.5 * float(v0 @ v0)
+        if eps_critical <= 0.0:
+            return None, eps_critical
+    return solve_sigma_approx(J, sigma, eps_critical=eps_critical, max_inner=300), eps_critical
 
 
 class TestProjectSimplex:
@@ -165,20 +181,34 @@ class TestSolveExact:
         assert abs(res.alpha_lower) <= 1e-12
 
     def test_max_inner_exhaustion_reports_distinct_status(self):
-        jacobians = [
-            np.array([[0.4, 16.0], [-0.6, 16.0]]),  # ill-conditioned Gram matrix
-            np.random.default_rng(3).uniform(0.5, 2.0, size=(20, 50)) * 5.0,
+        cases = [
+            (SUBNORMAL_JACOBIAN, 1),  # certifies after its second move
+            (np.random.default_rng(3).uniform(0.5, 2.0, size=(20, 50)) * 5.0, 5),
         ]
-        for J in jacobians:
-            res = solve_exact(J, max_inner=5)
+        for J, cap in cases:
+            res = solve_exact(J, max_inner=cap)
             assert res.status == STATUS_MAX_INNER
-            assert res.inner_iterations == 5
+            assert res.inner_iterations == cap
             assert not res.sigma_certified
             assert not res.critical
             # the returned bounds are those of the returned direction
             assert np.array_equal(res.v, -(J.T @ res.weights))
             assert res.alpha_lower == -0.5 * float(res.v @ res.v)
             assert res.alpha_upper == primal_value(J, res.v)
+
+    def test_zero_gradient_beside_a_near_singular_face_is_critical(self):
+        res = solve_exact(ZERO_ROW_JACOBIAN)
+        assert res.critical
+        assert res.inner_iterations == 1
+        assert np.array_equal(res.v, np.zeros(4))
+
+    def test_subnormal_entry_certifies_the_optimal_value(self):
+        for sigma in (0.0, 1e-12, 5e-324):
+            res = solve_sigma_approx(SUBNORMAL_JACOBIAN, sigma)
+            assert res.status == STATUS_CERTIFIED
+            assert res.inner_iterations == 2
+            assert res.alpha_upper == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
+            assert res.alpha_lower == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
 
     def test_rejects_nonfinite_jacobian(self):
         with pytest.raises(ValueError):
@@ -221,27 +251,26 @@ class TestSolveSigmaApprox:
 
 class TestGramSpaceLoop:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(
-        J=_hard_jacobians(),
-        sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-        eps_critical=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, None]),
-    )
-    def test_stops_where_the_j_space_loop_stops_with_the_same_bits(self, J, sigma, eps_critical):
-        if eps_critical is None:
-            # the J-space critical test passes at the barycenter with equality,
-            # so the Gram-space screen has no rounding room to spare
-            v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
-            eps_critical = 0.5 * float(v0 @ v0)
-            if eps_critical <= 0.0:
-                return
-        ref = _reference_solve(J, sigma, eps_critical, max_inner=300)
-        res = solve_sigma_approx(J, sigma, eps_critical=eps_critical, max_inner=300)
-        assert (res.status, res.inner_iterations) == (ref[5], ref[4])
-        if res.status != STATUS_MAX_INNER:
-            assert np.array_equal(res.v, ref[0])
-            assert res.alpha_lower == ref[1]
-            assert res.alpha_upper == ref[2]
-            assert np.array_equal(res.weights, ref[3])
+    @given(**_HARD_CASES)
+    def test_certificates_hold_against_a_reference_optimum(self, J, sigma, eps_critical):
+        res, eps_critical = _hard_solve(J, sigma, eps_critical)
+        if res is None or not res.sigma_certified:
+            return  # a max_inner result claims nothing
+        alpha = _reference_alpha(J)
+        slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
+        assert res.alpha_lower <= alpha + slack
+        if res.critical:
+            assert alpha >= -eps_critical - slack
+        else:
+            assert primal_value(J, res.v) <= (1.0 - sigma) * alpha + slack
+            assert res.alpha_upper <= 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(**_HARD_CASES)
+    def test_max_inner_is_reached_only_below_the_rounding_floor(self, J, sigma, eps_critical):
+        res, _eps = _hard_solve(J, sigma, eps_critical)
+        if res is not None and res.status == STATUS_MAX_INNER:
+            assert abs(_reference_alpha(J)) <= _allowance(J @ J.T, J.shape[1])
 
     def test_gram_space_bounds_stay_within_the_allowance(self):
         rng = np.random.default_rng(41)
@@ -256,12 +285,12 @@ class TestGramSpaceLoop:
             G = J @ J.T
             allowance = _allowance(G, J.shape[1])
             step = 1.0 / float(np.linalg.eigvalsh(G)[-1])
-            idx = np.arange(1, m + 1, dtype=float)
             points = list(rng.dirichlet(np.ones(m), size=20))
             w = np.full(m, 1.0 / m)
             for _ in range(30):
                 points.append(w)
-                w = _project(w - step * (G @ w), idx)
+                w = project_simplex(w - step * (G @ w))
+            points.append(solve_exact(J).weights)
             for w in points:
                 Gw = G @ w
                 wGw = float(w @ Gw)
@@ -365,7 +394,8 @@ class TestInvariants:
             res = solve_sigma_approx(J, float(rng.uniform(0.0, 0.99)))
             if res.sigma_certified:
                 assert res.alpha_upper <= 0.0
-                assert res.alpha_lower <= res.alpha_upper + 1e-15
+                # at a face minimizer the two bounds meet, and may cross by rounding
+                assert res.alpha_lower <= res.alpha_upper + _allowance(J @ J.T, J.shape[1])
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(J=_JACOBIANS, sigma=st.floats(0.0, 0.99))

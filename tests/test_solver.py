@@ -19,6 +19,15 @@ from paretodescent.solver import (
 )
 
 
+# three near-parallel gradients, one entry subnormal: the direction solve
+# certifies after its second move
+SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+
+
+def linear_problem(J):
+    return MultiObjective(n=J.shape[1], m=J.shape[0], f=lambda x: J @ x, jac=lambda x: J)
+
+
 def anisotropic_pair():
     """Convex pair with shared anisotropy; the dual is ill-conditioned far
     out, so exact direction solves cost many inner iterations."""
@@ -66,7 +75,8 @@ class TestRunExamples:
 
 class TestRunContract:
     def test_update_rule_is_reproducible_from_records(self):
-        rep = run(get_problem("quad_pair").problem, [0.4, 2.5])
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0)
         assert rep.iterations >= 5
         for a, b in zip(rep.records, rep.records[1:]):
             assert np.array_equal(b.x, a.x + a.t * a.v)
@@ -97,8 +107,8 @@ class TestRunContract:
             assert a.alpha_upper == b.alpha_upper
 
     def test_sigma_relaxation_saves_inner_iterations_on_expensive_duals(self):
-        # starts where sigma=0 needs hundreds of dual iterations per step,
-        # while the relaxed certificate fires almost immediately
+        # sigma = 0 needs a move of the dual solver at every step, while the
+        # relaxed certificate may already hold at the barycenter
         p = anisotropic_pair()
         exact = run(p, [3.0, 2.0], SolverConfig(sigma=0.0))
         loose = run(p, [3.0, 2.0], SolverConfig(sigma=0.5))
@@ -107,14 +117,15 @@ class TestRunContract:
         assert loose.total_inner_iterations <= exact.total_inner_iterations
 
     def test_max_iter_caps_the_run_with_status(self):
-        rep = run(get_problem("quad_pair").problem, [0.4, 2.5], SolverConfig(max_iter=3))
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0, SolverConfig(max_iter=3))
         assert rep.termination == TERMINATION_MAX_ITER
         assert rep.iterations == 3
         assert rep.records[-1].t == 0.0 and rep.records[-1].j == -1
 
     def test_subproblem_failure_is_reported_not_raised(self):
-        cfg = SolverConfig(max_inner=3)
-        rep = run(get_problem("quad_pair").problem, [2.0, 2.0], cfg)
+        # three linear criteria whose direction solve needs two moves
+        rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0], SolverConfig(max_inner=1))
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
 
@@ -193,6 +204,5 @@ class TestIsCritical:
         np.testing.assert_allclose(alpha, -0.25, atol=1e-10)
 
     def test_uncertified_subproblem_raises(self):
-        J = np.array([[0.4, 16.0], [-0.6, 16.0]])
         with pytest.raises(SubproblemError):
-            is_critical(J, SolverConfig(max_inner=3))
+            is_critical(SUBNORMAL_JACOBIAN, SolverConfig(max_inner=1))
