@@ -112,22 +112,18 @@ def check_level_set(report: RunReport) -> CheckOutcome:
 def check_summability(report: RunReport, jacobians) -> CheckOutcome:
     """The energy inequality of the method, per step and telescoped.
 
-    ``jacobians`` holds J(x^k) for each stepped record, in order.  With beta
-    and sigma from the report's config, every stepped record must carry the
-    certificate the solver tested, alpha_upper <= (1 - sigma) * alpha_lower
-    <= 0 (for sigma = 0, alpha_upper - alpha_lower <= TOL_GAP * |alpha_lower|),
-    each within the solver's rounding floor at G = J J^T.  The Armijo test
-    along such a direction gives, with alpha_k = alpha_upper,
+    ``jacobians`` holds J(x^k) for each stepped record.  With beta and sigma
+    from the report's config, each step must carry the certificate the
+    solver tested, alpha_upper <= (1 - sigma) * alpha_lower <= 0 up to the
+    gap floor of J J^T (TOL_GAP's relative rule for sigma = 0), and decrease
 
-        beta * t_k * (||v^k||^2 / 2 - alpha_k) <= min_i (f_i(x^k) - f_i(x^{k+1})),
+        beta * t_k * (||v^k||^2 / 2 - alpha_upper) <= min_i (f_i(x^k) - f_i(x^{k+1})),
 
-    and, since alpha_k <= 0, telescoped over the run
-
-        sum_k t_k ||v^k||^2 <= (2 / beta) * min_i (f_i(x^0) - f_i(x^K)),
-
-    a finite certificate of the summability that drives convergence.  Both
-    inequalities allow only the rounding of the Armijo test and of their own
-    arithmetic (``_decrease_tolerance``).
+    so that sum_k t_k ||v^k||^2 <= (2 / beta) * min_i (f_i(x^0) - f_i(x^K)).
+    The decrease allows only rounding: with u = eps/2, the accepted Armijo
+    test, alpha_upper = fl(max(J v) + ||v||^2 / 2) and this check's own
+    arithmetic err by at most u * (2|F| + |F_next| + 5 * need) to first order,
+    which tol = 8u * (|F| + |F_next| + need) covers.
     """
     recs = report.records
     steps = [(r, nxt) for r, nxt in zip(recs, recs[1:]) if r.t > 0.0]
@@ -136,18 +132,13 @@ def check_summability(report: RunReport, jacobians) -> CheckOutcome:
     if not steps:
         return CheckOutcome("summability", STATUS_PASS, 0.0, None, "vacuous: no steps")
     beta, sigma = report.config.beta, report.config.sigma
-    pairs = []
-    energy, tols = [], []
+    pairs, energy, tols = [], [], []
     for (r, nxt), J in zip(steps, jacobians):
-        p, d = r.alpha_upper, r.alpha_lower
-        floor = _gap_floor(J @ J.T)
-        if sigma > 0.0:
-            cert = p - (1.0 - sigma) * d - floor
-        else:
-            cert = p - d - max(TOL_GAP * abs(d), floor)
+        p, d, floor = r.alpha_upper, r.alpha_lower, _gap_floor(J @ J.T)
+        cert = p - (1.0 - sigma) * d - floor if sigma > 0.0 else p - d - max(TOL_GAP * abs(d), floor)
         vv = float(r.v @ r.v)
         need = beta * r.t * (0.5 * vv - p)
-        tol = _decrease_tolerance(r.Fx, nxt.Fx, need)
+        tol = 4.0 * np.finfo(float).eps * (np.abs(r.Fx) + np.abs(nxt.Fx) + need)
         excess = need - (r.Fx - nxt.Fx) - tol
         if not all(math.isfinite(val) for val in (cert, need, *excess)):
             return CheckOutcome("summability", STATUS_FAIL, math.inf, r.k, "non-finite step energy")
@@ -162,20 +153,6 @@ def check_summability(report: RunReport, jacobians) -> CheckOutcome:
     ratio = total / ((2.0 / beta) * float(np.min(drop))) if np.min(drop) > 0.0 else math.inf
     note = f"sum t|v|^2={total:.3e} telescoped ratio={ratio:.3g}"
     return _outcome("summability", worst, worst_k, note)
-
-
-def _decrease_tolerance(F: np.ndarray, F_next: np.ndarray, need: float) -> np.ndarray:
-    """Rounding allowance of the per-step decrease, one entry per criterion.
-
-    With u = eps/2, the accepted Armijo test F_next <= fl(F + fl(beta*t*(Jv)))
-    gives F - F_next >= D*(1 - 2u) - u*|F| for D = -beta*t*(Jv)_i, and
-    alpha_upper = fl(max(Jv) + ||v||^2/2) gives D >= beta*t*(||v||^2/2 -
-    alpha_upper) - u*beta*t*|alpha_upper|.  The check's own three roundings
-    add at most u*(|F| + |F_next|) + 2u*need, so the total stays below
-    u*(2|F| + |F_next| + 5*need) to first order; 8u*(|F| + |F_next| + need)
-    covers it with room for the terms of order u^2.
-    """
-    return 4.0 * np.finfo(float).eps * (np.abs(F) + np.abs(F_next) + need)
 
 
 def check_quasi_fejer(

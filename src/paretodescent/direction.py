@@ -13,26 +13,21 @@ simplex, with v = -J^T w.  Every dual iterate w yields
 so inexactness is certifiable without knowing the optimum: the direction is
 sigma-approximate whenever alpha_upper <= (1 - sigma) * alpha_lower.
 
-The dual optimum is the min-norm point of the convex hull of the gradients,
-found by Wolfe's active-set method (Wolfe 1976, "Finding the nearest point
-in a polytope") on the m x m Gram matrix G = J J^T, from the barycenter.
-Each inner iteration makes one move on the support S of w.  It solves the
-bordered system [G_SS 1; 1^T 0] for the minimizer of psi on the affine hull
-of the face S (by least squares when the face's gradients are affinely
-dependent).  If that point is nonnegative, w moves there; otherwise w moves
-along the segment towards it until a weight reaches zero, and that weight
-leaves S.  Once w minimizes psi on its face, the next move first adds the
-vertex with the smallest (G w)_i to S.  In exact arithmetic psi falls with
-every move that changes w, and the method ends at the optimum after finitely
-many moves.
+The dual optimum, the min-norm point of the gradients' convex hull, is found
+by Wolfe's active-set method (Wolfe 1976, "Finding the nearest point in a
+polytope") on the Gram matrix G = J J^T, from the barycenter.  Each inner
+iteration is one move on the support S of w: solve [G_SS 1; 1^T 0] for the
+minimizer of psi on the affine hull of the face S, and move there if it is
+nonnegative; otherwise move towards it until a weight reaches zero, and drop
+that weight from S.  Once w minimizes psi on its face, the next move first
+adds the vertex with the smallest (G w)_i.  In exact arithmetic this ends at
+the optimum after finitely many moves.
 
 Since J v = -G w and ||v||^2 = w^T G w, one product G w per iterate gives
-screened copies of both bounds, at O(m^2) after the O(m^2 n) product that
-forms G.  Only when a screened bound comes within a rounding allowance of a
-stop test is v = -J^T w formed, at O(mn), and the test run on the J-space
-bounds; only that confirmation may stop the loop.  The allowance makes the
-screen a necessary condition for the J-space test, so the loop stops at the
-first iterate whose J-space bounds pass.
+screened copies of both bounds at O(m^2).  Only when a screened bound comes
+within a rounding allowance of a stop test is v = -J^T w formed, at O(mn),
+and the test run on the J-space bounds, which alone may stop the loop.  The
+allowance makes the screen a necessary condition for the J-space test.
 """
 
 from __future__ import annotations
@@ -153,12 +148,8 @@ def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
 
 
 def _gap_floor(G: np.ndarray) -> float:
-    """Absolute floor of the certificate tests at Gram matrix G.
-
-    The computed primal-dual gap bottoms out around machine epsilon times
-    the Gram scale; near-critical points can push the relative target below
-    that floor, so the certificate also accepts a gap at the floor.
-    """
+    """Absolute floor of the certificate tests: the computed primal-dual gap
+    bottoms out around machine epsilon times the Gram scale."""
     return 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
 
 
@@ -196,26 +187,22 @@ def _allowance(G: np.ndarray, n: int) -> float:
 
 
 def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Minimizer of w.Gw over the affine hull {sum(w) = 1, w = 0 off support}.
-
-    Solves the bordered KKT system [G_SS 1; 1^T 0] [y; lam] = [0; 1], with
-    G_SS scaled to a unit diagonal maximum, and falls back to least squares
-    when the face's gradients are affinely dependent and the system singular.
-    """
+    """Minimizer of w.Gw on the affine hull of the face {w = 0 off support}:
+    [G_SS 1; 1^T 0] [y; lam] = [0; 1] with G_SS scaled to a unit diagonal
+    maximum, by least squares when the face's gradients are affinely
+    dependent and the system singular."""
     idx = np.flatnonzero(support)
-    k = idx.size
     G_SS = G[np.ix_(idx, idx)]
-    K = np.ones((k + 1, k + 1))
-    K[:k, :k] = G_SS / max(float(np.max(np.diag(G_SS))), np.finfo(float).tiny)
-    K[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
+    K = np.pad(G_SS / max(float(G_SS.diagonal().max()), np.finfo(float).tiny), (0, 1),
+               constant_values=1.0)
+    K[-1, -1] = 0.0
+    rhs = np.eye(idx.size + 1)[-1]
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs)[0]
     y = np.zeros(G.shape[0])
-    y[idx] = sol[:k]
+    y[idx] = sol[:-1]
     return y
 
 
@@ -230,13 +217,10 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     snapped to zero and alpha_upper = 0, once alpha_lower >= -eps_critical;
     this is sound because alpha_lower never exceeds the true optimal value.
 
-    Every iterate is a simplex point and each inner iteration one move of
-    the active-set method, so the loop normally certifies within a few
-    moves per criterion.  ``max_inner`` is a safety cap for Gram matrices
-    whose optimal value lies below their rounding floor: exhausting it
-    returns the best iterate seen, by its Gram-space upper bound, with
-    status ``"max_inner"``, which is not certified; its bounds are those of
-    the returned v.
+    ``max_inner`` caps the moves for optimal values below the rounding floor
+    of G.  Exhausting it returns the best iterate seen, by its Gram-space
+    upper bound, with status ``"max_inner"``, which is not certified; its
+    bounds are those of the returned v.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
@@ -248,7 +232,6 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     gap_floor = _gap_floor(G)
     allowance = _allowance(G, n)
     w = np.full(m, 1.0 / m)
-    support = np.ones(m, dtype=bool)
     on_face_min = False  # w minimizes psi on the face of its support
     best_p, best_w = np.inf, w
     it = 0
@@ -269,6 +252,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
                 return DirectionResult(v, d, p, w, it, status)
         if it >= max_inner:
             return DirectionResult(*_bounds(J, best_w), best_w, it, STATUS_MAX_INNER)
+        support = w > 0.0
         if on_face_min:
             support[int(np.argmin(Gw))] = True
         y = _face_minimizer(G, support)
@@ -282,7 +266,6 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
             first = int(np.argmin(ratios))
             w = np.maximum(w + ratios[first] * (y - w), 0.0)
             w[np.flatnonzero(blocking)[first]] = 0.0
-            support = w > 0.0
             on_face_min = False
         it += 1
 
