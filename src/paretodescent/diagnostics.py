@@ -1,7 +1,8 @@
 """Post-hoc verification of trajectory properties the method guarantees.
 
-Each check is a pure function of a run report: rerunning it on the same
-report yields an identical outcome.  Checks report their worst violation so
+Each check is a pure function of a run report, and for two of them of the
+Jacobians at its stepped points: rerunning it on the same report yields an
+identical outcome.  Checks report their worst violation so
 a failure localizes to a step.
 """
 
