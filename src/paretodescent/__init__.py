@@ -16,14 +16,12 @@ from .diagnostics import (
     check_proximity,
     check_quasi_fejer,
     check_summability,
-    phi,
     run_diagnostics,
 )
 from .direction import (
     DirectionResult,
     check_sigma_certificate,
     primal_value,
-    project_simplex,
     solve_exact,
     solve_sigma_approx,
 )
@@ -86,9 +84,7 @@ __all__ = [
     "kkt_direction",
     "list_problems",
     "make_quad_pair",
-    "phi",
     "primal_value",
-    "project_simplex",
     "run",
     "run_diagnostics",
     "sample_quasiconvex",

@@ -62,6 +62,12 @@ def _fmt(value: float) -> str:
 # literals, variables x1..xn.  Each token is respelled as Python (xK as
 # x[K-1], ^ as **, integer literals as floats) so that Python's parser
 # applies the same precedence; the checked tree compiles to one lambda.
+# A criterion's value is the lambda's on np.float64 variables, with a complex
+# value or a ZeroDivisionError or OverflowError (which only float literals
+# raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
+# lambda on Python floats, about three times faster, and keeps that value
+# only when it is a finite float: there both agree bit for bit, while a NaN's
+# sign, an exception or a complex result may differ.
 # Derivatives come from the finite-difference fallback of the objective module.
 
 _TOKEN_RE = re.compile(
@@ -128,6 +134,23 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     return eval(code, {"__builtins__": {}}), max_var
 
 
+def _criterion_value(fn, xs: list[float], x: np.ndarray) -> float:
+    """fn at x on Python floats ``xs`` if that value is a finite float, else
+    on the np.float64 entries of ``x``."""
+    try:
+        y = fn(xs)
+    except (ZeroDivisionError, OverflowError):
+        pass
+    else:
+        if type(y) is float and math.isfinite(y):
+            return y
+    try:
+        y = fn(x)
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
+    return math.nan if isinstance(y, complex) else float(y)
+
+
 def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjective:
     fns = []
     max_var = 0
@@ -145,7 +168,8 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
         raise ConfigError(f"expression references x{max_var} but n = {dim}")
 
     def f(x):
-        return np.array([float(fn(x)) for fn in fns])
+        xs = x.tolist()
+        return np.array([_criterion_value(fn, xs, x) for fn in fns])
 
     return MultiObjective(n=dim, m=len(fns), f=f, jac=None, name="inline")
 
@@ -273,11 +297,12 @@ def _resolve_settings(args) -> RunSettings:
 
 def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) -> None:
     """One row per visited point, floats at 17 significant digits so every
-    double round-trips exactly.  The terminal row has t = 0 and j = -1.
+    double round-trips exactly, with every field of its record: the
+    terminal row has t = 0 and j = -1, and ``sigma_certified`` is 1 or 0.
     Direction components come last so a re-parsed trajectory replays
     through the diagnostics unchanged."""
     header = (
-        ["k", "t", "j", "alpha_upper", "alpha_lower", "norm_v"]
+        ["k", "t", "j", "alpha_upper", "alpha_lower", "sigma_certified", "inner_iterations"]
         + [f"x_{i + 1}" for i in range(n)]
         + [f"F_{i + 1}" for i in range(m)]
         + [f"v_{i + 1}" for i in range(n)]
@@ -285,7 +310,7 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
     lines = [",".join(header)]
     for r in report.records:
         row = [str(r.k), _fmt(r.t), str(r.j), _fmt(r.alpha_upper), _fmt(r.alpha_lower),
-               _fmt(float(np.linalg.norm(r.v)))]
+               str(int(r.sigma_certified)), str(r.inner_iterations)]
         row += [_fmt(val) for val in r.x]
         row += [_fmt(val) for val in r.Fx]
         row += [_fmt(val) for val in r.v]
@@ -294,9 +319,8 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
 
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
-    """Rebuild iteration records from a trajectory CSV (inverse of the
-    writer up to fields the CSV does not carry: certification flags and
-    inner iteration counts default to True/0)."""
+    """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
+    of the writer)."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
@@ -320,8 +344,8 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
                 alpha_upper=float(parts[col["alpha_upper"]]),
                 alpha_lower=float(parts[col["alpha_lower"]]),
                 j=int(parts[col["j"]]),
-                sigma_certified=True,
-                inner_iterations=0,
+                sigma_certified=bool(int(parts[col["sigma_certified"]])),
+                inner_iterations=int(parts[col["inner_iterations"]]),
             )
         )
     return records

@@ -21,7 +21,6 @@ __all__ = [
     "CheckOutcome",
     "DominatingReference",
     "DiagnosticsSummary",
-    "phi",
     "check_monotone",
     "check_level_set",
     "check_summability",
@@ -66,14 +65,6 @@ class DominatingReference:
 
     x_tilde: np.ndarray
     slack: float = 1e-10
-
-
-def phi(y) -> float:
-    """Componentwise maximum; positively homogeneous, subadditive, monotone."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size == 0:
-        raise ValueError("phi of an empty vector is undefined")
-    return float(np.max(y))
 
 
 def _worst(pairs) -> tuple[float, int | None]:

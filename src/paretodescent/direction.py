@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "DirectionResult",
-    "project_simplex",
     "primal_value",
     "solve_exact",
     "solve_sigma_approx",
@@ -79,30 +78,6 @@ class DirectionResult:
     @property
     def sigma_certified(self) -> bool:
         return self.status in (STATUS_CERTIFIED, STATUS_CRITICAL)
-
-
-def project_simplex(y) -> np.ndarray:
-    """Euclidean projection of ``y`` onto the unit simplex.
-
-    Returns argmin_{w in simplex} ||w - y||^2 via the sorted-threshold rule:
-    entries are max(y_i - tau, 0) with tau chosen so they sum to one.  The
-    projection does not change when a constant is added to every entry, so
-    the rule runs on y - max(y), whose active entries lie in [-1, 0]; on y
-    itself the threshold is lost to rounding once max(y) nears 1/eps.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("project_simplex expects a nonempty vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("project_simplex expects finite input")
-    # entries below -1 after the shift are inactive; the clamp keeps an
-    # overflowed difference (-inf) out of the cumulative sum
-    with np.errstate(over="ignore"):
-        z = np.maximum(y - np.max(y), -2.0)
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = int(np.nonzero(u - css / np.arange(1, z.size + 1) > 0.0)[0][-1])
-    return np.maximum(z - css[rho] / (rho + 1.0), 0.0)
 
 
 def _as_jacobian(J) -> np.ndarray:
@@ -220,7 +195,11 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     ``max_inner`` caps the moves for optimal values below the rounding floor
     of G.  Exhausting it returns the best iterate seen, by its Gram-space
     upper bound, with status ``"max_inner"``, which is not certified; its
-    bounds are those of the returned v.
+    bounds are those of the returned v.  The loop returns that result before
+    the cap once w minimizes psi on its face and the vertex with the smallest
+    (G w)_i already lies in that face: in exact arithmetic w is then optimal
+    with a zero gap and no move changes it, so the stop test failed by
+    rounding alone.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
@@ -250,11 +229,15 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
                 v, p = np.zeros_like(v), 0.0
             if status is not None:
                 return DirectionResult(v, d, p, w, it, status)
-        if it >= max_inner:
-            return DirectionResult(*_bounds(J, best_w), best_w, it, STATUS_MAX_INNER)
         support = w > 0.0
+        entering = int(np.argmin(Gw))
+        # w minimizes psi on its face, and no vertex off the face has a
+        # smaller (Gw)_i: the next move would leave w where it is
+        stalled = on_face_min and support[entering]
+        if it >= max_inner or stalled:
+            return DirectionResult(*_bounds(J, best_w), best_w, it, STATUS_MAX_INNER)
         if on_face_min:
-            support[int(np.argmin(Gw))] = True
+            support[entering] = True
         y = _face_minimizer(G, support)
         blocking = support & (y < 0.0)
         if not blocking.any():

@@ -21,7 +21,7 @@ def as_point(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"point must be one-dimensional, got shape {p.shape}")
     if n is not None and p.size != n:
         raise ValueError(f"point has length {p.size}, expected {n}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point contains non-finite entries")
     return p
 
@@ -76,7 +76,7 @@ class MultiObjective:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             if x.size != self.n:
                 raise ValueError(f"point has length {x.size}, expected {self.n}")
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 return np.full(self.m, np.nan)
         with np.errstate(all="ignore"):
             y = np.atleast_1d(np.asarray(self.f(x), dtype=float))
@@ -84,7 +84,7 @@ class MultiObjective:
             raise ValueError(
                 f"objective '{self.name}' returned shape {y.shape}, expected ({self.m},)"
             )
-        if require_finite and not np.all(np.isfinite(y)):
+        if require_finite and not np.isfinite(y).all():
             raise NonFiniteError(
                 f"objective '{self.name}' returned non-finite values at {x!r}"
             )
@@ -102,6 +102,6 @@ class MultiObjective:
             raise ValueError(
                 f"jacobian of '{self.name}' has shape {J.shape}, expected ({self.m}, {self.n})"
             )
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise NonFiniteError(f"jacobian of '{self.name}' has non-finite entries at {x!r}")
         return J

@@ -1,13 +1,14 @@
 import hashlib
 import json
+import math
 import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paretodescent import RunReport, SolverConfig, get_problem, run, run_diagnostics
+from paretodescent import MultiObjective, RunReport, SolverConfig, get_problem, run, run_diagnostics
 from paretodescent.cli import (
     ConfigError,
     build_inline_problem,
@@ -22,6 +23,13 @@ from paretodescent.cli import (
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def record_bits(r):
+    """Every field of an iteration record, floats as their bytes."""
+    return (r.k, r.j, r.sigma_certified, r.inner_iterations,
+            *(np.asarray(a, dtype=float).tobytes() for a in (r.t, r.alpha_upper, r.alpha_lower,
+                                                              r.x, r.Fx, r.v)))
 
 
 # Expression trees of the criterion grammar: ("num", literal), ("var", K),
@@ -87,6 +95,24 @@ def reference(tree, x):
     return _OPS[op](a, reference(right, x))
 
 
+def criterion_value(tree, x):
+    """The value an inline criterion takes: the grammar's, with a complex
+    value, a division by zero or an overflow read as NaN."""
+    try:
+        with np.errstate(all="ignore"):
+            value = reference(tree, x)
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
+    return math.nan if isinstance(value, complex) else float(value)
+
+
+_EDGE_VALUES = [0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, -1e-300, 1e300, -1e300, 1e-320, -1e-320]
+# (x1*x1*(-x2))^(x2 + 2^x2) at (-1e300, -0, 2) is inf*0 = NaN raised to 6:
+# on Python floats the NaN comes back with the other sign bit
+_NAN_SIGN_TREE = ("bin", "^", ("bin", "*", ("bin", "*", ("var", 1), ("var", 1)), ("neg", ("var", 2))),
+                  ("bin", "+", ("var", 2), ("bin", "^", ("num", "2"), ("var", 2))))
+
+
 def outcome(fn, *args):
     """(type, bytes) of a value, or the type of the exception it raised."""
     try:
@@ -138,6 +164,17 @@ class TestExpressionParser:
         fn, _max_var = parse_expression(text)
         x = np.array(x)
         assert outcome(fn, x) == outcome(reference, tree, x), text
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(tree=_TREES, x=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0),
+                                   min_size=3, max_size=3))
+    @example(tree=_NAN_SIGN_TREE, x=[-1e300, -0.0, 2.0])
+    def test_inline_problem_values_match_the_grammar_bit_for_bit(self, tree, x):
+        text, _prec = render(tree)
+        x = np.array(x)
+        with np.errstate(all="ignore"):
+            y = build_inline_problem([text], n=3).f(x)
+        assert y.tobytes() == np.array([criterion_value(tree, x)]).tobytes(), text
 
     def test_compiled_criterion_sees_no_builtins(self):
         fn, _ = parse_expression("x1 + 1")
@@ -200,7 +237,8 @@ class TestSolveCommand:
         assert abs(doc["final_alpha"]) <= 1e-8
         assert doc["diagnostics"]["all_ok"] is True
         header = (tmp_path / "qp.trajectory.csv").read_text().splitlines()[0]
-        assert header.startswith("k,t,j,alpha_upper,alpha_lower,norm_v,x_1,x_2,F_1,F_2")
+        assert header == ("k,t,j,alpha_upper,alpha_lower,sigma_certified,inner_iterations,"
+                          "x_1,x_2,F_1,F_2,v_1,v_2")
 
     def test_immediate_critical_run_has_one_row(self, tmp_path):
         out = tmp_path / "pc"
@@ -245,6 +283,17 @@ class TestSolveCommand:
         report, _doc = load_run(tmp_path / "nf")
         assert report.termination == "numerical_failure"
         assert np.isnan(report.final_alpha)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("criterion", ["x1^2 + (0-1)^0.5", "x1^2 + 1/0", "x1^2 + 10^400"])
+    def test_complex_or_raising_criterion_is_a_numerical_failure(self, tmp_path, criterion):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"f1 = {criterion}\nx0 = 1\noutput = {tmp_path / 'c'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        doc = json.loads((tmp_path / "c.report.json").read_text())
+        assert doc["termination"] == "numerical_failure"
+        assert doc["iterations"] == 0
+        assert doc["final_F"] == [None]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_start_value_writes_strict_json_and_exits_three(self, tmp_path):
@@ -354,11 +403,16 @@ class TestRoundTripAndDeterminism:
                   get_problem("quasi_exp").recommended_x0, SolverConfig())
         assert doc["schema"] == "paretodescent.run/2"
         assert report.config == rep.config
-        assert len(report.records) == len(rep.records)
-        for a, b in zip(report.records, rep.records):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.v, b.v)
-            assert a.t == b.t and a.alpha_upper == b.alpha_upper
+        assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
+        # an uncertified direction and its inner iterations come back as well
+        J = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+        linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
+        rep = run(linear, [0.0, 0.0], SolverConfig(max_inner=1))
+        assert rep.termination == "subproblem_failure"
+        write_trajectory_csv(tmp_path / "sf.trajectory.csv", rep, 2, 3)
+        records = read_trajectory_csv(tmp_path / "sf.trajectory.csv")
+        assert [record_bits(r) for r in records] == [record_bits(r) for r in rep.records]
+        assert not records[-1].sigma_certified and records[-1].inner_iterations == 1
 
     def test_report_bytes_do_not_depend_on_the_output_directory(self, tmp_path):
         shallow, deep = tmp_path / "a", tmp_path / "b" / "much" / "deeper" / "dir"

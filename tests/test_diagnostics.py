@@ -20,7 +20,6 @@ from paretodescent import (
     check_quasi_fejer,
     check_summability,
     get_problem,
-    phi,
     run,
     run_diagnostics,
 )
@@ -53,32 +52,6 @@ def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
                             sigma_certified=True, inner_iterations=0)
         )
     return RunReport(records=tuple(records), termination="max_iter", config=SolverConfig())
-
-
-class TestPhi:
-    def test_maximum_component(self):
-        assert phi([1.0, 2.0, 3.0]) == 3.0
-
-    def test_subadditive(self):
-        assert phi([0.0, 0.0]) <= phi([1.0, -1.0]) + phi([-1.0, 1.0])
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            x, y = rng.normal(size=4), rng.normal(size=4)
-            assert phi(x + y) <= phi(x) + phi(y) + 1e-12
-
-    def test_positively_homogeneous(self):
-        assert phi(2.5 * np.array([1.0, 3.0])) == 2.5 * phi([1.0, 3.0])
-
-    def test_monotone(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            x = rng.normal(size=3)
-            y = x + rng.uniform(0, 1, size=3)
-            assert phi(x) <= phi(y)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            phi([])
 
 
 class TestMonotone:

@@ -9,7 +9,6 @@ from paretodescent import (
     check_sigma_certificate,
     kkt_direction,
     primal_value,
-    project_simplex,
     solve_exact,
     solve_sigma_approx,
 )
@@ -33,6 +32,27 @@ ZERO_ROW_JACOBIAN = np.array([
 SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
 
 
+def project_simplex(y) -> np.ndarray:
+    """Euclidean projection of ``y`` onto the unit simplex, the step of the
+    projected-gradient loop whose iterates the allowance property checks.
+
+    Returns argmin_{w in simplex} ||w - y||^2 via the sorted-threshold rule:
+    entries are max(y_i - tau, 0) with tau chosen so they sum to one.  The
+    projection does not change when a constant is added to every entry, so
+    the rule runs on y - max(y), whose active entries lie in [-1, 0]; on y
+    itself the threshold is lost to rounding once max(y) nears 1/eps.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    # entries below -1 after the shift are inactive; the clamp keeps an
+    # overflowed difference (-inf) out of the cumulative sum
+    with np.errstate(over="ignore"):
+        z = np.maximum(y - np.max(y), -2.0)
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = int(np.nonzero(u - css / np.arange(1, z.size + 1) > 0.0)[0][-1])
+    return np.maximum(z - css[rho] / (rho + 1.0), 0.0)
+
+
 def random_jacobian(rng, scale=10.0):
     m = int(rng.integers(2, 4))
     n = int(rng.integers(1, 6))
@@ -44,6 +64,13 @@ _JACOBIANS = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
 )
 
 
+def _hard_jacobian(n, spread, log_scales, signs, seed):
+    """Rows near one random direction of R^n, scaled by signs * 10**log_scales."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=n) + spread * rng.normal(size=(len(log_scales), n))
+    return rows * (np.asarray(signs) * 10.0 ** np.asarray(log_scales))[:, None]
+
+
 @st.composite
 def _hard_jacobians(draw):
     """Near-parallel rows at scales 1e-4..1e4, some of them reversed."""
@@ -52,9 +79,7 @@ def _hard_jacobians(draw):
     spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
     log_scales = draw(arrays(float, m, elements=st.floats(-4.0, 4.0)))
     signs = draw(arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.normal(size=n) + spread * rng.normal(size=(m, n))
-    return rows * (signs * 10.0**log_scales)[:, None]
+    return _hard_jacobian(n, spread, log_scales, signs, draw(st.integers(0, 2**32 - 1)))
 
 
 def _enumerated_alpha(J):
@@ -271,6 +296,20 @@ class TestGramSpaceLoop:
         res, _eps = _hard_solve(J, sigma, eps_critical)
         if res is not None and res.status == STATUS_MAX_INNER:
             assert abs(_reference_alpha(J)) <= _allowance(J @ J.T, J.shape[1])
+
+    def test_a_face_minimizer_no_vertex_improves_on_returns_before_the_cap(self):
+        # a _hard_jacobians draw with alpha* = -2.2e-10 and cond G = 1.2e20:
+        # once w minimizes psi on its face, the vertex with the smallest
+        # (Gw)_i is already in it, and every further move repeats itself
+        J = _hard_jacobian(256, 1e-6, [3.8872746336723925, -1.192092896e-07, 3.9666505880759306],
+                           [1.0, 1.0, -1.0], 4294967294)
+        results = [solve_sigma_approx(J, 0.9883535562604477, eps_critical=1e-12, max_inner=cap)
+                   for cap in (300, 10_000)]
+        for res in results:
+            assert res.status == STATUS_MAX_INNER
+            assert res.inner_iterations <= 5
+            assert np.array_equal(res.v, -(J.T @ res.weights))
+        assert results[0].weights.tobytes() == results[1].weights.tobytes()
 
     def test_gram_space_bounds_stay_within_the_allowance(self):
         rng = np.random.default_rng(41)
