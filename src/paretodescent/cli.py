@@ -278,6 +278,8 @@ def _resolve_settings(args) -> RunSettings:
         raise ConfigError("inline problems require x0")
     if x0.size != problem.n:
         raise ConfigError(f"x0 has length {x0.size}, problem expects {problem.n}")
+    if not np.isfinite(x0).all():
+        raise ConfigError("x0 contains non-finite entries")
 
     try:
         cfg = SolverConfig(

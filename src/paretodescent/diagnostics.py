@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import STATUS_MAX_INNER, TOL_GAP, _gap_floor, solve_exact
+from .direction import _EPS, STATUS_MAX_INNER, TOL_GAP, _gap_floor, solve_exact
 from .objective import MultiObjective, as_point
 from .solver import RunReport
 
@@ -87,7 +87,7 @@ def check_monotone(report: RunReport) -> CheckOutcome:
     recs = report.records
     if len(recs) < 2:
         return CheckOutcome("monotone", STATUS_PASS, 0.0, None, "vacuous: fewer than two records")
-    worst, worst_k = _worst((float(np.max(b.Fx - a.Fx)), a.k) for a, b in zip(recs, recs[1:]))
+    worst, worst_k = _worst((float((b.Fx - a.Fx).max()), a.k) for a, b in zip(recs, recs[1:]))
     return _outcome("monotone", worst, worst_k)
 
 
@@ -97,7 +97,7 @@ def check_level_set(report: RunReport) -> CheckOutcome:
     if len(recs) < 2:
         return CheckOutcome("level_set", STATUS_PASS, 0.0, None, "vacuous: fewer than two records")
     F0 = recs[0].Fx
-    worst, worst_k = _worst((float(np.max(r.Fx - F0)), r.k) for r in recs)
+    worst, worst_k = _worst((float((r.Fx - F0).max()), r.k) for r in recs)
     return _outcome("level_set", worst, worst_k)
 
 
@@ -130,19 +130,19 @@ def check_summability(report: RunReport, jacobians) -> CheckOutcome:
         cert = p - (1.0 - sigma) * d - floor if sigma > 0.0 else p - d - max(TOL_GAP * abs(d), floor)
         vv = float(r.v @ r.v)
         need = beta * r.t * (0.5 * vv - p)
-        tol = 4.0 * np.finfo(float).eps * (np.abs(r.Fx) + np.abs(nxt.Fx) + need)
+        tol = 4.0 * _EPS * (np.abs(r.Fx) + np.abs(nxt.Fx) + need)
         excess = need - (r.Fx - nxt.Fx) - tol
-        if not all(math.isfinite(val) for val in (cert, need, *excess)):
+        if not (math.isfinite(cert) and math.isfinite(need) and np.isfinite(excess).all()):
             return CheckOutcome("summability", STATUS_FAIL, math.inf, r.k, "non-finite step energy")
-        pairs.append((max(cert, p, float(np.max(excess))), r.k))
+        pairs.append((max(cert, p, float(excess.max())), r.k))
         energy.append(r.t * vv)
         tols.append(tol)
     total = math.fsum(energy)
     drop = recs[0].Fx - recs[-1].Fx
     slack = np.array([math.fsum(col) for col in zip(*tols)])
-    pairs.append((total - float(np.min((2.0 / beta) * (drop + slack))), recs[-1].k))
+    pairs.append((total - float(((2.0 / beta) * (drop + slack)).min()), recs[-1].k))
     worst, worst_k = _worst(pairs)
-    ratio = total / ((2.0 / beta) * float(np.min(drop))) if np.min(drop) > 0.0 else math.inf
+    ratio = total / ((2.0 / beta) * float(drop.min())) if drop.min() > 0.0 else math.inf
     note = f"sum t|v|^2={total:.3e} telescoped ratio={ratio:.3g}"
     return _outcome("summability", worst, worst_k, note)
 
@@ -175,7 +175,7 @@ def check_quasi_fejer(
         if problem is None:
             raise ValueError("an explicit reference requires the problem to evaluate F(x_tilde)")
         F_tilde = problem.evaluate(x_tilde)
-    worst_mem, worst_mem_k = _worst((float(np.max(F_tilde - r.Fx)) - slack, r.k) for r in recs)
+    worst_mem, worst_mem_k = _worst((float((F_tilde - r.Fx).max()) - slack, r.k) for r in recs)
     if worst_mem > 0.0:
         return CheckOutcome(
             "quasi_fejer",

@@ -28,10 +28,22 @@ screened copies of both bounds at O(m^2).  Only when a screened bound comes
 within a rounding allowance of a stop test is v = -J^T w formed, at O(mn),
 and the test run on the J-space bounds, which alone may stop the loop.  The
 allowance makes the screen a necessary condition for the J-space test.
+
+Cost model: forming G costs O(m^2 n) per solve, a move O(m^2) plus O(k^3)
+for the bordered system on a face of k vertices, and a J-space confirmation
+O(mn).  For small m and n the fixed cost of each numpy call dominates all of
+these: one to two microseconds for a ufunc or a reduction on a 2x2 array and
+about ten for np.linalg.solve (x86-64 Xeon, Python 3.11, numpy 2.4), so a
+one-move m = 2 solve costs some forty microseconds, nearly all of it per
+call.  The code therefore builds the bordered system directly and calls
+ndarray methods rather than numpy's module-level wrappers, while every float
+still comes from the same operation on the same operands as the plain
+formulation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +62,8 @@ STATUS_MAX_INNER = "max_inner"
 
 # relative duality-gap tolerance of the exact (sigma = 0) solve
 TOL_GAP = 1e-10
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,8 @@ class DirectionResult:
     every emitted direction is scalarization compatible.  The one exception
     is a critical result, where v is snapped to exact zero while ``weights``
     retains the dual certificate with ||J^T weights||^2 <= 2*eps_critical.
+    ``slopes`` is J v, the criteria's directional derivatives along v, as
+    the solve computed it for ``alpha_upper`` (zero for a critical result).
     ``critical`` and ``sigma_certified`` are read off ``status``: a critical
     result is also certified, and any other status is neither.
     """
@@ -70,6 +86,7 @@ class DirectionResult:
     weights: np.ndarray
     inner_iterations: int
     status: str
+    slopes: np.ndarray
 
     @property
     def critical(self) -> bool:
@@ -81,10 +98,12 @@ class DirectionResult:
 
 
 def _as_jacobian(J) -> np.ndarray:
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    if J.ndim != 2:
+    J = np.asarray(J, dtype=float)
+    if J.ndim < 2:
+        J = J.reshape(1, -1)
+    elif J.ndim != 2:
         raise ValueError(f"jacobian must be a matrix, got shape {J.shape}")
-    if not np.all(np.isfinite(J)):
+    if not np.isfinite(J).all():
         raise ValueError("jacobian has non-finite entries")
     return J
 
@@ -95,7 +114,7 @@ def primal_value(J, v) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (J.shape[1],):
         raise ValueError(f"direction has shape {v.shape}, expected ({J.shape[1]},)")
-    return float(np.max(J @ v)) + 0.5 * float(v @ v)
+    return float((J @ v).max()) + 0.5 * float(v @ v)
 
 
 def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
@@ -125,14 +144,15 @@ def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
 def _gap_floor(G: np.ndarray) -> float:
     """Absolute floor of the certificate tests: the computed primal-dual gap
     bottoms out around machine epsilon times the Gram scale."""
-    return 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
+    return 64.0 * _EPS * max(1.0, float(G.trace()))
 
 
-def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """v = -J^T w with its lower and upper bounds, read off J."""
+def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """v = -J^T w and J v, with the lower and upper bounds read off J."""
     v = -(J.T @ w)
+    Jv = J @ v
     vv = float(v @ v)
-    return v, -0.5 * vv, float(np.max(J @ v)) + 0.5 * vv
+    return v, Jv, -0.5 * vv, float(Jv.max()) + 0.5 * vv
 
 
 def _allowance(G: np.ndarray, n: int) -> float:
@@ -158,7 +178,7 @@ def _allowance(G: np.ndarray, n: int) -> float:
     # (1 + O(k*u)) factors left out above.  max(1, S) keeps it clear of
     # underflow.
     m = G.shape[0]
-    return 4.0 * (n + m) * np.finfo(float).eps * max(1.0, float(np.max(np.diag(G))))
+    return 4.0 * (n + m) * _EPS * max(1.0, float(G.diagonal().max()))
 
 
 def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -166,12 +186,14 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     [G_SS 1; 1^T 0] [y; lam] = [0; 1] with G_SS scaled to a unit diagonal
     maximum, by least squares when the face's gradients are affinely
     dependent and the system singular."""
-    idx = np.flatnonzero(support)
-    G_SS = G[np.ix_(idx, idx)]
-    K = np.pad(G_SS / max(float(G_SS.diagonal().max()), np.finfo(float).tiny), (0, 1),
-               constant_values=1.0)
-    K[-1, -1] = 0.0
-    rhs = np.eye(idx.size + 1)[-1]
+    idx = support.nonzero()[0]
+    k = idx.size
+    G_SS = G if k == G.shape[0] else G[idx[:, None], idx]
+    K = np.ones((k + 1, k + 1))
+    np.divide(G_SS, max(float(G_SS.diagonal().max()), _TINY), out=K[:k, :k])
+    K[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
@@ -203,8 +225,8 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if eps_critical <= 0.0 or max_inner < 1:
-        raise ValueError("eps_critical must be positive and max_inner >= 1")
+    if not 0.0 < eps_critical < math.inf or max_inner < 1:
+        raise ValueError("eps_critical must be positive and finite and max_inner >= 1")
     J = _as_jacobian(J)
     m, n = J.shape
     G = J @ J.T
@@ -223,19 +245,20 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
             best_p, best_w = p_gram, w
         if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
                         sigma, eps_critical, gap_floor) is not None:
-            v, d, p = _bounds(J, w)
+            v, Jv, d, p = _bounds(J, w)
             status = _stop_status(p, d, d, sigma, eps_critical, gap_floor)
             if status == STATUS_CRITICAL:
-                v, p = np.zeros_like(v), 0.0
+                v, Jv, p = np.zeros(n), np.zeros(m), 0.0
             if status is not None:
-                return DirectionResult(v, d, p, w, it, status)
+                return DirectionResult(v, d, p, w, it, status, Jv)
         support = w > 0.0
-        entering = int(np.argmin(Gw))
+        entering = int(Gw.argmin())
         # w minimizes psi on its face, and no vertex off the face has a
         # smaller (Gw)_i: the next move would leave w where it is
         stalled = on_face_min and support[entering]
         if it >= max_inner or stalled:
-            return DirectionResult(*_bounds(J, best_w), best_w, it, STATUS_MAX_INNER)
+            v, Jv, d, p = _bounds(J, best_w)
+            return DirectionResult(v, d, p, best_w, it, STATUS_MAX_INNER, Jv)
         if on_face_min:
             support[entering] = True
         y = _face_minimizer(G, support)
@@ -246,9 +269,9 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
             # the largest step towards y that keeps w >= 0 zeroes the first
             # blocking weight, which leaves the support
             ratios = w[blocking] / (w[blocking] - y[blocking])
-            first = int(np.argmin(ratios))
+            first = int(ratios.argmin())
             w = np.maximum(w + ratios[first] * (y - w), 0.0)
-            w[np.flatnonzero(blocking)[first]] = 0.0
+            w[blocking.nonzero()[0][first]] = 0.0
             on_face_min = False
         it += 1
 

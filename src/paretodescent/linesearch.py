@@ -54,7 +54,7 @@ def armijo_step(
     for j in range(max_j + 1):
         t = 2.0 ** (-j)
         trial = problem.evaluate(x + t * v, require_finite=False)
-        if np.all(np.isfinite(trial)) and np.all(trial <= Fx + (beta * t) * Jv):
+        if np.isfinite(trial).all() and (trial <= Fx + (beta * t) * Jv).all():
             return StepResult(t=t, j=j)
     raise LineSearchError(
         f"Armijo condition not met for any t = 2**-j with j <= {max_j}"

@@ -16,8 +16,10 @@ class NonFiniteError(ValueError):
 
 def as_point(x, n: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-d float64 vector, optionally of length ``n``."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    elif p.ndim != 1:
         raise ValueError(f"point must be one-dimensional, got shape {p.shape}")
     if n is not None and p.size != n:
         raise ValueError(f"point has length {p.size}, expected {n}")
@@ -73,13 +75,17 @@ class MultiObjective:
         if require_finite:
             x = as_point(x, self.n)
         else:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 0:
+                x = x.reshape(1)
             if x.size != self.n:
                 raise ValueError(f"point has length {x.size}, expected {self.n}")
             if not np.isfinite(x).all():
                 return np.full(self.m, np.nan)
         with np.errstate(all="ignore"):
-            y = np.atleast_1d(np.asarray(self.f(x), dtype=float))
+            y = np.asarray(self.f(x), dtype=float)
+        if y.ndim == 0:
+            y = y.reshape(1)
         if y.shape != (self.m,):
             raise ValueError(
                 f"objective '{self.name}' returned shape {y.shape}, expected ({self.m},)"
@@ -97,7 +103,9 @@ class MultiObjective:
             from .oracle import finite_diff_jacobian
 
             return finite_diff_jacobian(self, x)
-        J = np.atleast_2d(np.asarray(self.jac(x), dtype=float))
+        J = np.asarray(self.jac(x), dtype=float)
+        if J.ndim < 2:
+            J = J.reshape(1, -1)
         if J.shape != (self.m, self.n):
             raise ValueError(
                 f"jacobian of '{self.name}' has shape {J.shape}, expected ({self.m}, {self.n})"

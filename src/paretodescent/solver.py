@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class SolverConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
-        if self.eps_critical <= 0.0:
-            raise ValueError("eps_critical must be positive")
+        if not 0.0 < self.eps_critical < math.inf:
+            raise ValueError("eps_critical must be positive and finite")
         if self.max_iter < 1 or self.max_j < 0 or self.max_inner < 1:
             raise ValueError("max_iter and max_inner must be >= 1 and max_j >= 0")
 
@@ -133,6 +134,7 @@ def _no_direction(problem: MultiObjective) -> DirectionResult:
         weights=np.full(problem.m, nan),
         inner_iterations=0,
         status=TERMINATION_NUMERICAL,
+        slopes=np.full(problem.m, nan),
     )
 
 
@@ -159,7 +161,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     while termination is None:
         Fx = problem.evaluate(x, require_finite=False)
         try:
-            J = problem.jacobian(x) if np.all(np.isfinite(Fx)) else None
+            J = problem.jacobian(x) if np.isfinite(Fx).all() else None
         except NonFiniteError:
             J = None
         if J is None:
@@ -174,7 +176,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
             termination = TERMINATION_MAX_ITER
         else:
             try:
-                st = armijo_step(problem, x, Fx, res.v, J @ res.v, cfg.beta, cfg.max_j)
+                st = armijo_step(problem, x, Fx, res.v, res.slopes, cfg.beta, cfg.max_j)
             except LineSearchError:
                 termination = TERMINATION_LINESEARCH
             else:

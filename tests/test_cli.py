@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import operator
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from paretodescent import MultiObjective, RunReport, SolverConfig, get_problem, run, run_diagnostics
 from paretodescent.cli import (
     ConfigError,
+    RunSettings,
+    _report_document,
     build_inline_problem,
     load_run,
     main,
@@ -255,6 +259,16 @@ class TestSolveCommand:
     def test_unknown_problem_exits_one(self):
         assert main(["solve", "--problem", "nope"]) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps", "inf", "eps_critical"), ("--eps", "nan", "eps_critical"),
+        ("--x0", "nan,1", "x0"), ("--x0", "1e400,1", "x0"),
+    ])
+    def test_nonfinite_eps_or_start_is_a_config_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "nf"
+        assert main(["solve", "--problem", "quad_pair", flag, value, "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_iter_exit_code(self, tmp_path):
         out = tmp_path / "cap"
         code = main(["solve", "--problem", "quad_pair", "--x0", "0.4,2.5",
@@ -383,6 +397,42 @@ class TestVerifyCommand:
         assert main(["verify", "--problem", "nope"]) == 1
 
 
+# three near-parallel gradients whose direction solve needs two moves
+SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+
+
+def _forced_run(seed, shape, sigma, target, fail_at):
+    """Problem, start and config that force ``target``: a seeded convex
+    quadratic per criterion, started far from its critical set, with
+    max_iter = fail_at, or with a NaN Jacobian or SUBNORMAL_JACOBIAN (under
+    max_inner = 1, so m = 3 and n = 2) at the fail_at-th Jacobian call only."""
+    m, n = (3, 2) if target == "subproblem_failure" else shape
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(-2.0, 2.0, size=(m, n))
+    A = rng.normal(size=(m, n, n))
+    H = np.einsum("mij,mkj->mik", A, A) + np.eye(n) * rng.uniform(0.5, 2.0, size=(m, 1, n))
+    x0 = rng.choice([-1.0, 1.0], size=n) * rng.uniform(10.0, 50.0, size=n)
+    calls = [0]
+
+    def jac(x):
+        calls[0] += 1
+        J = np.einsum("mij,mj->mi", H, x - C)
+        if calls[0] == fail_at and target == "numerical_failure":
+            return np.full((m, n), np.nan)
+        if calls[0] == fail_at and target == "subproblem_failure":
+            return SUBNORMAL_JACOBIAN
+        return J
+
+    def f(x):
+        d = x - C
+        return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
+
+    cfg = SolverConfig(sigma=sigma,
+                       max_iter=fail_at if target == "max_iter" else 10_000,
+                       max_inner=1 if target == "subproblem_failure" else 10_000)
+    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg
+
+
 class TestRoundTripAndDeterminism:
     def test_csv_replay_reproduces_the_diagnostics_summary(self, tmp_path):
         desc = get_problem("quad_pair")
@@ -405,7 +455,7 @@ class TestRoundTripAndDeterminism:
         assert report.config == rep.config
         assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
         # an uncertified direction and its inner iterations come back as well
-        J = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+        J = SUBNORMAL_JACOBIAN
         linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
         rep = run(linear, [0.0, 0.0], SolverConfig(max_inner=1))
         assert rep.termination == "subproblem_failure"
@@ -413,6 +463,34 @@ class TestRoundTripAndDeterminism:
         records = read_trajectory_csv(tmp_path / "sf.trajectory.csv")
         assert [record_bits(r) for r in records] == [record_bits(r) for r in rep.records]
         assert not records[-1].sigma_certified and records[-1].inner_iterations == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+        sigma=st.floats(0.0, 0.99),
+        target=st.sampled_from(["critical_point", "max_iter", "subproblem_failure",
+                                "numerical_failure"]),
+        fail_at=st.integers(1, 3),
+    )
+    @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=1)
+    @example(seed=0, shape=(3, 2), sigma=0.0, target="subproblem_failure", fail_at=1)
+    def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
+                                                                fail_at):
+        problem, x0, cfg = _forced_run(seed, shape, sigma, target, fail_at)
+        rep = run(problem, x0, cfg)
+        assert rep.termination == target
+        if target == "numerical_failure":
+            assert math.isnan(rep.final_alpha) and math.isnan(rep.records[-1].alpha_lower)
+        with tempfile.TemporaryDirectory() as d:
+            prefix = Path(d) / "r"
+            write_trajectory_csv(f"{prefix}.trajectory.csv", rep, problem.n, problem.m)
+            run_settings = RunSettings(problem, "forced", None, x0, cfg, str(prefix))
+            doc = _report_document(run_settings, rep, run_diagnostics(problem, rep, cfg.sigma))
+            Path(f"{prefix}.report.json").write_text(json.dumps(doc, indent=2, allow_nan=False))
+            report, _doc = load_run(prefix)
+        assert (report.termination, report.config) == (rep.termination, rep.config)
+        assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
 
     def test_report_bytes_do_not_depend_on_the_output_directory(self, tmp_path):
         shallow, deep = tmp_path / "a", tmp_path / "b" / "much" / "deeper" / "dir"

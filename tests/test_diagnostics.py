@@ -173,8 +173,9 @@ class TestEnergyInequalityMutations:
             w = np.full(J.shape[0], 1.0 / J.shape[0])
             v = -(J.T @ w)
             vv = float(v @ v)
-            return DirectionResult(v, -0.5 * vv, float(np.max(J @ v)) + 0.5 * vv, w, 0,
-                                   STATUS_CERTIFIED)
+            Jv = J @ v
+            return DirectionResult(v, -0.5 * vv, float(np.max(Jv)) + 0.5 * vv, w, 0,
+                                   STATUS_CERTIFIED, Jv)
 
         monkeypatch.setattr(solver_module, "solve_sigma_approx", barycenter)
         rep = run(desc.problem, [3.0, 3.0], cfg)

@@ -17,6 +17,7 @@ from paretodescent.direction import (
     STATUS_CRITICAL,
     STATUS_MAX_INNER,
     _allowance,
+    _stop_status,
 )
 
 
@@ -124,6 +125,89 @@ def _hard_solve(J, sigma, eps_critical):
         if eps_critical <= 0.0:
             return None, eps_critical
     return solve_sigma_approx(J, sigma, eps_critical=eps_critical, max_inner=300), eps_critical
+
+
+def _reference_solve(J, sigma, eps_critical, max_inner):
+    """The active-set solve written with numpy's general-purpose wrappers
+    (np.pad, np.ix_, np.eye, np.max, np.diag, np.trace, np.finfo), as
+    (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
+    solve_sigma_approx must reproduce it bit for bit."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
+    m, n = J.shape
+    G = J @ J.T
+    gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
+    allowance = 4.0 * (n + m) * np.finfo(float).eps * max(1.0, float(np.max(np.diag(G))))
+
+    def bounds(w):
+        v = -(J.T @ w)
+        vv = float(v @ v)
+        return v, -0.5 * vv, float(np.max(J @ v)) + 0.5 * vv
+
+    def face_minimizer(support):
+        idx = np.flatnonzero(support)
+        G_SS = G[np.ix_(idx, idx)]
+        K = np.pad(G_SS / max(float(G_SS.diagonal().max()), np.finfo(float).tiny), (0, 1),
+                   constant_values=1.0)
+        K[-1, -1] = 0.0
+        rhs = np.eye(idx.size + 1)[-1]
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(K, rhs)[0]
+        y = np.zeros(m)
+        y[idx] = sol[:-1]
+        return y
+
+    w = np.full(m, 1.0 / m)
+    on_face_min = False
+    best_p, best_w = np.inf, w
+    it = 0
+    while True:
+        Gw = G @ w
+        wGw = float(w @ Gw)
+        d_gram = -0.5 * wGw
+        p_gram = 0.5 * wGw - float(Gw.min())
+        if p_gram < best_p:
+            best_p, best_w = p_gram, w
+        if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
+                        sigma, eps_critical, gap_floor) is not None:
+            v, d, p = bounds(w)
+            status = _stop_status(p, d, d, sigma, eps_critical, gap_floor)
+            if status == STATUS_CRITICAL:
+                v, p = np.zeros_like(v), 0.0
+            if status is not None:
+                return v, d, p, w, it, status
+        support = w > 0.0
+        entering = int(np.argmin(Gw))
+        if it >= max_inner or (on_face_min and support[entering]):
+            return (*bounds(best_w), best_w, it, STATUS_MAX_INNER)
+        if on_face_min:
+            support[entering] = True
+        y = face_minimizer(support)
+        blocking = support & (y < 0.0)
+        if not blocking.any():
+            w, on_face_min = y, True
+        else:
+            ratios = w[blocking] / (w[blocking] - y[blocking])
+            first = int(np.argmin(ratios))
+            w = np.maximum(w + ratios[first] * (y - w), 0.0)
+            w[np.flatnonzero(blocking)[first]] = 0.0
+            on_face_min = False
+        it += 1
+
+
+@st.composite
+def _wide_jacobians(draw):
+    """Jacobians of the wide benchmark sweep's quadratic families, at a point
+    on the segment from 5*1 to the mean of the centres: anisotropic with
+    m = 20, n = 50 or m = 10, n = 10^4, or isotropic with m = 20, n = 50."""
+    kind, n, m = draw(st.sampled_from([("aniso", 50, 20), ("aniso", 10_000, 10), ("iso", 50, 20)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(-1.0, 1.0, size=(m, n))
+    curv = rng.uniform(0.5, 2.0, size=(m, n)) if kind == "aniso" else np.ones((m, n))
+    s = draw(st.sampled_from([0.0, 0.5, 0.99, 0.999999, 1.0]))
+    x = (1.0 - s) * 5.0 + s * centres.mean(axis=0)
+    return curv * (x - centres)
 
 
 class TestProjectSimplex:
@@ -267,6 +351,11 @@ class TestSolveSigmaApprox:
             with pytest.raises(ValueError):
                 solve_sigma_approx(np.eye(2), sigma)
 
+    @pytest.mark.parametrize("eps_critical", [0.0, -1e-8, np.nan, np.inf])
+    def test_eps_critical_must_be_positive_and_finite(self, eps_critical):
+        with pytest.raises(ValueError):
+            solve_sigma_approx(np.eye(2), 0.5, eps_critical=eps_critical)
+
     def test_early_termination_saves_inner_iterations(self):
         J = np.array([[3.0, 1.0], [0.5, -2.0]])
         exact = solve_exact(J)
@@ -310,6 +399,30 @@ class TestGramSpaceLoop:
             assert res.inner_iterations <= 5
             assert np.array_equal(res.v, -(J.T @ res.weights))
         assert results[0].weights.tobytes() == results[1].weights.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        J=st.one_of(_hard_jacobians(), _wide_jacobians(),
+                    st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN])),
+        sigma=st.floats(0.0, 0.99),
+        eps_critical=_HARD_CASES["eps_critical"],
+        max_inner=st.sampled_from([1, 2, 3, 300, 10_000]),
+    )
+    def test_matches_the_reference_solve_bit_for_bit(self, J, sigma, eps_critical, max_inner):
+        if eps_critical is None:
+            v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
+            eps_critical = max(0.5 * float(v0 @ v0), 1e-300)
+        for s in (0.0, 0.25, 0.5, 0.9, sigma):
+            res = solve_sigma_approx(J, s, eps_critical=eps_critical, max_inner=max_inner)
+            v, d, p, w, it, status = _reference_solve(J, s, eps_critical, max_inner)
+            assert (res.status, res.inner_iterations) == (status, it)
+            assert res.v.tobytes() == v.tobytes()
+            assert res.weights.tobytes() == w.tobytes()
+            assert np.float64(res.alpha_lower).tobytes() == np.float64(d).tobytes()
+            assert np.float64(res.alpha_upper).tobytes() == np.float64(p).tobytes()
+            # the slopes the line search receives are J v, as the solve formed them
+            if not res.critical:
+                assert res.slopes.tobytes() == (J @ v).tobytes()
 
     def test_gram_space_bounds_stay_within_the_allowance(self):
         rng = np.random.default_rng(41)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -183,8 +185,9 @@ class TestRunContract:
             SolverConfig(beta=1.5)
         with pytest.raises(ValueError):
             SolverConfig(sigma=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(eps_critical=0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(eps_critical=eps)
         with pytest.raises(ValueError):
             SolverConfig(max_inner=0)
 
