@@ -533,6 +533,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--problem", help=f"builtin problem name ({', '.join(list_problems())})")
     sub.add_argument("--config", help="flat key = value config file")
@@ -562,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="validate a builtin problem's declared structure")
     p_verify.add_argument("--problem", required=True)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampling checks")
+    p_verify.add_argument("--seed", type=_seed, default=0, help="seed for sampling checks")
     p_verify.add_argument("--out", help="output path prefix for the JSON report")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -44,7 +44,9 @@ class MultiObjective:
         Maps a length-n vector to the (m, n) matrix whose row i is the
         gradient of criterion i.  When absent, a central-difference
         approximation with per-coordinate step 1e-6 * max(1, |x_j|) is
-        substituted and flagged via ``jacobian_is_approximate``.
+        substituted and flagged via ``jacobian_is_approximate``.  It calls
+        ``f`` directly, 2n times, so a subclass's ``evaluate`` override does
+        not see the difference points.
     name : str
         Optional identifier used in reports.
 
@@ -100,9 +102,7 @@ class MultiObjective:
         """Return the (m, n) Jacobian at x; row i is the gradient of criterion i."""
         x = as_point(x, self.n)
         if self.jac is None:
-            from .oracle import finite_diff_jacobian
-
-            return finite_diff_jacobian(self, x)
+            return self._central_differences(x)
         J = np.asarray(self.jac(x), dtype=float)
         if J.ndim < 2:
             J = J.reshape(1, -1)
@@ -112,4 +112,45 @@ class MultiObjective:
             )
         if not np.isfinite(J).all():
             raise NonFiniteError(f"jacobian of '{self.name}' has non-finite entries at {x!r}")
+        return J
+
+    def _central_differences(self, x: np.ndarray) -> np.ndarray:
+        """Central-difference Jacobian with step h_j = 1e-6 * max(1, |x_j|).
+
+        Calls ``f`` on a fresh point per evaluation, x + h_j e_j then
+        x - h_j e_j for j ascending, with the bits of those sums: off
+        coordinate j the plus point holds x + 0.0 (a -0.0 reads +0.0) and the
+        minus point x itself.  A perturbed point or a difference that is not
+        finite raises ``NonFiniteError``.  The result is C-contiguous.
+        """
+        n, m = self.n, self.m
+        with np.errstate(all="ignore"):
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
+            hi, lo = x + h, x - h
+            if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+                raise NonFiniteError(
+                    f"central-difference point of '{self.name}' overflows near {x!r}"
+                )
+            plus = x + 0.0
+            values = []
+            for j in range(n):
+                p = plus.copy()
+                p[j] = hi[j]
+                values.append(self.f(p))
+                p = x.copy()
+                p[j] = lo[j]
+                values.append(self.f(p))
+            Y = np.array(values, dtype=float)
+            if Y.ndim == 1:
+                Y = Y.reshape(2 * n, 1)
+            if Y.shape != (2 * n, m):
+                raise ValueError(
+                    f"objective '{self.name}' returned shape {Y.shape[1:]}, expected ({m},)"
+                )
+            J = np.subtract(Y[0::2].T, Y[1::2].T, out=np.empty((m, n)))
+            J /= 2.0 * h
+        if not np.isfinite(J).all():
+            raise NonFiniteError(
+                f"central-difference jacobian of '{self.name}' has non-finite entries at {x!r}"
+            )
         return J

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: exhaustive simplex grids, central
 differences, and seeded random sampling.  Tests lean on these to check the
 production code paths, so none of them may share logic with the modules
-they validate.
+they validate.  ``finite_diff_jacobian`` is the test reference for the
+objective module's own central differences, which must match it bit for bit.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paretodescent import MultiObjective, RunReport, SolverConfig, get_problem, run, run_diagnostics
+from paretodescent import (
+    MultiObjective,
+    RunReport,
+    SolverConfig,
+    finite_diff_jacobian,
+    get_problem,
+    run,
+    run_diagnostics,
+)
+from paretodescent import cli
 from paretodescent.cli import (
     ConfigError,
     RunSettings,
@@ -298,6 +308,34 @@ class TestSolveCommand:
         assert report.termination == "numerical_failure"
         assert np.isnan(report.final_alpha)
 
+    def test_overflowing_difference_point_writes_artifacts_and_exits_three(self, tmp_path):
+        # F(x0) = 1, but the central difference in x1 steps past the largest double
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"f1 = x2^2\nx0 = 1.7976931348623157e308, 1\noutput = {tmp_path / 'big'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        report, doc = load_run(tmp_path / "big")
+        assert doc["termination"] == report.termination == "numerical_failure"
+        assert doc["iterations"] == 0
+        assert doc["final_F"] == [1.0]
+
+    def test_central_differences_match_the_oracle_end_to_end(self, tmp_path, monkeypatch):
+        # signed zero and subnormal start coordinates; n = 3, m = 3
+        text = ("f1 = 0.5*((x1-1)^2 + x2^2) + x3^4\nf2 = (x1 + x2)^2 + 0.1*x3^2\n"
+                "f3 = 0.5*(x1^2 + (x2-2)^2 + (x3-1)^2)\nx0 = 2, -0, 1e-310\n")
+        for name in ("fd", "ref"):
+            (tmp_path / f"{name}.cfg").write_text(text + f"output = {tmp_path / name / 'run'}\n")
+        assert main(["solve", "--config", str(tmp_path / "fd.cfg")]) == 0
+
+        def with_reference_jacobian(exprs, n=None):
+            free = build_inline_problem(exprs, n)
+            return replace(free, jac=lambda x: finite_diff_jacobian(free, x))
+
+        monkeypatch.setattr(cli, "build_inline_problem", with_reference_jacobian)
+        assert main(["solve", "--config", str(tmp_path / "ref.cfg")]) == 0
+        for suffix in ("trajectory.csv", "report.json"):
+            fd, ref = (tmp_path / name / f"run.{suffix}" for name in ("fd", "ref"))
+            assert fd.read_bytes() == ref.read_bytes()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("criterion", ["x1^2 + (0-1)^0.5", "x1^2 + 1/0", "x1^2 + 10^400"])
     def test_complex_or_raising_criterion_is_a_numerical_failure(self, tmp_path, criterion):
@@ -395,6 +433,13 @@ class TestVerifyCommand:
 
     def test_unknown_problem_exits_one(self):
         assert main(["verify", "--problem", "nope"]) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, capsys, seed):
+        assert main(["verify", "--problem", "quad_pair", "--seed", seed,
+                     "--out", str(tmp_path / "v")]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # three near-parallel gradients whose direction solve needs two moves

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretodescent import (
     MultiObjective,
@@ -7,7 +9,9 @@ from paretodescent import (
     finite_diff_jacobian,
     get_problem,
     make_quad_pair,
+    run,
 )
+from paretodescent.cli import build_inline_problem
 
 
 def cubic_pair():
@@ -81,6 +85,23 @@ class TestJacobian:
         x = np.array([0.3, -1.7])
         np.testing.assert_allclose(free.jacobian(x), exact.jacobian(x), atol=1e-8)
 
+    def test_overflowing_difference_point_ends_the_run(self):
+        # F is finite at the start, but x1 + h1 overflows
+        p = MultiObjective(n=2, m=1, f=lambda x: np.array([x[1] ** 2]))
+        x0 = [np.finfo(float).max, 1.0]
+        with pytest.raises(NonFiniteError):
+            p.jacobian(x0)
+        report = run(p, x0)
+        assert report.termination == "numerical_failure"
+        assert report.iterations == 0
+
+    def test_fd_fallback_rejects_a_bad_value_shape(self):
+        p = MultiObjective(n=2, m=2, f=lambda x: np.array([[x[0], x[1]]]))
+        with pytest.raises(ValueError, match=r"returned shape \(1, 2\), expected \(2,\)"):
+            p.jacobian([0.0, 0.0])
+        with pytest.raises(ValueError, match=r"returned shape \(1,\), expected \(2,\)"):
+            MultiObjective(n=2, m=2, f=lambda x: x[0]).jacobian([0.0, 0.0])
+
     def test_bad_jacobian_shape_rejected(self):
         p = MultiObjective(n=2, m=2, f=lambda x: np.array([x[0], x[1]]),
                            jac=lambda x: np.array([[1.0, 0.0]]))
@@ -110,3 +131,77 @@ def test_evaluate_and_jacobian_are_pure():
     assert np.array_equal(a, b)
     Ja, Jb = p.jacobian(x), p.jacobian(x)
     assert np.array_equal(Ja, Jb)
+
+
+# points around the edges of the doubles: signed zeros and subnormals, and at
+# most one huge coordinate, whose perturbation or criterion values may overflow
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0]
+_HUGE = [1e308, -1e308, 1.7976913e308, np.finfo(float).max, -np.finfo(float).max]
+_COORDS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_TINY))
+_TERMS = ["x{a}", "x{a}^2", "x{a}*x{b}", "0.5*(x{a} - x{b})^2", "x{a}^3/3", "1/(1 + x{a}^2)",
+          "x{a}/x{b}", "(x{a} - 1)^4"]
+_TERM = st.builds(str.format, st.sampled_from(_TERMS), a=st.integers(1, 3), b=st.integers(1, 3))
+_CRITERION = st.lists(_TERM, min_size=1, max_size=4).map(" + ".join)
+
+
+def _plain_f(A, B, scalar):
+    """A Python criterion map; with ``scalar`` (m = 1) it returns a 0-d value."""
+    def f(x):
+        y = A @ x + 0.5 * (B @ (x * x))
+        return y[0] if scalar else y
+    return f
+
+
+@st.composite
+def _fd_cases(draw):
+    """(f, n, m, x): inline criteria over x1..x3 or a Python map, and a point."""
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = 3
+        f = build_inline_problem(draw(st.lists(_CRITERION, min_size=m, max_size=m)), n).f
+    else:
+        n = draw(st.integers(1, 4))
+        coef = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
+        A, B = (np.array(draw(coef), dtype=float).reshape(m, n) for _ in range(2))
+        f = _plain_f(A, B, m == 1 and draw(st.booleans()))
+    x = np.array(draw(st.lists(_COORDS, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_HUGE))
+    return f, n, m, x
+
+
+def _fd_outcome(jacobian, f, n, m, x):
+    """(J or the ValueError type raised, the points handed to f as bytes)."""
+    points = []
+
+    def recorded(z):
+        points.append((z.dtype.str, z.shape, z.tobytes()))
+        return f(z)
+
+    try:
+        J = jacobian(MultiObjective(n=n, m=m, f=recorded), x)
+    except ValueError as exc:
+        return type(exc), points
+    return J, points
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_fd_cases())
+@example(case=(lambda x: np.array([x[1] ** 2]), 2, 1, np.array([np.finfo(float).max, 1.0])))
+@example(case=(lambda x: np.array([1.0 / x[0], x[1]]), 2, 2, np.array([0.0, 1.0])))
+@example(case=(build_inline_problem(["x1*x2 + x3^2", "0.5*(x1 - x3)^2", "x2/(1 + x1^2)"]).f,
+               3, 3, np.array([-0.0, 5e-324, 2.0])))
+def test_fd_fallback_matches_the_oracle_bit_for_bit(case):
+    f, n, m, x = case
+    J, points = _fd_outcome(MultiObjective.jacobian, f, n, m, x)
+    with np.errstate(all="ignore"):  # the reference lets overflow warnings through
+        J_ref, points_ref = _fd_outcome(finite_diff_jacobian, f, n, m, x)
+    if isinstance(J_ref, np.ndarray):
+        assert isinstance(J, np.ndarray), J
+        assert J.shape == (m, n) and J.flags.c_contiguous
+        assert J.tobytes() == J_ref.tobytes()
+        assert points == points_ref
+    else:
+        # the reference stops at the first non-finite point (as_point's
+        # ValueError) or value; the fallback checks its points before any call
+        assert J is NonFiniteError, J_ref
