@@ -60,21 +60,29 @@ def _fmt(value: float) -> str:
 #
 # Grammar: + - * / ^ (right associative), unary minus, parentheses, numeric
 # literals, variables x1..xn.  Each token is respelled as Python (xK as
-# x[K-1], ^ as **, integer literals as floats) so that Python's parser
-# applies the same precedence; the checked tree compiles to one lambda.
+# x[K-1], ^ as **, integer literals as floats) and the tokens are joined by
+# single spaces, so that Python's parser applies the same precedence and the
+# source compiles to one lambda.  ASCII text takes one token pass and one
+# compile: of the Python the grammar's tokens can spell, the grammar excludes
+# only a call, the empty tuple and unary plus, and each of these shows in a
+# token and the one before it.  Text that fails that pass, or is not ASCII,
+# takes the checked path, which parses the source into a tree, walks it
+# against a node whitelist and maps each error to a column of the text; both
+# paths compile the same source.
 # A criterion's value is the lambda's on np.float64 variables, with a complex
 # value or a ZeroDivisionError or OverflowError (which only float literals
 # raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
-# lambda on Python floats, about three times faster, and keeps that value
-# only when it is a finite float: there both agree bit for bit, while a NaN's
-# sign, an exception or a complex result may differ.
+# lambdas on Python floats, about three times faster, and keeps those values
+# only when all are finite floats: there both agree bit for bit, while a
+# NaN's sign, an exception or a complex result may differ.
 # Derivatives come from the finite-difference fallback of the objective module.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<var>x\d+)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_NUM = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>{_NUM})|(?P<var>x\d+)|(?P<op>[-+*/^()]))")
+# every token, or else one non-blank character, so that findall skips blanks only
+_TOKENS_RE = re.compile(rf"{_NUM}|x\d+|[-+*/^()]|\S")
+_OPERATORS = frozenset("+-*/^()")
+_EXPECTS_OPERAND = frozenset("(+-*/^")  # tokens an operand must follow
 
 # The only expression nodes (or, for BinOp/UnaryOp, operators) the grammar
 # produces; a call, a tuple or unary plus is a syntax error of the criterion.
@@ -84,8 +92,44 @@ _GRAMMAR_NODES = (
 _PREFIX = "lambda x: "
 
 
+def _compile_tokens(text: str) -> tuple[Callable[[np.ndarray], float], int] | None:
+    """The criterion of ASCII ``text`` from one token pass and one compile,
+    or None if a token is not the grammar's or the source is not its Python."""
+    parts: list[str] = []  # the tokens spelled as Python
+    max_var = 0
+    prev = "("  # the start of the text admits what an open parenthesis does
+    for tok in _TOKENS_RE.findall(text):
+        if tok[0] == "x" and tok != "x":
+            idx = int(tok[1:])
+            if idx < 1:
+                return None
+            max_var = max(max_var, idx)
+            parts.append(f"x[{idx - 1}]")
+        elif tok[0] in "0123456789." and tok != ".":
+            parts.append(tok + ".0" if tok.isdigit() else tok)
+        elif tok in _OPERATORS:
+            if (tok == "(" and prev not in _EXPECTS_OPERAND  # a call
+                    or tok == ")" and prev == "("  # the empty tuple
+                    or tok == "+" and prev in _EXPECTS_OPERAND):  # unary plus
+                return None
+            parts.append("**" if tok == "^" else tok)
+        else:  # a lone character that starts no token
+            return None
+        prev = tok
+    try:
+        code = compile(_PREFIX + " ".join(parts), "<criterion>", "eval")
+    except (SyntaxError, RecursionError, MemoryError):
+        return None
+    return eval(code, {"__builtins__": {}}), max_var
+
+
 def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     """Compile one criterion expression; returns (callable, max variable index)."""
+    if text.isascii():
+        parsed = _compile_tokens(text)
+        if parsed is not None:
+            return parsed
+    # the checked path, which names the column of any error
     parts: list[str] = []  # the tokens spelled as Python
     where = [0] * len(_PREFIX)  # column in text of each character of the Python source
     pos = max_var = 0
@@ -169,6 +213,13 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 
     def f(x):
         xs = x.tolist()
+        try:
+            ys = [fn(xs) for fn in fns]
+        except (ZeroDivisionError, OverflowError):
+            pass
+        else:
+            if all(type(y) is float and math.isfinite(y) for y in ys):
+                return np.array(ys)
         return np.array([_criterion_value(fn, xs, x) for fn in fns])
 
     return MultiObjective(n=dim, m=len(fns), f=f, jac=None, name="inline")

@@ -1,14 +1,17 @@
+import ast
 import hashlib
 import json
 import math
 import operator
+import re
+import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paretodescent import (
@@ -137,6 +140,125 @@ def outcome(fn, *args):
     return type(value), np.asarray(value).tobytes()
 
 
+# The AST-checked parser the token pass replaced, kept as the reference: a
+# column map over the tokens, ast.parse, a node whitelist, then compile.
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<var>x\d+)"
+    r"|(?P<op>[-+*/^()]))"
+)
+_REF_NODES = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.Constant, ast.Name, ast.Subscript,
+)
+
+
+def checked_parse(text):
+    parts = []
+    where = [0] * len("lambda x: ")
+    pos = max_var = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad == len(text):
+                break
+            raise ConfigError(f"column {bad + 1}: unexpected character {text[bad]!r}")
+        kind = m.lastgroup
+        tok, col = m.group(kind), m.start(kind)
+        if kind == "var":
+            idx = int(tok[1:])
+            if idx < 1:
+                raise ConfigError(f"column {col + 1}: variable indices start at x1")
+            max_var = max(max_var, idx)
+            tok = f"x[{idx - 1}]"
+        elif kind == "num":
+            if not tok.isascii():
+                tok = "".join(c if c in ".eE+-" else str(int(c)) for c in tok)
+            if tok.isdigit():
+                tok += ".0"
+        elif tok == "^":
+            tok = "**"
+        parts.append(tok)
+        where += [col] * (len(tok) + 1)
+        pos = m.end()
+    where.append(len(text))
+    source = "lambda x: " + " ".join(parts)
+    try:
+        tree = ast.parse(source, mode="eval")
+        for node in ast.walk(tree.body.body):
+            checked = getattr(node, "op", node)
+            if isinstance(node, ast.expr) and not isinstance(checked, _REF_NODES):
+                raise SyntaxError("unexpected expression", ("", 1, node.col_offset + 1, source))
+        code = compile(source, "<criterion>", "eval")
+    except SyntaxError as exc:
+        msg = exc.msg.partition(". ")[0]
+        raise ConfigError(f"column {where[(exc.offset or 0) - 1] + 1}: {msg}") from None
+    except (RecursionError, MemoryError):
+        raise ConfigError("column 1: expression too long for Python's parser") from None
+    return eval(code, {"__builtins__": {}}), max_var
+
+
+def parsed(parse, text):
+    """("ok", code bits, max index) of a compiled criterion, or ("error", message)."""
+    try:
+        fn, max_var = parse(text)
+    except ConfigError as exc:
+        return "error", str(exc)
+    code = fn.__code__
+    consts = tuple(struct.pack("<d", c) if type(c) is float else (type(c), c)
+                   for c in code.co_consts)
+    return "ok", code.co_code, consts, code.co_names, max_var
+
+
+# Token soups: every token of the grammar, the lone characters that start
+# none, a non-ASCII digit, and blanks ASCII or not; "" glues two tokens.
+_SOUP_TOKENS = ["x0", "x1", "x10", "x", "1", "7.", ".5", "1e", "e", "2.57", "(", ")", "+", "-",
+                "*", "/", "^", "**", "$", ".", "\u0661"]
+_BLANKS = ["", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2003", "\u3000"]
+
+
+def soups(tokens, blanks):
+    return st.lists(st.tuples(st.sampled_from(blanks), st.sampled_from(tokens)),
+                    max_size=12).map(lambda pairs: "".join(b + t for b, t in pairs))
+
+
+_SOUPS = (soups([t for t in _SOUP_TOKENS if t.isascii()], [b for b in _BLANKS if b.isascii()])
+          | soups(_SOUP_TOKENS, _BLANKS))
+# Python's parsers give up about 3 * (recursion limit - frames in use) terms
+# deep, and hypothesis raises the recursion limit while a test runs: the
+# long sums reach past that limit
+_SUM_TERMS = ["x1", "-x2", "2.5*(x1 - 1)^2", "0.3*(1+(x3-0.5)^2)^0.5", "x10/4", "((x2))"]
+# On CPython 3.11.7 the token pass compiles sums up to one term longer than
+# the checked path, which gives up in ast.parse first (2986 against 2985 x1
+# terms from the top of a script); only that window is excluded.
+_SUM_WINDOW = 1
+_TOO_LONG = ("error", "column 1: expression too long for Python's parser")
+
+
+# Criteria that fail on Python floats at every point: a division by zero
+# raises, a negative base to the power 0.5 is complex, and a product with
+# 1e400 is infinite or NaN.
+_BAD_CRITERIA = {
+    "raises": lambda t: ("bin", "/", ("par", t), ("num", "0")),
+    "complex": lambda t: ("bin", "^", ("par", ("bin", "-", ("neg", ("num", "1")),
+                                              ("bin", "^", ("par", t), ("num", "2")))),
+                          ("num", "0.5")),
+    "non-finite": lambda t: ("bin", "*", ("par", t), ("num", "1e400")),
+}
+
+
+@st.composite
+def one_bad_criterion(draw):
+    """(trees, index of the bad one, x): m = 2 or 3 criteria over x1..x3."""
+    m = draw(st.integers(2, 3))
+    trees = draw(st.lists(_TREES, min_size=m, max_size=m))
+    bad = draw(st.integers(0, m - 1))
+    trees[bad] = _BAD_CRITERIA[draw(st.sampled_from(sorted(_BAD_CRITERIA)))](trees[bad])
+    x = draw(st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0),
+                      min_size=3, max_size=3))
+    return trees, bad, x
+
+
 class TestExpressionParser:
     @pytest.mark.parametrize(
         "text,x,expected",
@@ -189,6 +311,52 @@ class TestExpressionParser:
         with np.errstate(all="ignore"):
             y = build_inline_problem([text], n=3).f(x)
         assert y.tobytes() == np.array([criterion_value(tree, x)]).tobytes(), text
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(tree=_TREES)
+    def test_parser_compiles_the_grammar_as_the_checked_parser_does(self, tree):
+        text, _prec = render(tree)
+        result = parsed(parse_expression, text)
+        assert result[0] == "ok" and result == parsed(checked_parse, text), text
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(text=_SOUPS)
+    @example(text="2.57.x1")
+    @example(text="2 (x1)")
+    @example(text="() + 1")
+    @example(text="x1 * +x2")
+    @example(text="x1 ** 2")
+    @example(text="x0 + $")
+    @example(text="\u0661 + x\u0661")
+    def test_parser_matches_the_checked_parser_on_token_soups(self, text):
+        assert parsed(parse_expression, text) == parsed(checked_parse, text), repr(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(terms=st.lists(st.sampled_from(_SUM_TERMS), min_size=1, max_size=3),
+           k=st.integers(1, 60) | st.integers(2500, 7500))
+    def test_parser_matches_the_checked_parser_on_long_sums(self, terms, k):
+        summands = (terms * k)[:k]
+        text = " + ".join(summands)
+        result, ref = parsed(parse_expression, text), parsed(checked_parse, text)
+        if result != ref and ref == _TOO_LONG and result[0] == "ok":
+            # the excluded window: the sum just past the checked path's limit
+            assert parsed(checked_parse, " + ".join(summands[:-_SUM_WINDOW]))[0] == "ok", k
+        else:
+            assert result == ref, k
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=one_bad_criterion())
+    @example(case=([("var", 3), _NAN_SIGN_TREE], 1, [-1e300, -0.0, 2.0]))
+    def test_inline_problem_with_one_bad_criterion_matches_each_criterion(self, case):
+        trees, bad, x = case
+        x = np.array(x)
+        assume(all(math.isfinite(criterion_value(t, x)) for i, t in enumerate(trees) if i != bad))
+        texts = [render(t)[0] for t in trees]
+        with np.errstate(all="ignore"):
+            y = build_inline_problem(texts, n=3).f(x)
+            each = [cli._criterion_value(parse_expression(t)[0], x.tolist(), x) for t in texts]
+        assert y.tobytes() == np.array(each).tobytes(), texts
+        assert y.tobytes() == np.array([criterion_value(t, x) for t in trees]).tobytes(), texts
 
     def test_compiled_criterion_sees_no_builtins(self):
         fn, _ = parse_expression("x1 + 1")

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from paretodescent import (
     GridSpec,
     MultiObjective,
+    NonFiniteError,
     brute_force_direction,
     check_gradient_characterization,
     check_sigma_certificate,
@@ -72,6 +75,14 @@ class TestFiniteDifferences:
         p = get_problem("quad_pair").problem
         np.testing.assert_allclose(finite_diff_jacobian(p, [2.0, 2.0], 1e-5),
                                    [[2.0, 2.0], [1.0, 2.0]], atol=1e-8)
+
+    def test_overflowing_perturbed_point_is_a_non_finite_error(self):
+        # x1 + h overflows; F itself is finite there
+        p = MultiObjective(n=2, m=1, f=lambda x: np.array([x[1] ** 2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError):
+                finite_diff_jacobian(p, [np.finfo(float).max, 1.0])
 
     def test_nonpositive_step_rejected(self):
         p = get_problem("scalar_quad").problem
