@@ -62,26 +62,25 @@ def _fmt(value: float) -> str:
 # literals, variables x1..xn.  Each token is respelled as Python (xK as
 # x[K-1], ^ as **, integer literals as floats) and the tokens are joined by
 # single spaces, so that Python's parser applies the same precedence and the
-# source compiles to one lambda.  ASCII text takes one token pass and one
-# compile: of the Python the grammar's tokens can spell, the grammar excludes
-# only a call, the empty tuple and unary plus, and each of these shows in a
-# token and the one before it.  Text that fails that pass, or is not ASCII,
-# takes the checked path, which parses the source into a tree, walks it
-# against a node whitelist and maps each error to a column of the text; both
-# paths compile the same source.
+# source compiles to one lambda.  Of the Python the grammar's tokens can
+# spell, the grammar excludes only a call, the empty tuple and unary plus,
+# and each of these shows in a token and the one before it; so the token
+# loop checks that pair, and a source that passes is compiled as it stands.
+# Only a flagged source, or one that compile refuses, is parsed into a tree
+# and walked against a node whitelist, to name the column of the error.
 # A criterion's value is the lambda's on np.float64 variables, with a complex
 # value or a ZeroDivisionError or OverflowError (which only float literals
 # raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
-# lambdas on Python floats, about three times faster, and keeps those values
-# only when all are finite floats: there both agree bit for bit, while a
-# NaN's sign, an exception or a complex result may differ.
+# lambda on Python floats, about three times faster, and keeps that value
+# only when it is a finite float: there both agree bit for bit, while a NaN's
+# sign, an exception or a complex result may differ.
 # Derivatives come from the finite-difference fallback of the objective module.
 
-_NUM = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>{_NUM})|(?P<var>x\d+)|(?P<op>[-+*/^()]))")
-# every token, or else one non-blank character, so that findall skips blanks only
-_TOKENS_RE = re.compile(rf"{_NUM}|x\d+|[-+*/^()]|\S")
-_OPERATORS = frozenset("+-*/^()")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<var>x\d+)"
+    r"|(?P<op>[-+*/^()]))"
+)
 _EXPECTS_OPERAND = frozenset("(+-*/^")  # tokens an operand must follow
 
 # The only expression nodes (or, for BinOp/UnaryOp, operators) the grammar
@@ -92,47 +91,13 @@ _GRAMMAR_NODES = (
 _PREFIX = "lambda x: "
 
 
-def _compile_tokens(text: str) -> tuple[Callable[[np.ndarray], float], int] | None:
-    """The criterion of ASCII ``text`` from one token pass and one compile,
-    or None if a token is not the grammar's or the source is not its Python."""
-    parts: list[str] = []  # the tokens spelled as Python
-    max_var = 0
-    prev = "("  # the start of the text admits what an open parenthesis does
-    for tok in _TOKENS_RE.findall(text):
-        if tok[0] == "x" and tok != "x":
-            idx = int(tok[1:])
-            if idx < 1:
-                return None
-            max_var = max(max_var, idx)
-            parts.append(f"x[{idx - 1}]")
-        elif tok[0] in "0123456789." and tok != ".":
-            parts.append(tok + ".0" if tok.isdigit() else tok)
-        elif tok in _OPERATORS:
-            if (tok == "(" and prev not in _EXPECTS_OPERAND  # a call
-                    or tok == ")" and prev == "("  # the empty tuple
-                    or tok == "+" and prev in _EXPECTS_OPERAND):  # unary plus
-                return None
-            parts.append("**" if tok == "^" else tok)
-        else:  # a lone character that starts no token
-            return None
-        prev = tok
-    try:
-        code = compile(_PREFIX + " ".join(parts), "<criterion>", "eval")
-    except (SyntaxError, RecursionError, MemoryError):
-        return None
-    return eval(code, {"__builtins__": {}}), max_var
-
-
 def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     """Compile one criterion expression; returns (callable, max variable index)."""
-    if text.isascii():
-        parsed = _compile_tokens(text)
-        if parsed is not None:
-            return parsed
-    # the checked path, which names the column of any error
     parts: list[str] = []  # the tokens spelled as Python
-    where = [0] * len(_PREFIX)  # column in text of each character of the Python source
+    cols: list[int] = []  # the column in text of each token
     pos = max_var = 0
+    prev = "("  # the start of the text admits what an open parenthesis does
+    excluded = False  # whether a token pair spells Python the grammar excludes
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
@@ -153,14 +118,29 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
                 tok = "".join(c if c in ".eE+-" else str(int(c)) for c in tok)
             if tok.isdigit():  # an int literal would make 3^40 exact and 10^400 not overflow
                 tok += ".0"
-        elif tok == "^":
-            tok = "**"
+        else:
+            if (tok == "(" and prev not in _EXPECTS_OPERAND  # a call
+                    or tok == ")" and prev == "("  # the empty tuple
+                    or tok == "+" and prev in _EXPECTS_OPERAND):  # unary plus
+                excluded = True
+            if tok == "^":
+                tok = "**"
         parts.append(tok)
-        where += [col] * (len(tok) + 1)
+        cols.append(col)
+        prev = m.group(kind)
         pos = m.end()
-    where.append(len(text))
     # single spaces keep "x1 * * 2" an error instead of a power
     source = _PREFIX + " ".join(parts)
+    if not excluded:
+        try:
+            return eval(compile(source, "<criterion>", "eval"), {"__builtins__": {}}), max_var
+        except (SyntaxError, RecursionError, MemoryError):
+            pass
+    # the error path: a tree of the source, and a column map from it to the text
+    where = [0] * len(_PREFIX)  # column in text of each character of the Python source
+    for tok, col in zip(parts, cols):
+        where += [col] * (len(tok) + 1)
+    where.append(len(text))
     try:
         tree = ast.parse(source, mode="eval")
         for node in ast.walk(tree.body.body):  # iterative: deep trees do not recurse here
@@ -213,13 +193,6 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 
     def f(x):
         xs = x.tolist()
-        try:
-            ys = [fn(xs) for fn in fns]
-        except (ZeroDivisionError, OverflowError):
-            pass
-        else:
-            if all(type(y) is float and math.isfinite(y) for y in ys):
-                return np.array(ys)
         return np.array([_criterion_value(fn, xs, x) for fn in fns])
 
     return MultiObjective(n=dim, m=len(fns), f=f, jac=None, name="inline")
