@@ -18,13 +18,7 @@ from .diagnostics import (
     check_summability,
     run_diagnostics,
 )
-from .direction import (
-    DirectionResult,
-    check_sigma_certificate,
-    primal_value,
-    solve_exact,
-    solve_sigma_approx,
-)
+from .direction import DirectionResult, solve_exact, solve_sigma_approx
 from .linesearch import LineSearchError, StepResult, armijo_step
 from .objective import MultiObjective, NonFiniteError, as_point
 from .oracle import (
@@ -39,14 +33,7 @@ from .oracle import (
     sufficient_sigma_condition,
 )
 from .problems import ProblemDescriptor, UnknownProblemError, get_problem, list_problems, make_quad_pair
-from .solver import (
-    IterationRecord,
-    RunReport,
-    SolverConfig,
-    SubproblemError,
-    is_critical,
-    run,
-)
+from .solver import IterationRecord, RunReport, SolverConfig, run
 
 __version__ = "0.1.0"
 
@@ -64,7 +51,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "StepResult",
-    "SubproblemError",
     "UnknownProblemError",
     "ViolationReport",
     "armijo_step",
@@ -75,16 +61,13 @@ __all__ = [
     "check_monotone",
     "check_proximity",
     "check_quasi_fejer",
-    "check_sigma_certificate",
     "check_summability",
     "check_weak_pareto_local",
     "finite_diff_jacobian",
     "get_problem",
-    "is_critical",
     "kkt_direction",
     "list_problems",
     "make_quad_pair",
-    "primal_value",
     "run",
     "run_diagnostics",
     "sample_quasiconvex",

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import run_diagnostics
-from .direction import solve_exact
+from .direction import STATUS_CERTIFIED, solve_exact
 from .objective import MultiObjective
 from .oracle import (
     GridSpec,
@@ -35,7 +35,6 @@ from .solver import (
     IterationRecord,
     RunReport,
     SolverConfig,
-    is_critical,
     run,
 )
 
@@ -108,7 +107,10 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
         kind = m.lastgroup
         tok, col = m.group(kind), m.start(kind)
         if kind == "var":
-            idx = int(tok[1:])
+            try:
+                idx = int(tok[1:])
+            except ValueError:  # past Python's limit on integer string conversion
+                raise ConfigError(f"column {col + 1}: variable index too long") from None
             if idx < 1:
                 raise ConfigError(f"column {col + 1}: variable indices start at x1")
             max_var = max(max_var, idx)
@@ -222,7 +224,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-    f_indices = sorted(int(_F_KEY_RE.match(k).group(1)) for k in entries if _F_KEY_RE.match(k))
+    try:
+        f_indices = sorted(int(_F_KEY_RE.match(k).group(1)) for k in entries if _F_KEY_RE.match(k))
+    except ValueError:  # an index too long for int() is past any contiguous range
+        f_indices = [0]
     if f_indices and f_indices != list(range(1, len(f_indices) + 1)):
         raise ConfigError("criterion keys must be contiguous starting at f1")
     if f_indices and "problem" in entries:
@@ -495,19 +500,21 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
                 ok = ok and check_weak_pareto_local(problem, x_crit, 0.5, 1000, seed + 2)
             add("critical_points_weak_pareto", ok, "sampled critical points undominated locally")
 
-    cfg = SolverConfig()
-    on_ok = 0
-    for _ in range(50):
-        flag, _alpha = is_critical(problem.jacobian(desc.sample_critical(rng)), cfg)
-        on_ok += int(flag)
+    # the run's own stop test: a max_inner result is neither critical nor
+    # certified, so it fails either check
+    eps_critical = SolverConfig().eps_critical
+    on_ok = sum(
+        solve_exact(problem.jacobian(desc.sample_critical(rng)), eps_critical=eps_critical).critical
+        for _ in range(50)
+    )
     add("critical_set_members", on_ok == 50, f"{on_ok}/50 sampled members report critical")
     off = [desc.sample_noncritical(rng) for _ in range(50)]
     off = [x for x in off if x is not None]
     if off:
-        off_ok = 0
-        for x in off:
-            flag, _alpha = is_critical(problem.jacobian(x), cfg)
-            off_ok += int(not flag)
+        off_ok = sum(
+            solve_exact(problem.jacobian(x), eps_critical=eps_critical).status == STATUS_CERTIFIED
+            for x in off
+        )
         add(
             "noncritical_points",
             off_ok == len(off),

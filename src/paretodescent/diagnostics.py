@@ -199,18 +199,21 @@ def check_quasi_fejer(
     return _outcome("quasi_fejer", worst, worst_k)
 
 
-def check_proximity(report: RunReport, jacobians, sigma: float) -> CheckOutcome:
+def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     """Distance of each recorded direction from the exact one.
 
     Re-solves the subproblem exactly at J(x^k), given in ``jacobians`` for
     each stepped record in order, and asserts
 
-        ||v^k - v(x^k)||^2 <= 2 * sigma * |alpha(x^k)| + 1e-8.
+        ||v^k - v(x^k)||^2 <= 2 * sigma * |alpha(x^k)| + 1e-8
+
+    with sigma read from the report's config.
 
     A record whose subproblem re-solve fails is skipped and counted in the
     note; a zero direction recorded at a point the re-solve finds
     non-critical is flagged as a failure outright.
     """
+    sigma = report.config.sigma
     pairs = []
     skipped = 0
     zero_flags = 0
@@ -271,5 +274,5 @@ def run_diagnostics(
         check_level_set(report),
         check_summability(report, jacobians),
         check_quasi_fejer(report, ref, problem),
-        check_proximity(report, jacobians, sigma),
+        check_proximity(report, jacobians),
     ))

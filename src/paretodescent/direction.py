@@ -48,13 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DirectionResult",
-    "primal_value",
-    "solve_exact",
-    "solve_sigma_approx",
-    "check_sigma_certificate",
-]
+__all__ = ["DirectionResult", "solve_exact", "solve_sigma_approx"]
 
 STATUS_CERTIFIED = "certified"
 STATUS_CRITICAL = "critical"
@@ -106,15 +100,6 @@ def _as_jacobian(J) -> np.ndarray:
     if not np.isfinite(J).all():
         raise ValueError("jacobian has non-finite entries")
     return J
-
-
-def primal_value(J, v) -> float:
-    """max_i <g_i, v> + 0.5*||v||^2, an upper bound on the optimal value."""
-    J = _as_jacobian(J)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (J.shape[1],):
-        raise ValueError(f"direction has shape {v.shape}, expected ({J.shape[1]},)")
-    return float((J @ v).max()) + 0.5 * float(v @ v)
 
 
 def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
@@ -279,21 +264,9 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
 def solve_exact(J, *, eps_critical: float = 1e-12, max_inner: int = 10_000) -> DirectionResult:
     """Solve the direction subproblem to the relative duality-gap tolerance.
 
-    Identical to ``solve_sigma_approx`` with sigma = 0.
+    Identical to ``solve_sigma_approx`` with sigma = 0.  Its default
+    ``eps_critical`` of 1e-12 is stricter than ``SolverConfig``'s 1e-8;
+    a caller that must agree with a run's stop test passes the run's value.
     """
     return solve_sigma_approx(J, 0.0, eps_critical=eps_critical, max_inner=max_inner)
 
-
-def check_sigma_certificate(J, v, alpha_exact: float, sigma: float) -> bool:
-    """Evaluate the sigma-approximation inequality directly.
-
-    True iff max_i <g_i, v> + 0.5*||v||^2 <= (1 - sigma) * alpha_exact, with
-    slack 1e-12 * max(1, |alpha_exact|).  ``alpha_exact`` must be <= 0 (the
-    optimal value from an exact solve or an independent oracle).
-    """
-    if alpha_exact > 0.0:
-        raise ValueError("alpha_exact must be <= 0")
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    p = primal_value(J, v)
-    return p <= (1.0 - sigma) * alpha_exact + 1e-12 * max(1.0, abs(alpha_exact))

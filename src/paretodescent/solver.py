@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import (
-    STATUS_MAX_INNER,
-    DirectionResult,
-    solve_exact,
-    solve_sigma_approx,
-)
+from .direction import DirectionResult, solve_sigma_approx
 from .linesearch import LineSearchError, armijo_step
 from .objective import MultiObjective, NonFiniteError, as_point
 
@@ -20,9 +15,7 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "RunReport",
-    "SubproblemError",
     "run",
-    "is_critical",
     "TERMINATION_CRITICAL",
     "TERMINATION_MAX_ITER",
     "TERMINATION_LINESEARCH",
@@ -35,10 +28,6 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_LINESEARCH = "linesearch_failure"
 TERMINATION_SUBPROBLEM = "subproblem_failure"
 TERMINATION_NUMERICAL = "numerical_failure"
-
-
-class SubproblemError(RuntimeError):
-    """The dual direction solver failed to certify within its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -186,19 +175,3 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     records.append(_record(k, x, Fx, res))
     return RunReport(records=tuple(records), termination=termination, config=cfg)
 
-
-def is_critical(J, cfg: SolverConfig | None = None) -> tuple[bool, float]:
-    """Pareto-criticality test via an exact direction solve.
-
-    Returns (flag, alpha) where flag is true iff the solve's alpha_upper is
-    >= -eps_critical; alpha is that upper estimate, reported exactly as 0.0
-    when the subproblem certified criticality.  Raises ``SubproblemError``
-    if the dual solver exhausts its iteration cap uncertified.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    res = solve_exact(J, eps_critical=cfg.eps_critical, max_inner=cfg.max_inner)
-    if res.status == STATUS_MAX_INNER:
-        raise SubproblemError(
-            f"direction subproblem did not certify within {cfg.max_inner} iterations"
-        )
-    return res.alpha_upper >= -cfg.eps_critical, res.alpha_upper

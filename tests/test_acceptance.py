@@ -20,8 +20,6 @@ from paretodescent import (
     check_summability,
     check_weak_pareto_local,
     get_problem,
-    is_critical,
-    primal_value,
     run,
     sample_quasiconvex,
     solve_exact,
@@ -111,7 +109,8 @@ def test_criterion_2_sigma_certificates_are_sound(sigma):
             continue
         spec = GridSpec(refinement_rounds=3 if m <= 2 else 4)
         _w, v_o, a_o = brute_force_direction(J, spec)
-        if primal_value(J, res.v) > (1.0 - sigma) * a_o + 1e-8:
+        primal = float((J @ res.v).max()) + 0.5 * float(res.v @ res.v)
+        if primal > (1.0 - sigma) * a_o + 1e-8:
             failures.append(f"instance {i}: approximation inequality violated")
         if float(np.sum((res.v - v_o) ** 2)) > 2.0 * sigma * abs(a_o) + 1e-8:
             failures.append(f"instance {i}: proximity bound violated")
@@ -168,15 +167,15 @@ def test_criterion_5_quasi_fejer_inequality(acceptance_runs):
     _criterion(5, "per-step distance inequality toward the final iterate", failures)
 
 
-def test_criterion_6_cubic_pair_is_critical_everywhere():
+def test_criterion_6_cubic_pair_is_pareto_critical_everywhere():
     desc = get_problem("paper_cubic")
     rng = np.random.default_rng(CUBIC_SEED)
     failures = []
     for _ in range(1000):
         t = rng.uniform(-10.0, 10.0)
-        flag, alpha = is_critical(desc.problem.jacobian([t]))
-        if not flag or abs(alpha) > 1e-12:
-            failures.append(f"t={t}: flag={flag} alpha={alpha}")
+        res = solve_exact(desc.problem.jacobian([t]), eps_critical=1e-8)
+        if not res.critical or abs(res.alpha_upper) > 1e-12:
+            failures.append(f"t={t}: status={res.status} alpha={res.alpha_upper}")
     for t0 in (-10.0, -1.3, 0.0, 5.0):
         rep = run(desc.problem, [t0], RUN_CFG)
         if rep.termination != "critical_point" or rep.iterations != 0:

@@ -20,8 +20,10 @@ from paretodescent import (
     SolverConfig,
     finite_diff_jacobian,
     get_problem,
+    list_problems,
     run,
     run_diagnostics,
+    solve_exact,
 )
 from paretodescent import cli
 from paretodescent.cli import (
@@ -36,6 +38,7 @@ from paretodescent.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from paretodescent.direction import STATUS_MAX_INNER
 
 
 def file_hash(path):
@@ -405,6 +408,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="contiguous"):
             parse_config_file(cfg)
 
+    def test_criterion_key_past_the_int_conversion_limit_rejected(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"f1 = x1\nf{'1' * 5000} = x1^2\nx0 = 1\n")
+        with pytest.raises(ConfigError, match="contiguous"):
+            parse_config_file(cfg)
+
     def test_problem_and_inline_criteria_conflict(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nf1 = x1\n")
@@ -547,6 +556,12 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "config error: f1: column 1:" in capsys.readouterr().err
 
+    def test_variable_index_past_the_int_conversion_limit_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "index.cfg"
+        cfg.write_text(f"f1 = 2 * x{'1' * 5000}\nx0 = 3\noutput = {tmp_path / 'i'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: f1: column 5: variable index too long" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sigmas", "0"]])
     def test_seed_is_a_verify_only_flag(self, tmp_path, command):
         argv = [*command, "--problem", "quad_pair", "--seed", "1", "--out", str(tmp_path / "s")]
@@ -601,6 +616,22 @@ class TestVerifyCommand:
 
     def test_untagged_class_skips_samplers_and_passes(self):
         assert main(["verify", "--problem", "nonconvex_demo", "--seed", "7"]) == 0
+
+    @pytest.mark.parametrize("name", list_problems())
+    def test_every_builtin_problem_passes(self, tmp_path, name):
+        assert main(["verify", "--problem", name, "--seed", "0", "--out", str(tmp_path / "v")]) == 0
+        assert json.loads((tmp_path / "v.verify.json").read_text())["all_ok"] is True
+
+    def test_uncertified_solves_fail_both_criticality_checks(self, tmp_path, monkeypatch):
+        # a max_inner result is neither critical nor certified
+        def uncertified(J, **kwargs):
+            return replace(solve_exact(J, **kwargs), status=STATUS_MAX_INNER)
+
+        monkeypatch.setattr(cli, "solve_exact", uncertified)
+        assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 3
+        checks = json.loads((tmp_path / "v.verify.json").read_text())["checks"]
+        failed = [c["name"] for c in checks if not c["ok"]]
+        assert failed == ["critical_set_members", "noncritical_points"]
 
     def test_unknown_problem_exits_one(self):
         assert main(["verify", "--problem", "nope"]) == 1

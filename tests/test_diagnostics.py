@@ -243,7 +243,7 @@ class TestProximity:
     def test_exact_runs_recover_the_exact_direction(self):
         desc = get_problem("quad_pair")
         rep = quad_run()
-        out = check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.0)
+        out = check_proximity(rep, stepped_jacobians(desc.problem, rep))
         assert out.ok
         # sigma = 0: recorded directions coincide with re-solves to 1e-4
         from paretodescent import solve_exact
@@ -254,7 +254,7 @@ class TestProximity:
     def test_relaxed_runs_satisfy_the_proximity_bound(self):
         desc = get_problem("quad_pair")
         rep = quad_run(sigma=0.5)
-        assert check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.5).ok
+        assert check_proximity(rep, stepped_jacobians(desc.problem, rep)).ok
 
     def test_zero_direction_at_noncritical_point_is_flagged(self):
         desc = get_problem("quad_pair")
@@ -262,7 +262,7 @@ class TestProximity:
                               v=np.zeros(2), t=1.0, alpha_upper=0.0, alpha_lower=0.0,
                               j=0, sigma_certified=True, inner_iterations=0)
         rep = RunReport(records=(rec,), termination="max_iter", config=SolverConfig())
-        out = check_proximity(rep, stepped_jacobians(desc.problem, rep), 0.0)
+        out = check_proximity(rep, stepped_jacobians(desc.problem, rep))
         assert out.status == STATUS_FAIL
         assert "zero direction" in out.note
 

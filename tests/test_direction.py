@@ -4,21 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from paretodescent import (
-    brute_force_direction,
-    check_sigma_certificate,
-    kkt_direction,
-    primal_value,
-    solve_exact,
-    solve_sigma_approx,
-)
+from paretodescent import brute_force_direction, kkt_direction, solve_exact, solve_sigma_approx
 from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
     STATUS_MAX_INNER,
     _allowance,
+    _gap_floor,
     _stop_status,
 )
+
+
+def primal(J, v) -> float:
+    """max_i <g_i, v> + ||v||^2 / 2, the subproblem's objective at v."""
+    return float((J @ v).max()) + 0.5 * float(v @ v)
 
 
 # Jacobians on which the projected-gradient loop this solver replaced ran
@@ -303,9 +302,9 @@ class TestSolveExact:
             # the returned bounds are those of the returned direction
             assert np.array_equal(res.v, -(J.T @ res.weights))
             assert res.alpha_lower == -0.5 * float(res.v @ res.v)
-            assert res.alpha_upper == primal_value(J, res.v)
+            assert res.alpha_upper == primal(J, res.v)
 
-    def test_zero_gradient_beside_a_near_singular_face_is_critical(self):
+    def test_zero_gradient_beside_a_near_singular_face_reports_critical(self):
         res = solve_exact(ZERO_ROW_JACOBIAN)
         assert res.critical
         assert res.inner_iterations == 1
@@ -340,7 +339,7 @@ class TestSolveSigmaApprox:
         assert res.sigma_certified
         assert np.sum((res.v - np.array([-0.5, -0.5])) ** 2) <= 2 * 0.5 * 0.25
 
-    def test_zero_jacobian_is_critical(self):
+    def test_zero_jacobian_reports_critical(self):
         res = solve_sigma_approx(np.array([[0.0, 0.0]]), 0.3)
         assert res.critical
         assert np.array_equal(res.v, [0.0, 0.0])
@@ -376,7 +375,7 @@ class TestGramSpaceLoop:
         if res.critical:
             assert alpha >= -eps_critical - slack
         else:
-            assert primal_value(J, res.v) <= (1.0 - sigma) * alpha + slack
+            assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
             assert res.alpha_upper <= 0.0
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -456,19 +455,30 @@ class TestGramSpaceLoop:
 
 
 class TestSigmaCertificate:
+    # the solver's one sigma certificate, alpha_upper <= (1 - sigma) * alpha_lower,
+    # on the bounds at J = I: alpha_lower = -0.25 is the optimal value there
+    FLOOR = _gap_floor(np.eye(2))
+
     def test_exact_direction_certifies_at_sigma_zero(self):
-        assert check_sigma_certificate(np.eye(2), [-0.5, -0.5], -0.25, 0.0)
+        p = primal(np.eye(2), np.array([-0.5, -0.5]))
+        assert p == -0.25
+        assert _stop_status(p, -0.25, -0.25, 0.0, 1e-8, self.FLOOR) == STATUS_CERTIFIED
 
     def test_shrunk_direction_certifies_at_sigma_half(self):
-        # primal value -0.4 + 0.16 = -0.24 <= -0.125
-        assert check_sigma_certificate(np.eye(2), [-0.4, -0.4], -0.25, 0.5)
+        # primal value -0.4 + 0.16 = -0.24 <= -0.125, but not within the gap tolerance of -0.25
+        p = primal(np.eye(2), np.array([-0.4, -0.4]))
+        assert _stop_status(p, -0.25, -0.25, 0.5, 1e-8, self.FLOOR) == STATUS_CERTIFIED
+        assert _stop_status(p, -0.25, -0.25, 0.0, 1e-8, self.FLOOR) is None
 
     def test_zero_direction_fails_at_noncritical_point(self):
-        assert not check_sigma_certificate(np.eye(2), [0.0, 0.0], -0.25, 0.5)
+        p = primal(np.eye(2), np.zeros(2))
+        assert _stop_status(p, -0.25, -0.25, 0.5, 1e-8, self.FLOOR) is None
 
     def test_positive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            check_sigma_certificate(np.eye(2), [0.0, 0.0], 0.1, 0.0)
+        # within the gap floor of the sigma inequality, a positive alpha_upper
+        # is still not certified: a certified direction must beat v = 0
+        assert _stop_status(1e-15, -2e-15, -2e-15, 0.5, 1e-15, self.FLOOR) is None
+        assert _stop_status(-1e-16, -2e-15, -2e-15, 0.5, 1e-15, self.FLOOR) == STATUS_CERTIFIED
 
 
 class TestInvariants:
@@ -480,7 +490,7 @@ class TestInvariants:
             scale = max(1.0, float(np.sum(J * J)))
             for _ in range(5):
                 v = rng.normal(scale=2.0, size=J.shape[1])
-                lhs = primal_value(J, v) - res.alpha_upper
+                lhs = primal(J, v) - res.alpha_upper
                 assert lhs >= 0.5 * float(np.sum((v - res.v) ** 2)) - 1e-6 * scale
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5, 0.9])
@@ -562,5 +572,5 @@ class TestInvariants:
         if res.critical:
             assert alpha >= -1e-12 - slack
         else:
-            assert primal_value(J, res.v) <= (1.0 - sigma) * alpha + slack
+            assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
             assert res.alpha_upper <= 0.0

@@ -1,15 +1,17 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paretodescent import oracle
 from paretodescent import (
     GridSpec,
     MultiObjective,
     NonFiniteError,
     brute_force_direction,
     check_gradient_characterization,
-    check_sigma_certificate,
     check_weak_pareto_local,
     finite_diff_jacobian,
     get_problem,
@@ -168,8 +170,9 @@ class TestSufficientCondition:
             sigma = float(rng.uniform(0.0, 0.99))
             if not sufficient_sigma_condition(J, v, sigma):
                 continue
-            _, _, alpha = kkt_direction(J)
-            assert check_sigma_certificate(J, v, min(alpha, 0.0), sigma)
+            alpha = min(kkt_direction(J)[2], 0.0)
+            primal = float((J @ v).max()) + 0.5 * float(v @ v)
+            assert primal <= (1.0 - sigma) * alpha + 1e-12 * max(1.0, abs(alpha))
             tested += 1
         assert tested > 30
 
@@ -181,3 +184,18 @@ def test_grid_spec_validation():
         GridSpec(refinement_rounds=-1)
     assert GridSpec().resolve(2) == 1e-3
     assert GridSpec().resolve(3) == 1e-2
+
+
+def test_oracle_imports_only_the_objective_module_of_the_package():
+    # the oracles share no logic with the code they validate: no direction
+    # solver, line search, run loop, diagnostics or CLI, even inside a function
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            modules.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("paretodescent"):
+            modules.add(node.module.partition(".")[2] or "paretodescent")
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.partition(".")[2] or "paretodescent"
+                           for a in node.names if a.name.partition(".")[0] == "paretodescent")
+    assert modules == {"objective"}

@@ -6,10 +6,11 @@ from paretodescent import (
     check_gradient_characterization,
     check_weak_pareto_local,
     get_problem,
-    is_critical,
     list_problems,
     sample_quasiconvex,
+    solve_exact,
 )
+from paretodescent.direction import STATUS_CERTIFIED
 
 ALL_NAMES = ["quad_pair", "paper_cubic", "quasi_exp", "scalar_quad", "nonconvex_demo"]
 
@@ -61,16 +62,16 @@ def test_known_critical_set_agrees_with_the_criticality_test(name):
     rng = np.random.default_rng(101)
     for _ in range(50):
         x = desc.sample_critical(rng)
-        flag, alpha = is_critical(desc.problem.jacobian(x))
-        assert flag, f"{name}: {x} should be critical, alpha={alpha}"
+        res = solve_exact(desc.problem.jacobian(x), eps_critical=1e-8)
+        assert res.critical, f"{name}: {x} should be critical, status={res.status}"
     misses = 0
     for _ in range(50):
         x = desc.sample_noncritical(rng)
         if x is None:
             return  # the critical set covers the box; nothing to sample
-        flag, alpha = is_critical(desc.problem.jacobian(x))
-        misses += int(flag)
-        assert not flag, f"{name}: {x} should not be critical, alpha={alpha}"
+        res = solve_exact(desc.problem.jacobian(x), eps_critical=1e-8)
+        misses += int(res.critical)
+        assert res.status == STATUS_CERTIFIED, f"{name}: {x} should not be critical, alpha={res.alpha_upper}"
     assert misses == 0
 
 

@@ -6,12 +6,11 @@ import pytest
 from paretodescent import (
     MultiObjective,
     SolverConfig,
-    SubproblemError,
     get_problem,
-    is_critical,
     run,
     solve_exact,
 )
+from paretodescent.direction import STATUS_CERTIFIED, STATUS_MAX_INNER
 from paretodescent.solver import (
     TERMINATION_CRITICAL,
     TERMINATION_LINESEARCH,
@@ -193,19 +192,21 @@ class TestRunContract:
 
 
 class TestIsCritical:
+    # the run's criticality test: the direction solve at its eps_critical
     def test_zero_jacobian(self):
-        flag, alpha = is_critical(np.zeros((2, 2)))
-        assert flag and alpha == 0.0
+        res = solve_exact(np.zeros((2, 2)), eps_critical=1e-8)
+        assert res.critical and res.alpha_upper == 0.0
 
     def test_opposing_gradients(self):
-        flag, alpha = is_critical(np.array([[1.0], [-4.0]]))
-        assert flag and alpha == 0.0
+        res = solve_exact(np.array([[1.0], [-4.0]]), eps_critical=1e-8)
+        assert res.critical and res.alpha_upper == 0.0
 
     def test_identity_jacobian_is_not_critical(self):
-        flag, alpha = is_critical(np.eye(2))
-        assert not flag
-        np.testing.assert_allclose(alpha, -0.25, atol=1e-10)
+        res = solve_exact(np.eye(2), eps_critical=1e-8)
+        assert res.status == STATUS_CERTIFIED
+        np.testing.assert_allclose(res.alpha_upper, -0.25, atol=1e-10)
 
-    def test_uncertified_subproblem_raises(self):
-        with pytest.raises(SubproblemError):
-            is_critical(SUBNORMAL_JACOBIAN, SolverConfig(max_inner=1))
+    def test_uncertified_subproblem_is_neither_critical_nor_certified(self):
+        res = solve_exact(SUBNORMAL_JACOBIAN, eps_critical=1e-8, max_inner=1)
+        assert res.status == STATUS_MAX_INNER
+        assert not res.critical and not res.sigma_certified
