@@ -1,7 +1,7 @@
 """Command-line harness: solve runs, sigma sweeps, problem verification.
 
 Exit codes: 0 success / critical point, 1 usage or config error, 2 iteration
-cap reached, 3 numerical failure.
+cap reached, 3 numerical failure, 4 a verify check failed.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MAX_ITER = 2
 EXIT_FAILURE = 3
+EXIT_CHECK_FAILED = 4
 
 
 class ConfigError(ValueError):
@@ -257,6 +258,10 @@ _FLAG_KEYS = (
 )
 
 
+# config keys that set a SolverConfig field; an absent key keeps its default
+_CONFIG_FIELDS = {"beta": float, "sigma": float, "eps_critical": float, "max_iter": int}
+
+
 @dataclass
 class RunSettings:
     problem: MultiObjective
@@ -311,12 +316,8 @@ def _resolve_settings(args) -> RunSettings:
         raise ConfigError("x0 contains non-finite entries")
 
     try:
-        cfg = SolverConfig(
-            beta=_parse(entries.get("beta", "0.5"), "beta", float),
-            sigma=_parse(entries.get("sigma", "0"), "sigma", float),
-            eps_critical=_parse(entries.get("eps_critical", "1e-8"), "eps_critical", float),
-            max_iter=_parse(entries.get("max_iter", "10000"), "max_iter", int),
-        )
+        cfg = SolverConfig(**{key: _parse(entries[key], key, conv)
+                              for key, conv in _CONFIG_FIELDS.items() if key in entries})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_prefix = entries.get("output", "run")
@@ -561,7 +562,7 @@ def cmd_verify(args) -> int:
     for c in checks:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}")
     print(f"{desc.name}: {'all checks passed' if all_ok else 'checks FAILED'}")
-    return EXIT_OK if all_ok else EXIT_FAILURE
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def _seed(text: str) -> int:

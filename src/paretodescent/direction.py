@@ -29,6 +29,10 @@ within a rounding allowance of a stop test is v = -J^T w formed, at O(mn),
 and the test run on the J-space bounds, which alone may stop the loop.  The
 allowance makes the screen a necessary condition for the J-space test.
 
+The one input check is finiteness of G, at O(m^2): a non-finite entry of J,
+or a row whose squared norm overflows (a norm above about 1.3e154), makes
+its G_ii non-finite and raises ``NonFiniteError`` before any move.
+
 Cost model: forming G costs O(m^2 n) per solve, a move O(m^2) plus O(k^3)
 for the bordered system on a face of k vertices, and a J-space confirmation
 O(mn).  For small m and n the fixed cost of each numpy call dominates all of
@@ -47,6 +51,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .objective import NonFiniteError
 
 __all__ = ["DirectionResult", "solve_exact", "solve_sigma_approx"]
 
@@ -89,17 +95,6 @@ class DirectionResult:
     @property
     def sigma_certified(self) -> bool:
         return self.status in (STATUS_CERTIFIED, STATUS_CRITICAL)
-
-
-def _as_jacobian(J) -> np.ndarray:
-    J = np.asarray(J, dtype=float)
-    if J.ndim < 2:
-        J = J.reshape(1, -1)
-    elif J.ndim != 2:
-        raise ValueError(f"jacobian must be a matrix, got shape {J.shape}")
-    if not np.isfinite(J).all():
-        raise ValueError("jacobian has non-finite entries")
-    return J
 
 
 def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
@@ -199,6 +194,8 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     snapped to zero and alpha_upper = 0, once alpha_lower >= -eps_critical;
     this is sound because alpha_lower never exceeds the true optimal value.
 
+    A J whose Gram matrix J J^T is not finite raises ``NonFiniteError``.
+
     ``max_inner`` caps the moves for optimal values below the rounding floor
     of G.  Exhausting it returns the best iterate seen, by its Gram-space
     upper bound, with status ``"max_inner"``, which is not certified; its
@@ -212,9 +209,16 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     if not 0.0 < eps_critical < math.inf or max_inner < 1:
         raise ValueError("eps_critical must be positive and finite and max_inner >= 1")
-    J = _as_jacobian(J)
+    J = np.asarray(J, dtype=float)
+    if J.ndim < 2:
+        J = J.reshape(1, -1)
+    elif J.ndim != 2:
+        raise ValueError(f"jacobian must be a matrix, got shape {J.shape}")
     m, n = J.shape
-    G = J @ J.T
+    with np.errstate(all="ignore"):
+        G = J @ J.T
+    if not np.isfinite(G).all():
+        raise NonFiniteError("Gram matrix J J^T has non-finite entries")
     gap_floor = _gap_floor(G)
     allowance = _allowance(G, n)
     w = np.full(m, 1.0 / m)

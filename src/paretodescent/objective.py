@@ -44,9 +44,8 @@ class MultiObjective:
         Maps a length-n vector to the (m, n) matrix whose row i is the
         gradient of criterion i.  When absent, a central-difference
         approximation with per-coordinate step 1e-6 * max(1, |x_j|) is
-        substituted and flagged via ``jacobian_is_approximate``.  It calls
-        ``f`` directly, 2n times, so a subclass's ``evaluate`` override does
-        not see the difference points.
+        substituted.  It calls ``f`` directly, 2n times, so a subclass's
+        ``evaluate`` override does not see the difference points.
     name : str
         Optional identifier used in reports.
 
@@ -62,10 +61,6 @@ class MultiObjective:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive integers")
-
-    @property
-    def jacobian_is_approximate(self) -> bool:
-        return self.jac is None
 
     def evaluate(self, x, *, require_finite: bool = True) -> np.ndarray:
         """Return F(x) as a length-m float vector.

@@ -112,21 +112,6 @@ def _record(k: int, x, Fx, res: DirectionResult, t: float = 0.0, j: int = -1) ->
     )
 
 
-def _no_direction(problem: MultiObjective) -> DirectionResult:
-    """Stand-in for the direction at a point whose F or Jacobian is not finite:
-    zero direction, NaN bounds, nothing certified and no inner iterations."""
-    nan = float("nan")
-    return DirectionResult(
-        v=np.zeros(problem.n),
-        alpha_lower=nan,
-        alpha_upper=nan,
-        weights=np.full(problem.m, nan),
-        inner_iterations=0,
-        status=TERMINATION_NUMERICAL,
-        slopes=np.full(problem.m, nan),
-    )
-
-
 def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunReport:
     """Descend from ``x0`` until a certified critical point or a cap.
 
@@ -135,7 +120,10 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     the outer stop test agree), takes the largest dyadic Armijo step, and
     sets x^{k+1} = x^k + t_k * v^k.  Failures terminate the run with a
     status in the report; they are never raised.  A value F(x^k) or a
-    Jacobian with non-finite entries ends the run with ``numerical_failure``.
+    Jacobian with non-finite entries, or a Gram matrix J J^T that overflows,
+    ends the run with ``numerical_failure``: its terminal record has v = 0,
+    NaN alpha bounds and no inner iterations.  The Jacobian is not requested
+    at a point whose F is not finite.
 
     The record list always ends with a terminal record (t = 0) for the last
     visited point, so a run that starts at a critical point has exactly one
@@ -150,13 +138,15 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     while termination is None:
         Fx = problem.evaluate(x, require_finite=False)
         try:
-            J = problem.jacobian(x) if np.isfinite(Fx).all() else None
+            if not np.isfinite(Fx).all():
+                raise NonFiniteError("F(x) has non-finite entries")
+            res = solve_sigma_approx(problem.jacobian(x), cfg.sigma, eps_critical=cfg.eps_critical,
+                                     max_inner=cfg.max_inner)
         except NonFiniteError:
-            J = None
-        if J is None:
-            res, termination = _no_direction(problem), TERMINATION_NUMERICAL
-            break
-        res = solve_sigma_approx(J, cfg.sigma, eps_critical=cfg.eps_critical, max_inner=cfg.max_inner)
+            records.append(IterationRecord(k, x, Fx, np.zeros(problem.n), t=0.0, j=-1,
+                                           alpha_upper=math.nan, alpha_lower=math.nan,
+                                           sigma_certified=False, inner_iterations=0))
+            return RunReport(records=tuple(records), termination=TERMINATION_NUMERICAL, config=cfg)
         if res.critical:
             termination = TERMINATION_CRITICAL
         elif not res.sigma_certified:
@@ -174,4 +164,3 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
                 k += 1
     records.append(_record(k, x, Fx, res))
     return RunReport(records=tuple(records), termination=termination, config=cfg)
-

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from paretodescent import (
     MultiObjective,
+    NonFiniteError,
     RunReport,
     SolverConfig,
     finite_diff_jacobian,
@@ -376,7 +377,7 @@ class TestExpressionParser:
     def test_inline_problem_dimension_inference(self):
         p = build_inline_problem(["x1^2", "x2^2 + x1"])
         assert p.n == 2 and p.m == 2
-        assert p.jacobian_is_approximate
+        assert p.jac is None
 
     def test_inline_problem_rejects_out_of_range_variables(self):
         with pytest.raises(ConfigError):
@@ -414,6 +415,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="contiguous"):
             parse_config_file(cfg)
 
+    @pytest.mark.parametrize("lines, expected", [
+        ("problem = quad_pair\n", SolverConfig()),
+        ("problem = quad_pair\nsigma = 0.25\nmax_iter = 7\n", SolverConfig(sigma=0.25, max_iter=7)),
+    ])
+    def test_absent_keys_keep_the_solver_config_defaults(self, tmp_path, lines, expected):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(lines)
+        args = cli._build_parser().parse_args(["solve", "--config", str(cfg)])
+        assert repr(cli._resolve_settings(args).cfg) == repr(expected)
+
     def test_problem_and_inline_criteria_conflict(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nf1 = x1\n")
@@ -422,6 +433,18 @@ class TestConfigFile:
 
 
 class TestSolveCommand:
+    def test_gram_overflow_exits_three_and_writes_artifacts_that_reload(self, tmp_path):
+        # the central-difference Jacobian is finite, its Gram matrix is not
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("f1 = 1e200*x1\nf2 = x2^2\nx0 = 1, 1\n")
+        out = tmp_path / "big"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        report, doc = load_run(out)
+        assert report.termination == doc["termination"] == "numerical_failure"
+        (last,) = report.records
+        assert last.k == 0 and np.array_equal(last.v, [0.0, 0.0]) and last.inner_iterations == 0
+        assert math.isnan(last.alpha_upper) and doc["final_alpha"] is None
+
     def test_writes_artifacts_and_exits_zero(self, tmp_path):
         out = tmp_path / "qp"
         code = main(["solve", "--problem", "quad_pair", "--x0", "2,2", "--out", str(out)])
@@ -628,10 +651,17 @@ class TestVerifyCommand:
             return replace(solve_exact(J, **kwargs), status=STATUS_MAX_INNER)
 
         monkeypatch.setattr(cli, "solve_exact", uncertified)
-        assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 3
+        assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 4
         checks = json.loads((tmp_path / "v.verify.json").read_text())["checks"]
         failed = [c["name"] for c in checks if not c["ok"]]
         assert failed == ["critical_set_members", "noncritical_points"]
+
+    def test_numerical_failure_exits_three_not_the_failed_check_code(self, tmp_path, monkeypatch):
+        def overflowing(J, **kwargs):
+            raise NonFiniteError("Gram matrix J J^T has non-finite entries")
+
+        monkeypatch.setattr(cli, "solve_exact", overflowing)
+        assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 3
 
     def test_unknown_problem_exits_one(self):
         assert main(["verify", "--problem", "nope"]) == 1
@@ -651,8 +681,10 @@ SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0
 def _forced_run(seed, shape, sigma, target, fail_at):
     """Problem, start and config that force ``target``: a seeded convex
     quadratic per criterion, started far from its critical set, with
-    max_iter = fail_at, or with a NaN Jacobian or SUBNORMAL_JACOBIAN (under
-    max_inner = 1, so m = 3 and n = 2) at the fail_at-th Jacobian call only."""
+    max_iter = fail_at, or with SUBNORMAL_JACOBIAN (under max_inner = 1, so
+    m = 3 and n = 2) or a numerically failing Jacobian at the fail_at-th
+    Jacobian call only: NaN at odd fail_at, and at even fail_at a finite one
+    whose Gram matrix overflows."""
     m, n = (3, 2) if target == "subproblem_failure" else shape
     rng = np.random.default_rng(seed)
     C = rng.uniform(-2.0, 2.0, size=(m, n))
@@ -665,7 +697,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         calls[0] += 1
         J = np.einsum("mij,mj->mi", H, x - C)
         if calls[0] == fail_at and target == "numerical_failure":
-            return np.full((m, n), np.nan)
+            return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
             return SUBNORMAL_JACOBIAN
         return J
@@ -721,6 +753,7 @@ class TestRoundTripAndDeterminism:
         fail_at=st.integers(1, 3),
     )
     @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=1)
+    @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=2)
     @example(seed=0, shape=(3, 2), sigma=0.0, target="subproblem_failure", fail_at=1)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from paretodescent import brute_force_direction, kkt_direction, solve_exact, solve_sigma_approx
+from paretodescent import (
+    NonFiniteError,
+    brute_force_direction,
+    kkt_direction,
+    solve_exact,
+    solve_sigma_approx,
+)
 from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
@@ -106,6 +112,11 @@ def _enumerated_alpha(J):
 def _reference_alpha(J):
     return kkt_direction(J)[2] if J.shape[0] <= 4 else _enumerated_alpha(J)
 
+
+# m = 1..6 criteria with finite entries, the shapes the input check must cover
+_FINITE_JACOBIANS = st.tuples(st.integers(1, 6), st.integers(1, 10)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0))
+)
 
 _HARD_CASES = dict(
     J=_hard_jacobians(),
@@ -318,9 +329,13 @@ class TestSolveExact:
             assert res.alpha_upper == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
             assert res.alpha_lower == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
 
-    def test_rejects_nonfinite_jacobian(self):
-        with pytest.raises(ValueError):
-            solve_exact(np.array([[np.nan, 0.0]]))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(J=_FINITE_JACOBIANS, where=st.tuples(st.integers(0, 5), st.integers(0, 9)),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_rejects_nonfinite_jacobian(self, J, where, value):
+        J[where[0] % J.shape[0], where[1] % J.shape[1]] = value
+        with pytest.raises(NonFiniteError):
+            solve_exact(J)
 
 
 class TestSolveSigmaApprox:
@@ -354,6 +369,18 @@ class TestSolveSigmaApprox:
     def test_eps_critical_must_be_positive_and_finite(self, eps_critical):
         with pytest.raises(ValueError):
             solve_sigma_approx(np.eye(2), 0.5, eps_critical=eps_critical)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(J=_FINITE_JACOBIANS, where=st.tuples(st.integers(0, 5), st.integers(0, 9)),
+           log_scale=st.floats(155.0, 308.0), sign=st.sampled_from([-1.0, 1.0]),
+           sigma=st.floats(0.0, 0.99))
+    @example(J=np.array([[1e200, 1.0], [0.5, 2.0]]), where=(0, 0), log_scale=200.0, sign=1.0,
+             sigma=0.0)
+    def test_gram_overflow_raises_before_any_move(self, J, where, log_scale, sign, sigma):
+        # one row of norm at least 1e155: its squared norm, G_ii, overflows
+        J[where[0] % J.shape[0], where[1] % J.shape[1]] = sign * 10.0 ** log_scale
+        with pytest.raises(NonFiniteError):
+            solve_sigma_approx(J, sigma)
 
     def test_early_termination_saves_inner_iterations(self):
         J = np.array([[3.0, 1.0], [0.5, -2.0]])

@@ -80,8 +80,8 @@ class TestJacobian:
     def test_fd_fallback_is_flagged_and_accurate(self):
         exact = make_quad_pair([0.0, 0.0], [1.0, 0.0])
         free = MultiObjective(n=2, m=2, f=exact.f, jac=None)
-        assert free.jacobian_is_approximate
-        assert not exact.jacobian_is_approximate
+        assert free.jac is None
+        assert exact.jac is not None
         x = np.array([0.3, -1.7])
         np.testing.assert_allclose(free.jacobian(x), exact.jacobian(x), atol=1e-8)
 

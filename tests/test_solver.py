@@ -173,6 +173,17 @@ class TestRunContract:
         assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
         assert not last.sigma_certified and last.inner_iterations == 0
 
+    def test_gram_overflow_is_reported_not_raised(self):
+        # f(x) = A x: a finite Jacobian whose first row's squared norm overflows
+        rep = run(linear_problem(np.diag([1e200, 1.0])), [1.0, 1.0])
+        assert rep.termination == TERMINATION_NUMERICAL
+        (last,) = rep.records
+        assert last.k == 0 and np.array_equal(last.x, [1.0, 1.0])
+        assert np.array_equal(last.Fx, [1e200, 1.0])
+        assert np.array_equal(last.v, [0.0, 0.0]) and last.t == 0.0 and last.j == -1
+        assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
+        assert not last.sigma_certified and last.inner_iterations == 0
+
     def test_jacobian_shape_errors_still_raise(self):
         p = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
                            jac=lambda x: np.zeros((2, 1)))
