@@ -22,7 +22,6 @@ from .direction import DirectionResult, solve_exact, solve_sigma_approx
 from .linesearch import LineSearchError, StepResult, armijo_step
 from .objective import MultiObjective, NonFiniteError, as_point
 from .oracle import (
-    GridSpec,
     ViolationReport,
     brute_force_direction,
     check_gradient_characterization,
@@ -42,7 +41,6 @@ __all__ = [
     "DiagnosticsSummary",
     "DominatingReference",
     "DirectionResult",
-    "GridSpec",
     "IterationRecord",
     "LineSearchError",
     "MultiObjective",

@@ -22,7 +22,6 @@ from .diagnostics import run_diagnostics
 from .direction import STATUS_CERTIFIED, solve_exact
 from .objective import MultiObjective
 from .oracle import (
-    GridSpec,
     brute_force_direction,
     check_gradient_characterization,
     check_weak_pareto_local,
@@ -179,6 +178,8 @@ def _criterion_value(fn, xs: list[float], x: np.ndarray) -> float:
 
 
 def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjective:
+    if n is not None and n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n}")
     fns = []
     max_var = 0
     for i, text in enumerate(exprs, start=1):
@@ -204,8 +205,10 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 # ---------------------------------------------------------------------------
 # config files: flat "key = value" lines, '#' comments, unknown keys rejected
 
-_SCALAR_KEYS = {"problem", "x0", "beta", "sigma", "eps_critical", "max_iter", "output", "n"}
-_F_KEY_RE = re.compile(r"^f(\d+)$")
+# config keys that set a SolverConfig field; an absent key keeps its default
+_CONFIG_FIELDS = {"beta": float, "sigma": float, "eps_critical": float, "max_iter": int}
+_SCALAR_KEYS = {"problem", "x0", "output", "n", *_CONFIG_FIELDS}
+_F_KEY_RE = re.compile(r"^f\d+$")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -225,13 +228,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-    try:
-        f_indices = sorted(int(_F_KEY_RE.match(k).group(1)) for k in entries if _F_KEY_RE.match(k))
-    except ValueError:  # an index too long for int() is past any contiguous range
-        f_indices = [0]
-    if f_indices and f_indices != list(range(1, len(f_indices) + 1)):
+    m = sum(1 for key in entries if _F_KEY_RE.match(key))
+    if any(f"f{i}" not in entries for i in range(1, m + 1)):
         raise ConfigError("criterion keys must be contiguous starting at f1")
-    if f_indices and "problem" in entries:
+    if m and "problem" in entries:
         raise ConfigError("give either a problem name or inline criteria, not both")
     return entries
 
@@ -247,21 +247,6 @@ def _parse(text: str, what: str, conv: Callable[[str], object]):
         raise ConfigError(f"could not parse {what} from {text!r}") from None
 
 
-# command-line flags that override a config key
-_FLAG_KEYS = (
-    ("x0", "x0"),
-    ("beta", "beta"),
-    ("sigma", "sigma"),
-    ("eps", "eps_critical"),
-    ("max_iter", "max_iter"),
-    ("out", "output"),
-)
-
-
-# config keys that set a SolverConfig field; an absent key keeps its default
-_CONFIG_FIELDS = {"beta": float, "sigma": float, "eps_critical": float, "max_iter": int}
-
-
 @dataclass
 class RunSettings:
     problem: MultiObjective
@@ -273,28 +258,25 @@ class RunSettings:
 
 
 def _resolve_settings(args) -> RunSettings:
-    entries: dict[str, str] = {}
-    if args.config:
-        entries = parse_config_file(args.config)
+    entries = parse_config_file(args.config) if args.config else {}
+    m = sum(1 for key in entries if _F_KEY_RE.match(key))
     if args.problem is not None:
-        if any(_F_KEY_RE.match(k) for k in entries):
+        if m:
             raise ConfigError("--problem conflicts with inline criteria in the config file")
         entries["problem"] = args.problem
-    for flag, key in _FLAG_KEYS:
-        value = getattr(args, flag)
+    for key in ("x0", "output", *_CONFIG_FIELDS):  # each flag's dest is its config key
+        value = getattr(args, key)
         if value is not None:
             entries[key] = str(value)
 
-    f_keys = sorted(
-        (k for k in entries if _F_KEY_RE.match(k)),
-        key=lambda k: int(_F_KEY_RE.match(k).group(1)),
-    )
     descriptor = None
-    if f_keys:
+    if m:
         n = _parse(entries["n"], "n", int) if "n" in entries else None
-        problem = build_inline_problem([entries[k] for k in f_keys], n)
+        problem = build_inline_problem([entries[f"f{i}"] for i in range(1, m + 1)], n)
         name = "inline"
     elif "problem" in entries:
+        if "n" in entries:
+            raise ConfigError("n applies to inline criteria only, not to a builtin problem")
         try:
             descriptor = get_problem(entries["problem"])
         except UnknownProblemError as exc:
@@ -356,28 +338,24 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
-    col = {name: i for i, name in enumerate(header)}
-    n = sum(1 for name in header if re.fullmatch(r"x_\d+", name))
-    m = sum(1 for name in header if re.fullmatch(r"F_\d+", name))
+    # the writer's layout: 7 scalar columns, then x (n), F (m) and v (n)
+    n = sum(1 for name in lines[0].split(",") if name.startswith("x_"))
     records = []
     for line in lines[1:]:
         parts = line.split(",")
-        x = np.array([float(parts[col[f"x_{i + 1}"]]) for i in range(n)])
-        Fx = np.array([float(parts[col[f"F_{i + 1}"]]) for i in range(m)])
-        v = np.array([float(parts[col[f"v_{i + 1}"]]) for i in range(n)])
+        vals = [float(part) for part in parts[7:]]
         records.append(
             IterationRecord(
-                k=int(parts[col["k"]]),
-                x=x,
-                Fx=Fx,
-                v=v,
-                t=float(parts[col["t"]]),
-                alpha_upper=float(parts[col["alpha_upper"]]),
-                alpha_lower=float(parts[col["alpha_lower"]]),
-                j=int(parts[col["j"]]),
-                sigma_certified=bool(int(parts[col["sigma_certified"]])),
-                inner_iterations=int(parts[col["inner_iterations"]]),
+                k=int(parts[0]),
+                x=np.array(vals[:n]),
+                Fx=np.array(vals[n:-n]),
+                v=np.array(vals[-n:]),
+                t=float(parts[1]),
+                alpha_upper=float(parts[3]),
+                alpha_lower=float(parts[4]),
+                j=int(parts[2]),
+                sigma_certified=bool(int(parts[5])),
+                inner_iterations=int(parts[6]),
             )
         )
     return records
@@ -452,15 +430,16 @@ def cmd_sweep(args) -> int:
     sigmas = [_parse(part, "sigmas", float) for part in parts]
     if not sigmas:
         raise ConfigError("no sigma values given")
-    for s in sigmas:
-        if not 0.0 <= s < 1.0:
-            raise ConfigError(f"sigma must lie in [0, 1), got {s}")
+    try:
+        cfgs = [replace(settings.cfg, sigma=s) for s in sigmas]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = []
     worst = EXIT_OK
-    for s in sigmas:
-        report = run(settings.problem, settings.x0, replace(settings.cfg, sigma=s))
+    for cfg in cfgs:
+        report = run(settings.problem, settings.x0, cfg)
         rows.append(
-            (s, report.iterations, report.total_inner_iterations,
+            (cfg.sigma, report.iterations, report.total_inner_iterations,
              report.final_alpha, report.termination)
         )
         worst = max(worst, _termination_exit(report.termination))
@@ -529,7 +508,7 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
         x = rng.uniform(desc.box[0], desc.box[1], size=problem.n)
         J = problem.jacobian(x)
         res = solve_exact(J)
-        _w, _v, alpha = brute_force_direction(J, GridSpec())
+        _w, _v, alpha = brute_force_direction(J)
         scale = max(1.0, float(np.sum(J * J)))
         worst_gap = max(worst_gap, abs(res.alpha_upper - alpha) / scale)
     add(
@@ -578,9 +557,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--x0", help="start point, comma separated: 'v1,v2,...'")
     sub.add_argument("--beta", type=float, help="Armijo slope fraction in (0, 1)")
     sub.add_argument("--sigma", type=float, help="direction inexactness in [0, 1)")
-    sub.add_argument("--eps", type=float, help="criticality tolerance on |alpha|")
+    sub.add_argument("--eps", type=float, dest="eps_critical", help="criticality tolerance on |alpha|")
     sub.add_argument("--max-iter", type=int, dest="max_iter", help="outer iteration cap")
-    sub.add_argument("--out", help="output path prefix")
+    sub.add_argument("--out", dest="output", help="output path prefix")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import _EPS, STATUS_MAX_INNER, TOL_GAP, _gap_floor, solve_exact
+from .direction import _EPS, STATUS_MAX_INNER, _certificate_excess, _gap_floor, solve_exact
 from .objective import MultiObjective, as_point
 from .solver import RunReport
 
@@ -126,8 +126,8 @@ def check_summability(report: RunReport, jacobians) -> CheckOutcome:
     beta, sigma = report.config.beta, report.config.sigma
     pairs, energy, tols = [], [], []
     for (r, nxt), J in zip(steps, jacobians):
-        p, d, floor = r.alpha_upper, r.alpha_lower, _gap_floor(J @ J.T)
-        cert = p - (1.0 - sigma) * d - floor if sigma > 0.0 else p - d - max(TOL_GAP * abs(d), floor)
+        p, d = r.alpha_upper, r.alpha_lower
+        cert = _certificate_excess(p, d, d, sigma, _gap_floor(float((J @ J.T).trace())))
         vv = float(r.v @ r.v)
         need = beta * r.t * (0.5 * vv - p)
         tol = 4.0 * _EPS * (np.abs(r.Fx) + np.abs(nxt.Fx) + need)

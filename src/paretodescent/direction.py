@@ -29,9 +29,10 @@ within a rounding allowance of a stop test is v = -J^T w formed, at O(mn),
 and the test run on the J-space bounds, which alone may stop the loop.  The
 allowance makes the screen a necessary condition for the J-space test.
 
-The one input check is finiteness of G, at O(m^2): a non-finite entry of J,
-or a row whose squared norm overflows (a norm above about 1.3e154), makes
-its G_ii non-finite and raises ``NonFiniteError`` before any move.
+The one input check is a finite trace of G, at O(m): a non-finite entry of
+J, or squared row norms that overflow alone or in their sum (a norm above
+about 1.3e154 suffices), raise ``NonFiniteError`` before any move.  A finite
+trace bounds every |G_ik| by (G_ii + G_kk)/2 and keeps the gap floor finite.
 
 Cost model: forming G costs O(m^2 n) per solve, a move O(m^2) plus O(k^3)
 for the bordered system on a face of k vertices, and a J-space confirmation
@@ -109,22 +110,27 @@ def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
     """
     if d_hi >= -eps_critical:
         return STATUS_CRITICAL
-    if sigma > 0.0:
-        certified = p_lo - (1.0 - sigma) * d_hi <= gap_floor
-    else:
-        certified = (p_lo - d_hi) <= max(TOL_GAP * abs(d_lo), gap_floor)
     # the floor could otherwise admit a candidate with positive primal
     # value in the sliver where |alpha| sits within gap_floor of
     # eps_critical; a certified direction must always beat v = 0
-    if certified and p_lo <= 0.0:
+    if _certificate_excess(p_lo, d_lo, d_hi, sigma, gap_floor) <= 0.0 and p_lo <= 0.0:
         return STATUS_CERTIFIED
     return None
 
 
-def _gap_floor(G: np.ndarray) -> float:
+def _certificate_excess(p: float, d_lo: float, d_hi: float, sigma: float,
+                        gap_floor: float) -> float:
+    """p - (1 - sigma)*d_hi less the gap floor (for sigma = 0, less TOL_GAP*|d_lo|
+    if larger): the sigma certificate holds exactly when this is <= 0."""
+    if sigma > 0.0:
+        return p - (1.0 - sigma) * d_hi - gap_floor
+    return p - d_hi - max(TOL_GAP * abs(d_lo), gap_floor)
+
+
+def _gap_floor(trace: float) -> float:
     """Absolute floor of the certificate tests: the computed primal-dual gap
-    bottoms out around machine epsilon times the Gram scale."""
-    return 64.0 * _EPS * max(1.0, float(G.trace()))
+    bottoms out around machine epsilon times the Gram scale, the trace of G."""
+    return 64.0 * _EPS * max(1.0, trace)
 
 
 def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -194,7 +200,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     snapped to zero and alpha_upper = 0, once alpha_lower >= -eps_critical;
     this is sound because alpha_lower never exceeds the true optimal value.
 
-    A J whose Gram matrix J J^T is not finite raises ``NonFiniteError``.
+    A J whose Gram matrix J J^T has a non-finite trace raises ``NonFiniteError``.
 
     ``max_inner`` caps the moves for optimal values below the rounding floor
     of G.  Exhausting it returns the best iterate seen, by its Gram-space
@@ -217,9 +223,10 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
     m, n = J.shape
     with np.errstate(all="ignore"):
         G = J @ J.T
-    if not np.isfinite(G).all():
-        raise NonFiniteError("Gram matrix J J^T has non-finite entries")
-    gap_floor = _gap_floor(G)
+        trace = float(G.trace())
+    if not math.isfinite(trace):
+        raise NonFiniteError("Gram matrix J J^T has a non-finite trace")
+    gap_floor = _gap_floor(trace)
     allowance = _allowance(G, n)
     w = np.full(m, 1.0 / m)
     on_face_min = False  # w minimizes psi on the face of its support

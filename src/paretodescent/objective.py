@@ -15,7 +15,8 @@ class NonFiniteError(ValueError):
 
 
 def as_point(x, n: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-d float64 vector, optionally of length ``n``."""
+    """Coerce ``x`` to a finite 1-d float64 vector, optionally of length ``n``;
+    a non-finite entry raises ``NonFiniteError``."""
     p = np.asarray(x, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
@@ -24,7 +25,7 @@ def as_point(x, n: int | None = None) -> np.ndarray:
     if n is not None and p.size != n:
         raise ValueError(f"point has length {p.size}, expected {n}")
     if not np.isfinite(p).all():
-        raise ValueError("point contains non-finite entries")
+        raise NonFiniteError("point contains non-finite entries")
     return p
 
 
@@ -69,16 +70,12 @@ class MultiObjective:
         tolerated and returned as-is (NaN-filled for a non-finite input);
         line searches use this to treat overflow regions as rejections.
         """
-        if require_finite:
+        try:
             x = as_point(x, self.n)
-        else:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 0:
-                x = x.reshape(1)
-            if x.size != self.n:
-                raise ValueError(f"point has length {x.size}, expected {self.n}")
-            if not np.isfinite(x).all():
-                return np.full(self.m, np.nan)
+        except NonFiniteError:
+            if require_finite:
+                raise
+            return np.full(self.m, np.nan)
         with np.errstate(all="ignore"):
             y = np.asarray(self.f(x), dtype=float)
         if y.ndim == 0:

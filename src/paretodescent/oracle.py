@@ -17,7 +17,6 @@ import numpy as np
 from .objective import MultiObjective, NonFiniteError, as_point
 
 __all__ = [
-    "GridSpec",
     "ViolationReport",
     "brute_force_direction",
     "kkt_direction",
@@ -29,27 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_BOX = (-10.0, 10.0)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Simplex grid control: ``resolution`` is the weight-space step (default
-    1e-3 for m <= 2, else 1e-2); each refinement round shrinks it tenfold
-    around the incumbent."""
-
-    resolution: float | None = None
-    refinement_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.resolution is not None and self.resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be nonnegative")
-
-    def resolve(self, m: int) -> float:
-        if self.resolution is not None:
-            return self.resolution
-        return 1e-3 if m <= 2 else 1e-2
 
 
 @dataclass(frozen=True)
@@ -82,15 +60,18 @@ def _simplex_grid(bounds: list[tuple[float, float]], step: float) -> np.ndarray:
     return np.column_stack([free, last])
 
 
-def brute_force_direction(J, spec: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+def brute_force_direction(J, *, refinement_rounds: int = 2) -> tuple[np.ndarray, np.ndarray, float]:
     """Exhaustively minimize 0.5*||J^T w||^2 over a simplex grid.
 
-    Returns (w, v, alpha) with v = -J^T w and alpha = -0.5*||J^T w||^2, an
-    estimate of the optimal subproblem value with error on the order of the
-    refined resolution times ||J||^2.  Guarded to m <= 4 since the grid
-    grows exponentially with the number of criteria.
+    The grid's weight-space step is 1e-3 for m <= 2, else 1e-2, and each
+    refinement round shrinks it tenfold around the incumbent.  Returns
+    (w, v, alpha) with v = -J^T w and alpha = -0.5*||J^T w||^2, an estimate
+    of the optimal subproblem value with error on the order of the refined
+    step times ||J||^2.  Guarded to m <= 4 since the grid grows
+    exponentially with the number of criteria.
     """
-    spec = spec if spec is not None else GridSpec()
+    if refinement_rounds < 0:
+        raise ValueError("refinement_rounds must be nonnegative")
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m = J.shape[0]
     if m > 4:
@@ -105,9 +86,9 @@ def brute_force_direction(J, spec: GridSpec | None = None) -> tuple[np.ndarray, 
         i = int(np.argmin(vals))
         return points[i], float(vals[i])
 
-    step = spec.resolve(m)
+    step = 1e-3 if m <= 2 else 1e-2
     w_best, psi_best = best_on(_simplex_grid([(0.0, 1.0)] * (m - 1), step))
-    for _ in range(spec.refinement_rounds):
+    for _ in range(refinement_rounds):
         window, step = step, step / 10.0
         bounds = [(w_best[i] - window, w_best[i] + window) for i in range(m - 1)]
         pts = np.vstack([_simplex_grid(bounds, step), w_best])
@@ -185,10 +166,6 @@ def finite_diff_jacobian(problem: MultiObjective, x, h: float | None = None) -> 
     return J
 
 
-def _uniform_box(rng: np.random.Generator, n: int, box: tuple[float, float]) -> np.ndarray:
-    return rng.uniform(box[0], box[1], size=n)
-
-
 def sample_quasiconvex(
     problem: MultiObjective,
     trials: int,
@@ -211,8 +188,8 @@ def sample_quasiconvex(
     max_violation = 0.0
     worst = None
     for _ in range(trials):
-        x = _uniform_box(rng, problem.n, box)
-        y = _uniform_box(rng, problem.n, box)
+        x = rng.uniform(box[0], box[1], size=problem.n)
+        y = rng.uniform(box[0], box[1], size=problem.n)
         t = rng.uniform()
         mid = problem.evaluate((1.0 - t) * x + t * y)
         cap = np.maximum(problem.evaluate(x), problem.evaluate(y))
@@ -246,8 +223,8 @@ def check_gradient_characterization(
     max_violation = 0.0
     worst = None
     for _ in range(trials):
-        x = _uniform_box(rng, problem.n, box)
-        y = _uniform_box(rng, problem.n, box)
+        x = rng.uniform(box[0], box[1], size=problem.n)
+        y = rng.uniform(box[0], box[1], size=problem.n)
         if not np.all(problem.evaluate(y) < problem.evaluate(x)):
             continue
         checked += 1

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from paretodescent import (
-    GridSpec,
     SolverConfig,
     brute_force_direction,
     check_monotone,
@@ -80,7 +79,7 @@ def test_criterion_1_subproblem_matches_the_grid_oracle():
         n = int(rng.integers(1, 6))
         J = rng.uniform(-10.0, 10.0, size=(m, n))
         res = solve_exact(J)
-        _w, v_o, a_o = brute_force_direction(J, GridSpec())
+        _w, v_o, a_o = brute_force_direction(J)
         scale2 = max(1.0, float(np.sum(J * J)))
         scale1 = max(1.0, float(np.sqrt(np.sum(J * J))))
         if abs(res.alpha_upper - a_o) > 1e-4 * scale2:
@@ -107,8 +106,7 @@ def test_criterion_2_sigma_certificates_are_sound(sigma):
             continue
         if res.critical:
             continue
-        spec = GridSpec(refinement_rounds=3 if m <= 2 else 4)
-        _w, v_o, a_o = brute_force_direction(J, spec)
+        _w, v_o, a_o = brute_force_direction(J, refinement_rounds=3 if m <= 2 else 4)
         primal = float((J @ res.v).max()) + 0.5 * float(res.v @ res.v)
         if primal > (1.0 - sigma) * a_o + 1e-8:
             failures.append(f"instance {i}: approximation inequality violated")

@@ -431,6 +431,50 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
 
+    @pytest.mark.parametrize("key", ["f01", "f\u0661"])  # zero-padded; an Arabic-Indic one
+    def test_criterion_keys_are_exactly_f1_to_fm(self, tmp_path, key):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"{key} = x1^2\nx0 = 1\n")
+        with pytest.raises(ConfigError, match="contiguous"):
+            parse_config_file(cfg)
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sigmas", "0"]])
+    @pytest.mark.parametrize("flag, value, key, expected", [
+        ("--x0", "1.5,-2", "x0", [1.5, -2.0]),
+        ("--beta", "0.75", "beta", 0.75),
+        ("--sigma", "0.5", "sigma", 0.5),
+        ("--eps", "1e-6", "eps_critical", 1e-6),
+        ("--max-iter", "7", "max_iter", 7),
+        ("--out", "from_flag", "output", "from_flag"),
+    ])
+    def test_every_flag_overrides_its_config_key(self, tmp_path, command, flag, value, key,
+                                                 expected):
+        in_file = {"x0": [2.0, 2.0], "beta": 0.25, "sigma": 0.25, "eps_critical": 1e-9,
+                   "max_iter": 3, "output": "from_file"}
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("problem = quad_pair\nx0 = 2, 2\n" + "".join(
+            f"{k} = {v}\n" for k, v in in_file.items() if k != "x0"))
+        args = cli._build_parser().parse_args([*command, "--config", str(cfg), flag, value])
+        settings = cli._resolve_settings(args)
+        got = {"x0": settings.x0.tolist(), "output": settings.out_prefix,
+               **{k: getattr(settings.cfg, k) for k in ("beta", "sigma", "eps_critical", "max_iter")}}
+        assert got == {**in_file, key: expected}
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n_is_a_config_error(self, tmp_path, capsys, n):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"n = {n}\nf1 = x1^2\nx0 = 1\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out" / "n")]) == 1
+        assert f"config error: n must be a positive integer, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("problem = quad_pair\nn = 2\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out" / "n")]) == 1
+        assert "config error: n applies to inline criteria only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     def test_gram_overflow_exits_three_and_writes_artifacts_that_reload(self, tmp_path):
@@ -606,6 +650,13 @@ class TestSweepCommand:
         code = main(["sweep", "--problem", "scalar_quad", "--sigmas", "1.0",
                      "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_out_of_range_sigma_is_a_config_error_before_any_run(self, tmp_path, capsys):
+        code = main(["sweep", "--problem", "quad_pair", "--sigmas", "0.5,1.5",
+                     "--out", str(tmp_path / "out" / "x")])
+        assert code == 1
+        assert "config error: sigma must lie in [0, 1), got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unparsable_sigma_is_a_config_error(self, tmp_path):
         code = main(["sweep", "--problem", "quad_pair", "--sigmas", "0,abc",

@@ -36,6 +36,8 @@ ZERO_ROW_JACOBIAN = np.array([
     [0.0, 0.0, 0.0, -1.9],
 ])
 SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+# finite rows whose squared norms are finite but sum past the largest double
+TRACE_OVERFLOW_JACOBIAN = np.array([[1.2e154, 0.0], [1.2e154, 1e152], [1.1e154, -3e153]])
 
 
 def project_simplex(y) -> np.ndarray:
@@ -382,6 +384,14 @@ class TestSolveSigmaApprox:
         with pytest.raises(NonFiniteError):
             solve_sigma_approx(J, sigma)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_gram_trace_overflow_raises_without_warnings(self, sigma):
+        # every squared row norm is finite, their sum is not: the gap floor
+        # 64*eps*trace would be infinite and certify any direction
+        with pytest.raises(NonFiniteError):
+            solve_sigma_approx(TRACE_OVERFLOW_JACOBIAN, sigma)
+
     def test_early_termination_saves_inner_iterations(self):
         J = np.array([[3.0, 1.0], [0.5, -2.0]])
         exact = solve_exact(J)
@@ -484,7 +494,7 @@ class TestGramSpaceLoop:
 class TestSigmaCertificate:
     # the solver's one sigma certificate, alpha_upper <= (1 - sigma) * alpha_lower,
     # on the bounds at J = I: alpha_lower = -0.25 is the optimal value there
-    FLOOR = _gap_floor(np.eye(2))
+    FLOOR = _gap_floor(2.0)  # the trace of J J^T
 
     def test_exact_direction_certifies_at_sigma_zero(self):
         p = primal(np.eye(2), np.array([-0.5, -0.5]))

@@ -36,8 +36,15 @@ class TestEvaluate:
 
     def test_nonfinite_input_rejected(self):
         p = make_quad_pair([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            p.evaluate([np.nan, 0.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError, match="point contains non-finite entries"):
+                p.evaluate([bad, 0.0])
+
+    @pytest.mark.parametrize("require_finite", [True, False])
+    def test_two_dimensional_point_rejected(self, require_finite):
+        p = make_quad_pair([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            p.evaluate([[0.0, 1.0]], require_finite=require_finite)
 
     def test_nonfinite_output_signals_ill_posed_problem(self):
         bad = MultiObjective(n=1, m=1, f=lambda x: np.array([1.0 / x[0]]))

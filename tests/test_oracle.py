@@ -7,7 +7,6 @@ import pytest
 
 from paretodescent import oracle
 from paretodescent import (
-    GridSpec,
     MultiObjective,
     NonFiniteError,
     brute_force_direction,
@@ -177,13 +176,18 @@ class TestSufficientCondition:
         assert tested > 30
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(resolution=0.0)
-    with pytest.raises(ValueError):
-        GridSpec(refinement_rounds=-1)
-    assert GridSpec().resolve(2) == 1e-3
-    assert GridSpec().resolve(3) == 1e-2
+def test_grid_steps_and_refinement_rounds():
+    with pytest.raises(ValueError, match="refinement_rounds"):
+        brute_force_direction(np.eye(2), refinement_rounds=-1)
+    # psi depends on w1 alone and is least at w1 = 2/3, which lies on no grid:
+    # the unrefined m = 2 grid has step 1e-3, each round shrinks it tenfold
+    J = np.array([[1.0], [-2.0]])
+    for rounds, step in ((0, 1e-3), (1, 1e-4), (2, 1e-5)):
+        w, _v, _alpha = brute_force_direction(J, refinement_rounds=rounds)
+        assert abs(w[0] - 2.0 / 3.0) <= step / 2
+    # for m = 3 the unrefined step is 1e-2
+    w, _v, _alpha = brute_force_direction(np.array([[1.0], [-2.0], [-2.0]]), refinement_rounds=0)
+    assert 1e-3 / 2 < abs(w[0] - 2.0 / 3.0) <= 1e-2 / 2
 
 
 def test_oracle_imports_only_the_objective_module_of_the_package():

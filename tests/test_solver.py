@@ -184,6 +184,15 @@ class TestRunContract:
         assert np.isnan(last.alpha_upper) and np.isnan(last.alpha_lower)
         assert not last.sigma_certified and last.inner_iterations == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_gram_trace_overflow_is_reported_not_raised(self):
+        # every squared row norm of J is finite, their sum is not
+        J = np.array([[1.2e154, 0.0], [1.2e154, 1e152], [1.1e154, -3e153]])
+        rep = run(linear_problem(J), [1.0, 1.0], SolverConfig(max_iter=5))
+        assert rep.termination == TERMINATION_NUMERICAL
+        (last,) = rep.records
+        assert last.k == 0 and np.isnan(last.alpha_upper) and last.inner_iterations == 0
+
     def test_jacobian_shape_errors_still_raise(self):
         p = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
                            jac=lambda x: np.zeros((2, 1)))
