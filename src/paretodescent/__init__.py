@@ -10,7 +10,6 @@ direction carries a machine-checkable certificate.
 from .diagnostics import (
     CheckOutcome,
     DiagnosticsSummary,
-    DominatingReference,
     check_level_set,
     check_monotone,
     check_proximity,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckOutcome",
     "DiagnosticsSummary",
-    "DominatingReference",
     "DirectionResult",
     "IterationRecord",
     "LineSearchError",

@@ -236,8 +236,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _vector(text: str) -> np.ndarray:
-    return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+def _floats(text: str) -> list[float]:
+    """Comma-separated floats; an empty part is an error, as float('') is."""
+    return [float(part) for part in text.split(",")]
 
 
 def _parse(text: str, what: str, conv: Callable[[str], object]):
@@ -264,10 +265,11 @@ def _resolve_settings(args) -> RunSettings:
         if m:
             raise ConfigError("--problem conflicts with inline criteria in the config file")
         entries["problem"] = args.problem
-    for key in ("x0", "output", *_CONFIG_FIELDS):  # each flag's dest is its config key
+    # each flag's dest is its config key, and its text is read as that key's value
+    for key in ("x0", "output", *_CONFIG_FIELDS):
         value = getattr(args, key)
         if value is not None:
-            entries[key] = str(value)
+            entries[key] = value
 
     descriptor = None
     if m:
@@ -277,17 +279,14 @@ def _resolve_settings(args) -> RunSettings:
     elif "problem" in entries:
         if "n" in entries:
             raise ConfigError("n applies to inline criteria only, not to a builtin problem")
-        try:
-            descriptor = get_problem(entries["problem"])
-        except UnknownProblemError as exc:
-            raise ConfigError(str(exc)) from None
+        descriptor = get_problem(entries["problem"])
         problem = descriptor.problem
         name = descriptor.name
     else:
         raise ConfigError("no problem given: use --problem, or a config with a problem or f1..fm")
 
     if "x0" in entries:
-        x0 = _parse(entries["x0"], "x0", _vector)
+        x0 = np.array(_parse(entries["x0"], "x0", _floats))
     elif descriptor is not None:
         x0 = descriptor.recommended_x0
     else:
@@ -426,10 +425,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _resolve_settings(args)
-    parts = [part for part in args.sigmas.split(",") if part.strip() != ""]
-    sigmas = [_parse(part, "sigmas", float) for part in parts]
-    if not sigmas:
-        raise ConfigError("no sigma values given")
+    sigmas = _parse(args.sigmas, "sigmas", _floats)
     try:
         cfgs = [replace(settings.cfg, sigma=s) for s in sigmas]
     except ValueError as exc:
@@ -520,11 +516,7 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        desc = get_problem(args.problem)
-    except UnknownProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    desc = get_problem(args.problem)
     checks = _verify_checks(desc, args.seed)
     all_ok = all(c["ok"] for c in checks)
     doc = {
@@ -555,10 +547,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--problem", help=f"builtin problem name ({', '.join(list_problems())})")
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--x0", help="start point, comma separated: 'v1,v2,...'")
-    sub.add_argument("--beta", type=float, help="Armijo slope fraction in (0, 1)")
-    sub.add_argument("--sigma", type=float, help="direction inexactness in [0, 1)")
-    sub.add_argument("--eps", type=float, dest="eps_critical", help="criticality tolerance on |alpha|")
-    sub.add_argument("--max-iter", type=int, dest="max_iter", help="outer iteration cap")
+    sub.add_argument("--beta", help="Armijo slope fraction in (0, 1)")
+    sub.add_argument("--sigma", help="direction inexactness in [0, 1)")
+    sub.add_argument("--eps", dest="eps_critical", help="criticality tolerance on |alpha|")
+    sub.add_argument("--max-iter", dest="max_iter", help="outer iteration cap")
     sub.add_argument("--out", dest="output", help="output path prefix")
 
 
@@ -594,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnknownProblemError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -19,7 +19,6 @@ from .solver import RunReport
 
 __all__ = [
     "CheckOutcome",
-    "DominatingReference",
     "DiagnosticsSummary",
     "check_monotone",
     "check_level_set",
@@ -55,16 +54,6 @@ class CheckOutcome:
             "worst_index": self.worst_index,
             "note": self.note,
         }
-
-
-@dataclass(frozen=True)
-class DominatingReference:
-    """A point x_tilde expected to satisfy F(x_tilde) <= F(x^k) + slack for
-    every recorded k (membership in the dominated region of the whole
-    trajectory)."""
-
-    x_tilde: np.ndarray
-    slack: float = 1e-10
 
 
 def _worst(pairs) -> tuple[float, int | None]:
@@ -149,33 +138,32 @@ def check_summability(report: RunReport, jacobians) -> CheckOutcome:
 
 def check_quasi_fejer(
     report: RunReport,
-    ref: DominatingReference | None = None,
+    x_tilde=None,
     problem: MultiObjective | None = None,
 ) -> CheckOutcome:
-    """Per-step inequality toward a dominating reference point.
+    """Per-step inequality toward a point x_tilde that dominates the trajectory.
 
     Verifies ||x^{k+1} - x_tilde||^2 <= ||x^k - x_tilde||^2 + t_k^2 ||v^k||^2
     for every move, with relative slack 1e-10 * (1 + ||x^k - x_tilde||^2).
-    The reference must dominate the whole trajectory (membership is checked
-    first; a non-member yields a precondition_violation status, not a
-    failure).  Defaults to the run's final iterate, whose membership follows
-    from monotone decrease, so no problem evaluation is needed; an explicit
-    reference requires ``problem`` to evaluate F(x_tilde).
+    Membership is checked first: F(x_tilde) <= F(x^k) + 1e-10 must hold for
+    every recorded k, and a non-member yields a precondition_violation
+    status, not a failure.  x_tilde defaults to the run's final iterate,
+    whose membership follows from monotone decrease, so no problem
+    evaluation is needed; an explicit x_tilde requires ``problem`` to
+    evaluate F(x_tilde).
     """
     recs = report.records
-    if ref is None:
+    if x_tilde is None:
         if len(recs) < 2:
             return CheckOutcome("quasi_fejer", STATUS_PASS, 0.0, None, "vacuous: no steps")
         x_tilde = recs[-1].x
         F_tilde = recs[-1].Fx
-        slack = 1e-10
     else:
-        x_tilde = as_point(ref.x_tilde, recs[0].x.size)
-        slack = ref.slack
+        x_tilde = as_point(x_tilde, recs[0].x.size)
         if problem is None:
             raise ValueError("an explicit reference requires the problem to evaluate F(x_tilde)")
         F_tilde = problem.evaluate(x_tilde)
-    worst_mem, worst_mem_k = _worst((float((F_tilde - r.Fx).max()) - slack, r.k) for r in recs)
+    worst_mem, worst_mem_k = _worst((float((F_tilde - r.Fx).max()) - 1e-10, r.k) for r in recs)
     if worst_mem > 0.0:
         return CheckOutcome(
             "quasi_fejer",
@@ -260,11 +248,13 @@ def run_diagnostics(
     problem: MultiObjective,
     report: RunReport,
     sigma: float,
-    ref: DominatingReference | None = None,
+    x_tilde=None,
 ) -> DiagnosticsSummary:
     """Run the full check battery on one report.
 
-    ``sigma`` must be the sigma the run used, which the report records.
+    ``sigma`` must be the sigma the run used, which the report records;
+    ``x_tilde`` is the quasi-Fejer reference point (default: the final
+    iterate).
     """
     if sigma != report.config.sigma:
         raise ValueError(f"sigma {sigma} differs from the run's sigma {report.config.sigma}")
@@ -273,6 +263,6 @@ def run_diagnostics(
         check_monotone(report),
         check_level_set(report),
         check_summability(report, jacobians),
-        check_quasi_fejer(report, ref, problem),
+        check_quasi_fejer(report, x_tilde, problem),
         check_proximity(report, jacobians),
     ))

@@ -36,7 +36,6 @@ class ViolationReport:
     checked: int
     violations: int
     max_violation: float
-    worst_input: tuple | None = None
 
     @property
     def ok(self) -> bool:
@@ -186,7 +185,6 @@ def sample_quasiconvex(
     rng = np.random.default_rng(seed)
     violations = 0
     max_violation = 0.0
-    worst = None
     for _ in range(trials):
         x = rng.uniform(box[0], box[1], size=problem.n)
         y = rng.uniform(box[0], box[1], size=problem.n)
@@ -196,10 +194,8 @@ def sample_quasiconvex(
         viol = float(np.max(mid - cap))
         if viol > 1e-10:
             violations += 1
-            if viol > max_violation:
-                max_violation = viol
-                worst = (x, y, t)
-    return ViolationReport(trials, trials, violations, max_violation, worst)
+            max_violation = max(max_violation, viol)
+    return ViolationReport(trials, trials, violations, max_violation)
 
 
 def check_gradient_characterization(
@@ -221,7 +217,6 @@ def check_gradient_characterization(
     checked = 0
     violations = 0
     max_violation = 0.0
-    worst = None
     for _ in range(trials):
         x = rng.uniform(box[0], box[1], size=problem.n)
         y = rng.uniform(box[0], box[1], size=problem.n)
@@ -231,10 +226,8 @@ def check_gradient_characterization(
         viol = float(np.max(problem.jacobian(x) @ (y - x)))
         if viol > 1e-10:
             violations += 1
-            if viol > max_violation:
-                max_violation = viol
-                worst = (x, y)
-    return ViolationReport(trials, checked, violations, max_violation, worst)
+            max_violation = max(max_violation, viol)
+    return ViolationReport(trials, checked, violations, max_violation)
 
 
 def check_weak_pareto_local(

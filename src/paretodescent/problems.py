@@ -168,14 +168,7 @@ def _nonconvex_sample(rng):
     return np.array([rng.uniform(1.0, 2.0)])
 
 
-_REGISTRY: dict[str, ProblemDescriptor] = {}
-
-
-def _register(desc: ProblemDescriptor) -> None:
-    _REGISTRY[desc.name] = desc
-
-
-_register(
+_REGISTRY: dict[str, ProblemDescriptor] = {d.name: d for d in (
     ProblemDescriptor(
         name="quad_pair",
         problem=make_quad_pair(_QP_A, _QP_B),
@@ -183,10 +176,7 @@ _register(
         critical_set=_quad_pair_critical,
         sample_critical=_quad_pair_sample,
         recommended_x0=np.array([2.0, 2.0]),
-    )
-)
-
-_register(
+    ),
     ProblemDescriptor(
         name="paper_cubic",
         problem=MultiObjective(n=1, m=2, f=_cubic_eval, jac=_cubic_jac, name="paper_cubic"),
@@ -194,10 +184,7 @@ _register(
         critical_set=lambda x, tol: True,  # every point is Pareto critical
         sample_critical=lambda rng: np.array([rng.uniform(-10.0, 10.0)]),
         recommended_x0=np.array([5.0]),
-    )
-)
-
-_register(
+    ),
     ProblemDescriptor(
         name="quasi_exp",
         problem=MultiObjective(
@@ -209,10 +196,7 @@ _register(
         recommended_x0=np.array([3.5, -3.5]),
         box=(-4.0, 4.0),
         critical_margin=0.1,
-    )
-)
-
-_register(
+    ),
     ProblemDescriptor(
         name="scalar_quad",
         problem=MultiObjective(
@@ -222,10 +206,7 @@ _register(
         critical_set=lambda x, tol: abs(x[0]) <= tol,
         sample_critical=lambda rng: np.array([0.0]),
         recommended_x0=np.array([1.0]),
-    )
-)
-
-_register(
+    ),
     ProblemDescriptor(
         name="nonconvex_demo",
         problem=MultiObjective(
@@ -236,8 +217,8 @@ _register(
         sample_critical=_nonconvex_sample,
         recommended_x0=np.array([3.0]),
         box=(-3.0, 3.0),
-    )
-)
+    ),
+)}
 
 
 def get_problem(name: str) -> ProblemDescriptor:

@@ -468,6 +468,37 @@ class TestConfigFile:
         assert f"config error: n must be a positive integer, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["solve", "--x0", "1,,2"], "", "could not parse x0 from '1,,2'"),
+        (["solve", "--x0", "1,2,"], "", "could not parse x0 from '1,2,'"),
+        (["solve"], "x0 = 1,,2\n", "could not parse x0 from '1,,2'"),
+        (["sweep", "--sigmas", "0,,0.5"], "", "could not parse sigmas from '0,,0.5'"),
+    ])
+    def test_empty_comma_part_is_a_config_error(self, tmp_path, capsys, argv, config, message):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("problem = quad_pair\n" + config)
+        out = tmp_path / "out" / "x"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--beta", "beta", "abc"),
+        ("--sigma", "sigma", "x"),
+        ("--eps", "eps_critical", "1e-8e"),
+        ("--max-iter", "max_iter", "2.5"),
+    ])
+    def test_bad_flag_value_reads_as_the_same_config_line(self, tmp_path, capsys, flag, key, value):
+        out = tmp_path / "out" / "x"
+        assert main(["solve", "--problem", "quad_pair", flag, value, "--out", str(out)]) == 1
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"problem = quad_pair\n{key} = {value}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert from_flag == capsys.readouterr().err == (
+            f"config error: could not parse {key} from {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nn = 2\n")
@@ -716,6 +747,14 @@ class TestVerifyCommand:
 
     def test_unknown_problem_exits_one(self):
         assert main(["verify", "--problem", "nope"]) == 1
+
+    def test_unknown_problem_reads_as_in_solve(self, capsys):
+        assert main(["verify", "--problem", "nope"]) == 1
+        from_verify = capsys.readouterr().err
+        assert main(["solve", "--problem", "nope"]) == 1
+        known = ", ".join(list_problems())
+        assert from_verify == capsys.readouterr().err == (
+            f"config error: unknown problem 'nope'; known: {known}\n")
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_is_a_usage_error(self, tmp_path, capsys, seed):

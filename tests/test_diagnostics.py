@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from paretodescent import (
     DirectionResult,
-    DominatingReference,
     IterationRecord,
     MultiObjective,
     RunReport,
@@ -224,19 +224,26 @@ class TestQuasiFejer:
     def test_explicit_minimizer_reference_on_scalar_problem(self):
         desc = get_problem("scalar_quad")
         rep = run(desc.problem, [1.0])
-        out = check_quasi_fejer(rep, DominatingReference(np.array([0.0])), desc.problem)
+        out = check_quasi_fejer(rep, np.array([0.0]), desc.problem)
         assert out.ok
 
     def test_non_dominating_reference_is_a_precondition_violation(self):
         desc = get_problem("quad_pair")
         rep = run(desc.problem, [0.4, 2.5])
-        out = check_quasi_fejer(rep, DominatingReference(np.array([5.0, 5.0])), desc.problem)
+        out = check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
         assert out.status == STATUS_PRECONDITION
         assert not out.ok
 
     def test_explicit_reference_requires_problem(self):
         with pytest.raises(ValueError):
-            check_quasi_fejer(quad_run(), DominatingReference(np.array([0.5, 0.0])))
+            check_quasi_fejer(quad_run(), np.array([0.5, 0.0]))
+
+    def test_run_diagnostics_checks_toward_the_given_point(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        summary = run_diagnostics(desc.problem, rep, 0.0, [5.0, 5.0])
+        assert summary.checks[3] == check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
+        assert summary.checks[3].status == STATUS_PRECONDITION
 
 
 class TestProximity:
@@ -304,3 +311,13 @@ class TestSummary:
         assert s1.to_dict() == s2.to_dict()
         assert list(s1.to_dict()) == ["monotone", "level_set", "summability",
                                       "quasi_fejer", "proximity", "all_ok"]
+
+
+@pytest.mark.parametrize("module", ["paretodescent", *(f"paretodescent.{m}" for m in (
+    "cli", "diagnostics", "direction", "linesearch", "objective", "oracle", "problems", "solver"))])
+def test_every_exported_name_resolves(module):
+    exported = importlib.import_module(module).__all__
+    namespace = {}
+    exec(f"from {module} import *", namespace)  # a stale name raises AttributeError
+    assert len(set(exported)) == len(exported)
+    assert set(namespace) - {"__builtins__"} == set(exported)
