@@ -149,15 +149,15 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
             checked = getattr(node, "op", node)
             if isinstance(node, ast.expr) and not isinstance(checked, _GRAMMAR_NODES):
                 raise SyntaxError("unexpected expression", ("", 1, node.col_offset + 1, source))
-        # compiling the tree would re-validate it recursively and fail near
-        # 1000 terms; the same source compiles past 2000
-        code = compile(source, "<criterion>", "eval")
     except SyntaxError as exc:  # offset is 1-based; 0 or None stands for the end of text
         msg = exc.msg.partition(". ")[0]  # drop hints such as "Perhaps you forgot a comma?"
         raise ConfigError(f"column {where[(exc.offset or 0) - 1] + 1}: {msg}") from None
     except (RecursionError, MemoryError):
-        raise ConfigError("column 1: expression too long for Python's parser") from None
-    return eval(code, {"__builtins__": {}}), max_var
+        pass
+    # A flagged source parses to a tree that holds a call, an empty tuple or
+    # unary plus, which the walk rejects, and ast.parse fails wherever compile
+    # does; so only the parser's own depth or memory limit ends up here.
+    raise ConfigError("column 1: expression too long for Python's parser")
 
 
 def _criterion_value(fn, xs: list[float], x: np.ndarray) -> float:
@@ -260,16 +260,14 @@ class RunSettings:
 
 def _resolve_settings(args) -> RunSettings:
     entries = parse_config_file(args.config) if args.config else {}
-    m = sum(1 for key in entries if _F_KEY_RE.match(key))
-    if args.problem is not None:
-        if m:
-            raise ConfigError("--problem conflicts with inline criteria in the config file")
-        entries["problem"] = args.problem
     # each flag's dest is its config key, and its text is read as that key's value
-    for key in ("x0", "output", *_CONFIG_FIELDS):
+    for key in ("problem", "x0", "output", *_CONFIG_FIELDS):
         value = getattr(args, key)
         if value is not None:
             entries[key] = value
+    m = sum(1 for key in entries if _F_KEY_RE.match(key))
+    if m and "problem" in entries:
+        raise ConfigError("give either a problem name or inline criteria, not both")
 
     descriptor = None
     if m:
@@ -302,11 +300,21 @@ def _resolve_settings(args) -> RunSettings:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_prefix = entries.get("output", "run")
+    if not out_prefix:  # a config line "output =" is already an error; this is --out ""
+        raise ConfigError("empty output prefix")
     return RunSettings(problem, name, descriptor, x0, cfg, out_prefix)
 
 
 # ---------------------------------------------------------------------------
 # trajectory and report serialization
+
+# the scalar columns of a trajectory row, each with the reader of its text;
+# x (n), F (m) and v (n) follow
+_SCALAR_COLUMNS = (
+    ("k", int), ("t", float), ("j", int), ("alpha_upper", float), ("alpha_lower", float),
+    ("sigma_certified", lambda text: bool(int(text))), ("inner_iterations", int),
+)
+
 
 def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) -> None:
     """One row per visited point, floats at 17 significant digits so every
@@ -314,19 +322,13 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
     terminal row has t = 0 and j = -1, and ``sigma_certified`` is 1 or 0.
     Direction components come last so a re-parsed trajectory replays
     through the diagnostics unchanged."""
-    header = (
-        ["k", "t", "j", "alpha_upper", "alpha_lower", "sigma_certified", "inner_iterations"]
-        + [f"x_{i + 1}" for i in range(n)]
-        + [f"F_{i + 1}" for i in range(m)]
-        + [f"v_{i + 1}" for i in range(n)]
-    )
+    header = [name for name, _read in _SCALAR_COLUMNS]
+    header += [f"{vec}_{i + 1}" for vec, size in (("x", n), ("F", m), ("v", n)) for i in range(size)]
     lines = [",".join(header)]
     for r in report.records:
-        row = [str(r.k), _fmt(r.t), str(r.j), _fmt(r.alpha_upper), _fmt(r.alpha_lower),
-               str(int(r.sigma_certified)), str(r.inner_iterations)]
-        row += [_fmt(val) for val in r.x]
-        row += [_fmt(val) for val in r.Fx]
-        row += [_fmt(val) for val in r.v]
+        row = [_fmt(getattr(r, name)) if read is float else str(int(getattr(r, name)))
+               for name, read in _SCALAR_COLUMNS]
+        row += [_fmt(val) for val in (*r.x, *r.Fx, *r.v)]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -337,26 +339,14 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
-    # the writer's layout: 7 scalar columns, then x (n), F (m) and v (n)
     n = sum(1 for name in lines[0].split(",") if name.startswith("x_"))
     records = []
     for line in lines[1:]:
         parts = line.split(",")
-        vals = [float(part) for part in parts[7:]]
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                x=np.array(vals[:n]),
-                Fx=np.array(vals[n:-n]),
-                v=np.array(vals[-n:]),
-                t=float(parts[1]),
-                alpha_upper=float(parts[3]),
-                alpha_lower=float(parts[4]),
-                j=int(parts[2]),
-                sigma_certified=bool(int(parts[5])),
-                inner_iterations=int(parts[6]),
-            )
-        )
+        scalars = {name: read(part) for (name, read), part in zip(_SCALAR_COLUMNS, parts)}
+        vals = [float(part) for part in parts[len(_SCALAR_COLUMNS):]]
+        records.append(IterationRecord(
+            x=np.array(vals[:n]), Fx=np.array(vals[n:-n]), v=np.array(vals[-n:]), **scalars))
     return records
 
 
@@ -408,8 +398,7 @@ def cmd_solve(args) -> int:
     settings = _resolve_settings(args)
     report = run(settings.problem, settings.x0, settings.cfg)
     summary = run_diagnostics(settings.problem, report, settings.cfg.sigma)
-    prefix = Path(settings.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    Path(settings.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(
         f"{settings.out_prefix}.trajectory.csv", report, settings.problem.n, settings.problem.m
     )
@@ -430,20 +419,14 @@ def cmd_sweep(args) -> int:
         cfgs = [replace(settings.cfg, sigma=s) for s in sigmas]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rows = []
+    lines = ["sigma,iterations,total_inner_iterations,final_alpha,termination"]
     worst = EXIT_OK
     for cfg in cfgs:
         report = run(settings.problem, settings.x0, cfg)
-        rows.append(
-            (cfg.sigma, report.iterations, report.total_inner_iterations,
-             report.final_alpha, report.termination)
-        )
+        lines.append(f"{_fmt(cfg.sigma)},{report.iterations},{report.total_inner_iterations},"
+                     f"{_fmt(report.final_alpha)},{report.termination}")
         worst = max(worst, _termination_exit(report.termination))
-    prefix = Path(settings.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["sigma,iterations,total_inner_iterations,final_alpha,termination"]
-    for s, iters, inner, alpha, term in rows:
-        lines.append(f"{_fmt(s)},{iters},{inner},{_fmt(alpha)},{term}")
+    Path(settings.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     Path(f"{settings.out_prefix}.sweep.csv").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -516,6 +499,8 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.out == "":
+        raise ConfigError("empty output prefix")
     desc = get_problem(args.problem)
     checks = _verify_checks(desc, args.seed)
     all_ok = all(c["ok"] for c in checks)

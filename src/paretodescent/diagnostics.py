@@ -191,7 +191,7 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     """Distance of each recorded direction from the exact one.
 
     Re-solves the subproblem exactly at J(x^k), given in ``jacobians`` for
-    each stepped record in order, and asserts
+    each stepped record in order (another count raises ValueError), and asserts
 
         ||v^k - v(x^k)||^2 <= 2 * sigma * |alpha(x^k)| + 1e-8
 
@@ -201,11 +201,14 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     note; a zero direction recorded at a point the re-solve finds
     non-critical is flagged as a failure outright.
     """
+    steps = report.stepped_records
+    if len(jacobians) != len(steps):
+        raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
     sigma = report.config.sigma
     pairs = []
     skipped = 0
     zero_flags = 0
-    for r, J in zip(report.stepped_records, jacobians):
+    for r, J in zip(steps, jacobians):
         exact = solve_exact(J)
         if exact.status == STATUS_MAX_INNER:
             skipped += 1

@@ -499,6 +499,36 @@ class TestConfigFile:
             f"config error: could not parse {key} from {value!r}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        ([], "f1 = 2\n", "inline problem uses no variables; give n explicitly"),
+        ([], "problem quad_pair\n", "line 1: expected 'key = value', got 'problem quad_pair'"),
+        ([], "problem = quad_pair\noutput =\n", "line 2: empty key or value"),
+        (["--problem", "quad_pair"], "f1 = x1^2\nx0 = 1\n",
+         "give either a problem name or inline criteria, not both"),
+        ([], None, "no problem given: use --problem, or a config with a problem or f1..fm"),
+        ([], "f1 = x1^2\n", "inline problems require x0"),
+        ([], "problem = quad_pair\nx0 = 1, 2, 3\n", "x0 has length 3, problem expects 2"),
+    ])
+    def test_each_settings_error_exits_one_with_its_line(self, tmp_path, capsys, argv, config,
+                                                         message):
+        if config is not None:
+            (tmp_path / "a.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "a.cfg")]
+        assert main(["solve", *argv, "--out", str(tmp_path / "out" / "x")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "quad_pair"],
+        ["sweep", "--problem", "quad_pair", "--sigmas", "0"],
+        ["verify", "--problem", "quad_pair"],
+    ])
+    def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "config error: empty output prefix\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nn = 2\n")
@@ -813,6 +843,14 @@ class TestRoundTripAndDeterminism:
         s_live = run_diagnostics(desc.problem, rep, 0.0).to_dict()
         s_replay = run_diagnostics(desc.problem, replay, 0.0).to_dict()
         assert s_live == s_replay
+
+    def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        csv.write_text("")
+        with pytest.raises(ConfigError) as exc:
+            load_run(tmp_path / "rt")
+        assert str(exc.value) == f"{csv}: empty trajectory file"
 
     def test_load_run_round_trips_records_exactly(self, tmp_path):
         out = tmp_path / "rt"

@@ -115,6 +115,15 @@ class TestSummability:
         with pytest.raises(ValueError):
             check_summability(quad_run(), [])
 
+    def test_non_finite_step_energy_fails(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        first = dataclasses.replace(rep.records[0], alpha_upper=math.nan)
+        rep = dataclasses.replace(rep, records=(first, *rep.records[1:]))
+        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
+        assert (out.status, out.worst_violation, out.worst_index, out.note) == (
+            STATUS_FAIL, math.inf, 0, "non-finite step energy")
+
 
 def steep_pair():
     """Two criteria of curvature 10: a unit step along the exact direction
@@ -263,6 +272,16 @@ class TestProximity:
         rep = quad_run(sigma=0.5)
         assert check_proximity(rep, stepped_jacobians(desc.problem, rep)).ok
 
+    def test_jacobian_count_must_match_the_steps(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        jacobians = stepped_jacobians(desc.problem, rep)
+        assert len(jacobians) == 3
+        for given in ([], jacobians[:2], jacobians + jacobians[:1]):
+            with pytest.raises(ValueError) as exc:
+                check_proximity(rep, given)
+            assert str(exc.value) == f"{len(given)} jacobian(s) for 3 step(s)"
+
     def test_zero_direction_at_noncritical_point_is_flagged(self):
         desc = get_problem("quad_pair")
         rec = IterationRecord(k=0, x=np.array([2.0, 2.0]), Fx=np.array([4.0, 2.5]),
@@ -313,11 +332,17 @@ class TestSummary:
                                       "quasi_fejer", "proximity", "all_ok"]
 
 
-@pytest.mark.parametrize("module", ["paretodescent", *(f"paretodescent.{m}" for m in (
-    "cli", "diagnostics", "direction", "linesearch", "objective", "oracle", "problems", "solver"))])
+_LIBRARY_MODULES = tuple(f"paretodescent.{m}" for m in (
+    "diagnostics", "direction", "linesearch", "objective", "oracle", "problems", "solver"))
+
+
+@pytest.mark.parametrize("module", ["paretodescent", "paretodescent.cli", *_LIBRARY_MODULES])
 def test_every_exported_name_resolves(module):
     exported = importlib.import_module(module).__all__
     namespace = {}
     exec(f"from {module} import *", namespace)  # a stale name raises AttributeError
     assert len(set(exported)) == len(exported)
     assert set(namespace) - {"__builtins__"} == set(exported)
+    if module == "paretodescent":  # the package publishes its library modules' names, no more
+        published = [name for m in _LIBRARY_MODULES for name in importlib.import_module(m).__all__]
+        assert sorted(exported) == sorted(published)
