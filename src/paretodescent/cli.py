@@ -10,6 +10,7 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -67,12 +68,10 @@ def _fmt(value: float) -> str:
 # loop checks that pair, and a source that passes is compiled as it stands.
 # Only a flagged source, or one that compile refuses, is parsed into a tree
 # and walked against a node whitelist, to name the column of the error.
-# A criterion's value is the lambda's on np.float64 variables, with a complex
-# value or a ZeroDivisionError or OverflowError (which only float literals
-# raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
-# lambda on Python floats, about three times faster, and keeps that value
-# only when it is a finite float: there both agree bit for bit, while a NaN's
-# sign, an exception or a complex result may differ.
+# A criterion's value is the lambda's on the Python floats of x, with a
+# complex value or a ZeroDivisionError or OverflowError read as NaN.  A finite
+# value has the bits np.float64 scalars give; where those return an infinity
+# or NaN for a division by zero or an overflowing power, Python floats raise.
 # Derivatives come from the finite-difference fallback of the objective module.
 
 _TOKEN_RE = re.compile(
@@ -160,21 +159,13 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     raise ConfigError("column 1: expression too long for Python's parser")
 
 
-def _criterion_value(fn, xs: list[float], x: np.ndarray) -> float:
-    """fn at x on Python floats ``xs`` if that value is a finite float, else
-    on the np.float64 entries of ``x``."""
+def _criterion_value(fn, xs: list[float]) -> float:
+    """fn at the Python floats ``xs``; NaN where it raises or is complex."""
     try:
         y = fn(xs)
     except (ZeroDivisionError, OverflowError):
-        pass
-    else:
-        if type(y) is float and math.isfinite(y):
-            return y
-    try:
-        y = fn(x)
-    except (ZeroDivisionError, OverflowError):
         return math.nan
-    return math.nan if isinstance(y, complex) else float(y)
+    return math.nan if isinstance(y, complex) else y
 
 
 def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjective:
@@ -197,7 +188,7 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 
     def f(x):
         xs = x.tolist()
-        return np.array([_criterion_value(fn, xs, x) for fn in fns])
+        return np.array([_criterion_value(fn, xs) for fn in fns])
 
     return MultiObjective(n=dim, m=len(fns), f=f, jac=None, name="inline")
 
@@ -231,8 +222,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     m = sum(1 for key in entries if _F_KEY_RE.match(key))
     if any(f"f{i}" not in entries for i in range(1, m + 1)):
         raise ConfigError("criterion keys must be contiguous starting at f1")
-    if m and "problem" in entries:
-        raise ConfigError("give either a problem name or inline criteria, not both")
     return entries
 
 
@@ -246,6 +235,14 @@ def _parse(text: str, what: str, conv: Callable[[str], object]):
         return conv(text)
     except ValueError:
         raise ConfigError(f"could not parse {what} from {text!r}") from None
+
+
+def _check_prefix(prefix: str) -> None:
+    """An output prefix must end in a file name: "sub/" would name hidden files."""
+    if not prefix:  # a config line "output =" is already an error; this is --out ""
+        raise ConfigError("empty output prefix")
+    if os.path.basename(prefix) in ("", ".", ".."):
+        raise ConfigError(f"output prefix {prefix!r} ends in no file name")
 
 
 @dataclass
@@ -300,8 +297,7 @@ def _resolve_settings(args) -> RunSettings:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_prefix = entries.get("output", "run")
-    if not out_prefix:  # a config line "output =" is already an error; this is --out ""
-        raise ConfigError("empty output prefix")
+    _check_prefix(out_prefix)
     return RunSettings(problem, name, descriptor, x0, cfg, out_prefix)
 
 
@@ -499,8 +495,8 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.out == "":
-        raise ConfigError("empty output prefix")
+    if args.out is not None:
+        _check_prefix(args.out)
     desc = get_problem(args.problem)
     checks = _verify_checks(desc, args.seed)
     all_ok = all(c["ok"] for c in checks)

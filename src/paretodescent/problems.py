@@ -51,11 +51,13 @@ class ProblemDescriptor:
             raise ValueError(f"unknown convexity class {self.convexity_class!r}")
 
     def sample_noncritical(self, rng: np.random.Generator) -> np.ndarray | None:
-        """Rejection-sample a point at margin distance from the critical set."""
-        for _ in range(10_000):
-            x = rng.uniform(self.box[0], self.box[1], size=self.problem.n)
+        """Rejection-sample a point at margin distance from the critical set,
+        drawing the candidates at once but leaving rng as one-by-one draws would."""
+        state = rng.bit_generator.state
+        for i, x in enumerate(rng.uniform(*self.box, size=(10_000, self.problem.n))):
             if not self.critical_set(x, self.critical_margin):
-                return x
+                rng.bit_generator.state = state  # redraw up to the point kept
+                return rng.uniform(*self.box, size=(i + 1, self.problem.n))[i]
         return None
 
 

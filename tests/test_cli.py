@@ -117,14 +117,23 @@ def reference(tree, x):
 
 
 def criterion_value(tree, x):
-    """The value an inline criterion takes: the grammar's, with a complex
-    value, a division by zero or an overflow read as NaN."""
+    """The grammar's value, with a complex value, a division by zero or an
+    overflow read as NaN: on np.float64 variables the reference the finite
+    values must match, on Python floats the value an inline criterion takes."""
     try:
         with np.errstate(all="ignore"):
             value = reference(tree, x)
     except (ZeroDivisionError, OverflowError):
         return math.nan
     return math.nan if isinstance(value, complex) else float(value)
+
+
+def fails_on_floats(tree, x):
+    """Whether the grammar raises or is complex on the Python floats x."""
+    try:
+        return isinstance(reference(tree, x), complex)
+    except (ZeroDivisionError, OverflowError):
+        return True
 
 
 _EDGE_VALUES = [0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, -1e-300, 1e300, -1e300, 1e-320, -1e-320]
@@ -312,12 +321,20 @@ class TestExpressionParser:
     @given(tree=_TREES, x=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0),
                                    min_size=3, max_size=3))
     @example(tree=_NAN_SIGN_TREE, x=[-1e300, -0.0, 2.0])
+    # 1/(x1/0): numpy carries the infinity on to 0, Python floats raise
+    @example(tree=("bin", "/", ("num", "1"), ("bin", "/", ("var", 1), ("num", "0"))),
+             x=[1.0, 0.0, 0.0])
     def test_inline_problem_values_match_the_grammar_bit_for_bit(self, tree, x):
         text, _prec = render(tree)
-        x = np.array(x)
-        with np.errstate(all="ignore"):
-            y = build_inline_problem([text], n=3).f(x)
+        y = build_inline_problem([text], n=3).f(np.array(x))
+        if fails_on_floats(tree, x):
+            assert math.isnan(y[0]), text
+            return
+        # the Python-float value, a NaN's sign included
         assert y.tobytes() == np.array([criterion_value(tree, x)]).tobytes(), text
+        ref = criterion_value(tree, np.array(x))
+        if math.isfinite(y[0]) or math.isfinite(ref):
+            assert y.tobytes() == np.array([ref]).tobytes(), text
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(tree=_TREES)
@@ -359,11 +376,20 @@ class TestExpressionParser:
         x = np.array(x)
         assume(all(math.isfinite(criterion_value(t, x)) for i, t in enumerate(trees) if i != bad))
         texts = [render(t)[0] for t in trees]
-        with np.errstate(all="ignore"):
-            y = build_inline_problem(texts, n=3).f(x)
-            each = [cli._criterion_value(parse_expression(t)[0], x.tolist(), x) for t in texts]
+        y = build_inline_problem(texts, n=3).f(x)
+        each = [cli._criterion_value(parse_expression(t)[0], x.tolist()) for t in texts]
         assert y.tobytes() == np.array(each).tobytes(), texts
-        assert y.tobytes() == np.array([criterion_value(t, x) for t in trees]).tobytes(), texts
+        values = [criterion_value(t, x.tolist()) for t in trees]
+        assert y.tobytes() == np.array(values).tobytes(), texts
+        for t, value in zip(trees, values):
+            if math.isfinite(value):
+                assert np.float64(value).tobytes() == np.float64(criterion_value(t, x)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x1/0", "(x1*1e200)^2", "(-1-x1^2)^0.5"])
+    def test_raising_or_complex_criterion_reads_nan_without_a_warning(self, text):
+        (y,) = build_inline_problem([text]).f(np.array([1.0]))
+        assert math.isnan(y)
 
     def test_compiled_criterion_sees_no_builtins(self):
         fn, _ = parse_expression("x1 + 1")
@@ -425,11 +451,13 @@ class TestConfigFile:
         args = cli._build_parser().parse_args(["solve", "--config", str(cfg)])
         assert repr(cli._resolve_settings(args).cfg) == repr(expected)
 
-    def test_problem_and_inline_criteria_conflict(self, tmp_path):
+    def test_problem_and_inline_criteria_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nf1 = x1\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(cfg)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out" / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: give either a problem name or inline criteria, not both\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["f01", "f\u0661"])  # zero-padded; an Arabic-Indic one
     def test_criterion_keys_are_exactly_f1_to_fm(self, tmp_path, key):
@@ -524,10 +552,23 @@ class TestConfigFile:
         ["verify", "--problem", "quad_pair"],
     ])
     def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.chdir(tmp_path)
-        assert main([*argv, "--out", ""]) == 1
-        assert capsys.readouterr() == ("", "config error: empty output prefix\n")
-        assert list(tmp_path.iterdir()) == []
+        # a prefix that ends in no file name is one too, whether or not its
+        # directory exists, and it is rejected before any run
+        for i, (out, made, message) in enumerate([
+            ("", [], "empty output prefix"),
+            ("sub/", [], "output prefix 'sub/' ends in no file name"),
+            ("sub/", ["sub"], "output prefix 'sub/' ends in no file name"),
+            ("sub/.", ["sub"], "output prefix 'sub/.' ends in no file name"),
+            ("..", [], "output prefix '..' ends in no file name"),
+        ]):
+            cwd = tmp_path / str(i)
+            for path in [cwd, *(cwd / name for name in made)]:
+                path.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([*argv, "--out", out]) == 1
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+            assert sorted(p.relative_to(cwd) for p in cwd.rglob("*")) == [Path(m) for m in made]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3", "4"]
 
     def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"

@@ -24,8 +24,8 @@ from paretodescent import (
     run_diagnostics,
 )
 from paretodescent import solver as solver_module
-from paretodescent.diagnostics import STATUS_FAIL, STATUS_PRECONDITION
-from paretodescent.direction import STATUS_CERTIFIED
+from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS, STATUS_PRECONDITION
+from paretodescent.direction import STATUS_CERTIFIED, STATUS_MAX_INNER, solve_exact
 
 
 def quad_run(x0=(0.4, 2.5), sigma=0.0):
@@ -247,6 +247,16 @@ class TestQuasiFejer:
         with pytest.raises(ValueError):
             check_quasi_fejer(quad_run(), np.array([0.5, 0.0]))
 
+    def test_explicit_reference_on_a_report_without_steps(self):
+        desc = get_problem("scalar_quad")
+        rep = run(desc.problem, [0.0])  # starts critical: one record, no step
+        assert len(rep.records) == 1
+        out = check_quasi_fejer(rep, np.array([0.0]), desc.problem)
+        assert (out.status, out.worst_violation, out.note) == (STATUS_PASS, 0.0, "vacuous: no steps")
+        # membership is checked first, also without steps
+        out = check_quasi_fejer(rep, np.array([1.0]), desc.problem)
+        assert out.status == STATUS_PRECONDITION
+
     def test_run_diagnostics_checks_toward_the_given_point(self):
         desc = get_problem("quad_pair")
         rep = quad_run()
@@ -281,6 +291,23 @@ class TestProximity:
             with pytest.raises(ValueError) as exc:
                 check_proximity(rep, given)
             assert str(exc.value) == f"{len(given)} jacobian(s) for 3 step(s)"
+
+    def test_record_whose_re_solve_is_uncertified_is_skipped_and_named(self):
+        # three near-parallel rows of R^256 (cond G = 1.2e20) on which the
+        # exact solve stalls by rounding after two moves
+        rng = np.random.default_rng(4294967294)
+        rows = rng.normal(size=256) + 1e-6 * rng.normal(size=(3, 256))
+        scales = np.array([1.0, 1.0, -1.0]) * 10.0 ** np.array(
+            [3.8872746336723925, -1.192092896e-07, 3.9666505880759306])
+        stalling = rows * scales[:, None]
+        assert solve_exact(stalling).status == STATUS_MAX_INNER
+        rep = synthetic_report([np.zeros(256)] * 2, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                               vs=[np.full(256, 100.0), np.zeros(256)])
+        out = check_proximity(rep, [stalling])
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_PASS, 0.0, None)
+        assert out.note == "1 record(s) skipped: subproblem re-solve uncertified"
+        # the same record fails where its re-solve certifies
+        assert check_proximity(rep, [np.eye(3, 256)]).status == STATUS_FAIL
 
     def test_zero_direction_at_noncritical_point_is_flagged(self):
         desc = get_problem("quad_pair")

@@ -75,6 +75,35 @@ def test_known_critical_set_agrees_with_the_criticality_test(name):
     assert misses == 0
 
 
+def one_candidate_per_draw(desc, rng):
+    """The rejection sampler drawing its candidates one at a time: the point
+    kept (None if none is) and the number of candidates drawn."""
+    for drawn in range(1, 10_001):
+        x = rng.uniform(desc.box[0], desc.box[1], size=desc.problem.n)
+        if not desc.critical_set(x, desc.critical_margin):
+            return x, drawn
+    return None, 10_000
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_noncritical_sampler_keeps_the_one_at_a_time_stream(name, seed):
+    desc = get_problem(name)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    most_drawn = 0
+    for _ in range(10):
+        x = desc.sample_noncritical(rng)
+        expected, drawn = one_candidate_per_draw(desc, ref)
+        most_drawn = max(most_drawn, drawn)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if expected is None:
+            assert x is None
+        else:
+            assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+    if name == "nonconvex_demo":  # its critical set covers a third of the box
+        assert most_drawn > 1
+
+
 @pytest.mark.parametrize(
     "name", [n for n in ALL_NAMES if get_problem(n).convexity_class != "none"]
 )
