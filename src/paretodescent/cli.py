@@ -68,10 +68,12 @@ def _fmt(value: float) -> str:
 # loop checks that pair, and a source that passes is compiled as it stands.
 # Only a flagged source, or one that compile refuses, is parsed into a tree
 # and walked against a node whitelist, to name the column of the error.
-# A criterion's value is the lambda's on the Python floats of x, with a
-# complex value or a ZeroDivisionError or OverflowError read as NaN.  A finite
-# value has the bits np.float64 scalars give; where those return an infinity
-# or NaN for a division by zero or an overflowing power, Python floats raise.
+# A criterion's value is the lambda's on np.float64 variables, with a complex
+# value or a ZeroDivisionError or OverflowError (which only float literals
+# raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
+# lambda on Python floats, about three times faster, and keeps any float it
+# returns: there both agree bit for bit but for a NaN's sign, while Python may
+# raise or turn complex where numpy carries an infinity or NaN on to a value.
 # Derivatives come from the finite-difference fallback of the objective module.
 
 _TOKEN_RE = re.compile(
@@ -159,13 +161,21 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     raise ConfigError("column 1: expression too long for Python's parser")
 
 
-def _criterion_value(fn, xs: list[float]) -> float:
-    """fn at the Python floats ``xs``; NaN where it raises or is complex."""
+def _criterion_value(fn, xs: list[float], x: np.ndarray) -> float:
+    """fn at the Python floats ``xs`` if that is a float, else at the
+    np.float64 entries of ``x``; NaN where that raises or is complex."""
     try:
         y = fn(xs)
+        if type(y) is float:
+            return y
+    except (ZeroDivisionError, OverflowError):
+        pass
+    try:
+        with np.errstate(all="ignore"):
+            y = fn(x)
     except (ZeroDivisionError, OverflowError):
         return math.nan
-    return math.nan if isinstance(y, complex) else y
+    return math.nan if isinstance(y, complex) else float(y)
 
 
 def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjective:
@@ -188,7 +198,7 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 
     def f(x):
         xs = x.tolist()
-        return np.array([_criterion_value(fn, xs) for fn in fns])
+        return np.array([_criterion_value(fn, xs, x) for fn in fns])
 
     return MultiObjective(n=dim, m=len(fns), f=f, jac=None, name="inline")
 

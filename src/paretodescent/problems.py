@@ -51,12 +51,11 @@ class ProblemDescriptor:
             raise ValueError(f"unknown convexity class {self.convexity_class!r}")
 
     def sample_noncritical(self, rng: np.random.Generator) -> np.ndarray | None:
-        """Rejection-sample a point at margin distance from the critical set,
-        drawing the candidates at once but leaving rng as one-by-one draws would."""
+        """Rejection-sample a point at margin distance from the critical set."""
         state = rng.bit_generator.state
         for i, x in enumerate(rng.uniform(*self.box, size=(10_000, self.problem.n))):
             if not self.critical_set(x, self.critical_margin):
-                rng.bit_generator.state = state  # redraw up to the point kept
+                rng.bit_generator.state = state  # leave rng as one-by-one draws would
                 return rng.uniform(*self.box, size=(i + 1, self.problem.n))[i]
         return None
 

@@ -118,8 +118,7 @@ def reference(tree, x):
 
 def criterion_value(tree, x):
     """The grammar's value, with a complex value, a division by zero or an
-    overflow read as NaN: on np.float64 variables the reference the finite
-    values must match, on Python floats the value an inline criterion takes."""
+    overflow read as NaN."""
     try:
         with np.errstate(all="ignore"):
             value = reference(tree, x)
@@ -128,12 +127,20 @@ def criterion_value(tree, x):
     return math.nan if isinstance(value, complex) else float(value)
 
 
-def fails_on_floats(tree, x):
-    """Whether the grammar raises or is complex on the Python floats x."""
+def inline_value(tree, x):
+    """The value an inline criterion takes: the grammar's on the Python
+    floats of x where that is a float, else criterion_value on np.float64."""
     try:
-        return isinstance(reference(tree, x), complex)
+        value = reference(tree, [float(v) for v in x])
     except (ZeroDivisionError, OverflowError):
-        return True
+        value = None
+    return value if type(value) is float else criterion_value(tree, np.array(x))
+
+
+def same_or_both_nan(y, ref) -> bool:
+    """Whether two float arrays hold the same bytes, a NaN's sign aside."""
+    y, ref = np.asarray(y), np.asarray(ref)
+    return bool(((y.view(np.int64) == ref.view(np.int64)) | np.isnan(y) & np.isnan(ref)).all())
 
 
 _EDGE_VALUES = [0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, -1e-300, 1e300, -1e300, 1e-320, -1e-320]
@@ -321,20 +328,15 @@ class TestExpressionParser:
     @given(tree=_TREES, x=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0),
                                    min_size=3, max_size=3))
     @example(tree=_NAN_SIGN_TREE, x=[-1e300, -0.0, 2.0])
-    # 1/(x1/0): numpy carries the infinity on to 0, Python floats raise
+    # 1/(x1/0): Python floats raise, numpy carries the infinity on to 0
     @example(tree=("bin", "/", ("num", "1"), ("bin", "/", ("var", 1), ("num", "0"))),
              x=[1.0, 0.0, 0.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inline_problem_values_match_the_grammar_bit_for_bit(self, tree, x):
         text, _prec = render(tree)
         y = build_inline_problem([text], n=3).f(np.array(x))
-        if fails_on_floats(tree, x):
-            assert math.isnan(y[0]), text
-            return
-        # the Python-float value, a NaN's sign included
-        assert y.tobytes() == np.array([criterion_value(tree, x)]).tobytes(), text
-        ref = criterion_value(tree, np.array(x))
-        if math.isfinite(y[0]) or math.isfinite(ref):
-            assert y.tobytes() == np.array([ref]).tobytes(), text
+        assert y.tobytes() == np.array([inline_value(tree, x)]).tobytes(), text
+        assert same_or_both_nan(y, [criterion_value(tree, np.array(x))]), text
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(tree=_TREES)
@@ -377,19 +379,25 @@ class TestExpressionParser:
         assume(all(math.isfinite(criterion_value(t, x)) for i, t in enumerate(trees) if i != bad))
         texts = [render(t)[0] for t in trees]
         y = build_inline_problem(texts, n=3).f(x)
-        each = [cli._criterion_value(parse_expression(t)[0], x.tolist()) for t in texts]
+        each = [cli._criterion_value(parse_expression(t)[0], x.tolist(), x) for t in texts]
         assert y.tobytes() == np.array(each).tobytes(), texts
-        values = [criterion_value(t, x.tolist()) for t in trees]
-        assert y.tobytes() == np.array(values).tobytes(), texts
-        for t, value in zip(trees, values):
-            if math.isfinite(value):
-                assert np.float64(value).tobytes() == np.float64(criterion_value(t, x)).tobytes()
+        assert y.tobytes() == np.array([inline_value(t, x) for t in trees]).tobytes(), texts
+        assert same_or_both_nan(y, [criterion_value(t, x) for t in trees]), texts
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("text", ["x1/0", "(x1*1e200)^2", "(-1-x1^2)^0.5"])
-    def test_raising_or_complex_criterion_reads_nan_without_a_warning(self, text):
-        (y,) = build_inline_problem([text]).f(np.array([1.0]))
-        assert math.isnan(y)
+    @pytest.mark.parametrize("text,x1,expected", [
+        ("x1/0", 1.0, math.inf),
+        ("(x1*1e200)^2", 1.0, math.inf),
+        ("(-1-x1^2)^0.5", 1.0, math.nan),
+        ("1/(1 + 1/x1^2)", 0.0, 0.0),  # the infinity carried on to a finite value
+        ("1/(1 + x1^2)", 1e155, 0.0),
+        ("((-1-x1^2)^0.5)^0", 1.0, 1.0),  # NaN to the power 0
+        ("1/0 + x1", 1.0, math.nan),  # a literal division raises on np.float64 too
+    ])
+    def test_criterion_that_fails_on_floats_takes_numpys_value_without_a_warning(
+            self, text, x1, expected):
+        (y,) = build_inline_problem([text]).f(np.array([x1]))
+        assert same_or_both_nan(y, expected)
 
     def test_compiled_criterion_sees_no_builtins(self):
         fn, _ = parse_expression("x1 + 1")
