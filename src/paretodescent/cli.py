@@ -45,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_MAX_ITER = 2
 EXIT_FAILURE = 3
 EXIT_CHECK_FAILED = 4
+_RUN_SCHEMA = "paretodescent.run/3"  # the one report schema load_run reads
 
 
 class ConfigError(ValueError):
@@ -248,11 +249,14 @@ def _parse(text: str, what: str, conv: Callable[[str], object]):
 
 
 def _check_prefix(prefix: str) -> None:
-    """An output prefix must end in a file name: "sub/" would name hidden files."""
+    """An output prefix must end in a file name and lie under no regular file."""
     if not prefix:  # a config line "output =" is already an error; this is --out ""
         raise ConfigError("empty output prefix")
     if os.path.basename(prefix) in ("", ".", ".."):
         raise ConfigError(f"output prefix {prefix!r} ends in no file name")
+    ancestor = next(p for p in Path(prefix).parents if os.path.exists(p))
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"output prefix {prefix!r} lies under the file {str(ancestor)!r}")
 
 
 @dataclass
@@ -315,7 +319,7 @@ def _resolve_settings(args) -> RunSettings:
 # trajectory and report serialization
 
 # the scalar columns of a trajectory row, each with the reader of its text;
-# x (n), F (m) and v (n) follow
+# x (n), F (m), v (n) and the dual weights w (m) follow
 _SCALAR_COLUMNS = (
     ("k", int), ("t", float), ("j", int), ("alpha_upper", float), ("alpha_lower", float),
     ("sigma_certified", lambda text: bool(int(text))), ("inner_iterations", int),
@@ -326,15 +330,16 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
     """One row per visited point, floats at 17 significant digits so every
     double round-trips exactly, with every field of its record: the
     terminal row has t = 0 and j = -1, and ``sigma_certified`` is 1 or 0.
-    Direction components come last so a re-parsed trajectory replays
-    through the diagnostics unchanged."""
+    The direction and its dual weights come last, so a re-parsed trajectory
+    replays through the diagnostics unchanged."""
     header = [name for name, _read in _SCALAR_COLUMNS]
-    header += [f"{vec}_{i + 1}" for vec, size in (("x", n), ("F", m), ("v", n)) for i in range(size)]
+    header += [f"{vec}_{i + 1}" for vec, size in (("x", n), ("F", m), ("v", n), ("w", m))
+               for i in range(size)]
     lines = [",".join(header)]
     for r in report.records:
         row = [_fmt(getattr(r, name)) if read is float else str(int(getattr(r, name)))
                for name, read in _SCALAR_COLUMNS]
-        row += [_fmt(val) for val in (*r.x, *r.Fx, *r.v)]
+        row += [_fmt(val) for val in (*r.x, *r.Fx, *r.v, *r.weights)]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -345,21 +350,24 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
-    n = sum(1 for name in lines[0].split(",") if name.startswith("x_"))
+    n, m = (sum(name.startswith(vec) for name in lines[0].split(",")) for vec in ("x_", "F_"))
     records = []
     for line in lines[1:]:
         parts = line.split(",")
         scalars = {name: read(part) for (name, read), part in zip(_SCALAR_COLUMNS, parts)}
-        vals = [float(part) for part in parts[len(_SCALAR_COLUMNS):]]
-        records.append(IterationRecord(
-            x=np.array(vals[:n]), Fx=np.array(vals[n:-n]), v=np.array(vals[-n:]), **scalars))
+        vals = np.array([float(part) for part in parts[len(_SCALAR_COLUMNS):]])
+        x, Fx, v, w = np.split(vals, np.cumsum([n, m, n]))
+        records.append(IterationRecord(x=x, Fx=Fx, v=v, weights=w, **scalars))
     return records
 
 
 def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
-    """Reload a solve's outputs: (report rebuilt from CSV + JSON, report JSON)."""
-    records = read_trajectory_csv(f"{prefix}.trajectory.csv")
+    """Reload a solve's run/3 outputs: (report rebuilt from CSV + JSON, report JSON)."""
     doc = json.loads(Path(f"{prefix}.report.json").read_text())
+    schema = doc.get("schema")
+    if schema != _RUN_SCHEMA:
+        raise ConfigError(f"{prefix}.report.json: schema {schema!r} is not {_RUN_SCHEMA!r}")
+    records = read_trajectory_csv(f"{prefix}.trajectory.csv")
     cfg = SolverConfig(**{f.name: doc["config"][f.name] for f in fields(SolverConfig)})
     return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
@@ -374,7 +382,7 @@ def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
     for check in summary.checks:
         diagnostics[check.name]["worst_violation"] = _json_float(check.worst_violation)
     return {
-        "schema": "paretodescent.run/2",
+        "schema": _RUN_SCHEMA,
         "config": {
             "problem": settings.problem_name,
             "x0": [float(val) for val in settings.x0],

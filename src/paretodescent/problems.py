@@ -30,8 +30,9 @@ class ProblemDescriptor:
     """A registered problem plus the analytic facts tests assert against.
 
     ``critical_set(x, tol)`` is a tolerance-based membership test for the
-    known Pareto-critical set; ``sample_critical(rng)`` draws a point of
-    that set.  ``sample_noncritical(rng)`` draws a box point kept at least
+    known Pareto-critical set, of a point or of each row of a (k, n) array;
+    ``sample_critical(rng)`` draws a point of that set.
+    ``sample_noncritical(rng)`` draws a box point kept at least
     ``critical_margin`` away from the set (None when every point is
     critical).  ``box`` bounds the samplers; class claims are validated by
     the oracle samplers in the test suite, never merely asserted.
@@ -40,7 +41,7 @@ class ProblemDescriptor:
     name: str
     problem: MultiObjective
     convexity_class: str
-    critical_set: Callable[[np.ndarray, float], bool]
+    critical_set: Callable[[np.ndarray, float], np.ndarray]
     sample_critical: Callable[[np.random.Generator], np.ndarray]
     recommended_x0: np.ndarray
     box: tuple[float, float] = (-10.0, 10.0)
@@ -53,11 +54,12 @@ class ProblemDescriptor:
     def sample_noncritical(self, rng: np.random.Generator) -> np.ndarray | None:
         """Rejection-sample a point at margin distance from the critical set."""
         state = rng.bit_generator.state
-        for i, x in enumerate(rng.uniform(*self.box, size=(10_000, self.problem.n))):
-            if not self.critical_set(x, self.critical_margin):
-                rng.bit_generator.state = state  # leave rng as one-by-one draws would
-                return rng.uniform(*self.box, size=(i + 1, self.problem.n))[i]
-        return None
+        candidates = rng.uniform(*self.box, size=(10_000, self.problem.n))
+        kept = np.flatnonzero(~self.critical_set(candidates, self.critical_margin))
+        if kept.size == 0:
+            return None
+        rng.bit_generator.state = state  # leave rng as one-by-one draws would
+        return rng.uniform(*self.box, size=(kept[0] + 1, self.problem.n))[kept[0]]
 
 
 def make_quad_pair(a, b) -> MultiObjective:
@@ -80,7 +82,7 @@ _QP_B = np.array([1.0, 0.0])
 
 
 def _quad_pair_critical(x, tol):
-    return abs(x[1]) <= tol and -tol <= x[0] <= 1.0 + tol
+    return (np.abs(x[..., 1]) <= tol) & (-tol <= x[..., 0]) & (x[..., 0] <= 1.0 + tol)
 
 
 def _quad_pair_sample(rng):
@@ -130,7 +132,7 @@ def _quasi_exp_jac(x):
 
 
 def _quasi_exp_critical(x, tol):
-    return abs(x[0] - _QE_C1) <= tol or abs(x[1] - _QE_C2) <= tol
+    return (np.abs(x[..., 0] - _QE_C1) <= tol) | (np.abs(x[..., 1] - _QE_C2) <= tol)
 
 
 def _quasi_exp_sample(rng):
@@ -159,8 +161,8 @@ def _nonconvex_jac(x):
 
 
 def _nonconvex_critical(x, tol):
-    t = x[0]
-    return (-1.0 - tol <= t <= tol) or (1.0 - tol <= t <= 2.0 + tol)
+    t = x[..., 0]
+    return (-1.0 - tol <= t) & (t <= tol) | (1.0 - tol <= t) & (t <= 2.0 + tol)
 
 
 def _nonconvex_sample(rng):
@@ -182,7 +184,7 @@ _REGISTRY: dict[str, ProblemDescriptor] = {d.name: d for d in (
         name="paper_cubic",
         problem=MultiObjective(n=1, m=2, f=_cubic_eval, jac=_cubic_jac, name="paper_cubic"),
         convexity_class="pseudo-convex",
-        critical_set=lambda x, tol: True,  # every point is Pareto critical
+        critical_set=lambda x, tol: np.full(np.shape(x)[:-1], True),  # every point is critical
         sample_critical=lambda rng: np.array([rng.uniform(-10.0, 10.0)]),
         recommended_x0=np.array([5.0]),
     ),
@@ -204,7 +206,7 @@ _REGISTRY: dict[str, ProblemDescriptor] = {d.name: d for d in (
             n=1, m=1, f=_scalar_quad_eval, jac=_scalar_quad_jac, name="scalar_quad"
         ),
         convexity_class="convex",
-        critical_set=lambda x, tol: abs(x[0]) <= tol,
+        critical_set=lambda x, tol: np.abs(x[..., 0]) <= tol,
         sample_critical=lambda rng: np.array([0.0]),
         recommended_x0=np.array([1.0]),
     ),

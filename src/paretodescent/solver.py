@@ -53,12 +53,14 @@ class SolverConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One visited point.  Stepped records have t = 2**-j > 0 and satisfy
-    x_next = x + t*v exactly; the terminal record has t = 0 and j = -1."""
+    x_next = x + t*v exactly; the terminal record has t = 0 and j = -1.
+    ``weights`` is the dual w of the direction solve, NaN on a numerical failure."""
 
     k: int
     x: np.ndarray
     Fx: np.ndarray
     v: np.ndarray
+    weights: np.ndarray
     t: float
     alpha_upper: float
     alpha_lower: float
@@ -103,6 +105,7 @@ def _record(k: int, x, Fx, res: DirectionResult, t: float = 0.0, j: int = -1) ->
         x=x,
         Fx=Fx,
         v=res.v,
+        weights=res.weights,
         t=t,
         alpha_upper=res.alpha_upper,
         alpha_lower=res.alpha_lower,
@@ -122,8 +125,8 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     status in the report; they are never raised.  A value F(x^k) or a
     Jacobian with non-finite entries, or a Gram matrix J J^T that overflows,
     ends the run with ``numerical_failure``: its terminal record has v = 0,
-    NaN alpha bounds and no inner iterations.  The Jacobian is not requested
-    at a point whose F is not finite.
+    NaN weights and alpha bounds, and no inner iterations.  The Jacobian is
+    not requested at a point whose F is not finite.
 
     The record list always ends with a terminal record (t = 0) for the last
     visited point, so a run that starts at a critical point has exactly one
@@ -144,6 +147,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
                                      max_inner=cfg.max_inner)
         except NonFiniteError:
             records.append(IterationRecord(k, x, Fx, np.zeros(problem.n), t=0.0, j=-1,
+                                           weights=np.full(problem.m, math.nan),
                                            alpha_upper=math.nan, alpha_lower=math.nan,
                                            sigma_certified=False, inner_iterations=0))
             return RunReport(records=tuple(records), termination=TERMINATION_NUMERICAL, config=cfg)

@@ -15,6 +15,7 @@ from paretodescent import (
     SolverConfig,
     brute_force_direction,
     check_monotone,
+    check_proximity,
     check_quasi_fejer,
     check_summability,
     check_weak_pareto_local,
@@ -122,15 +123,19 @@ def test_criterion_3_trajectory_invariants(acceptance_runs):
             mono = check_monotone(rep)
             if not mono.ok:
                 failures.append(f"{name}[{i}]: monotone violated by {mono.worst_violation:.3e}")
-            jacobians = [get_problem(name).problem.jacobian(r.x) for r in rep.stepped_records]
-            summ = check_summability(rep, jacobians)
+            summ = check_summability(rep)
             if not summ.ok:
                 failures.append(f"{name}[{i}]: energy inequality off by {summ.worst_violation:.3e}")
+            jacobians = [get_problem(name).problem.jacobian(r.x) for r in rep.stepped_records]
+            cert = check_proximity(rep, jacobians)
+            if not cert.ok:
+                failures.append(f"{name}[{i}]: step certificate off by {cert.worst_violation:.3e}")
             F0 = rep.records[0].Fx
             worst_level = max(float(np.max(r.Fx - F0)) for r in rep.records)
             if worst_level > 0.0:
                 failures.append(f"{name}[{i}]: left the initial level set by {worst_level:.3e}")
-    _criterion(3, "decrease, summability, and level-set containment on all runs", failures)
+    _criterion(3, "decrease, certificates, summability, and level-set containment on all runs",
+               failures)
 
 
 def test_criterion_4_full_convergence(acceptance_runs):

@@ -50,7 +50,7 @@ def record_bits(r):
     """Every field of an iteration record, floats as their bytes."""
     return (r.k, r.j, r.sigma_certified, r.inner_iterations,
             *(np.asarray(a, dtype=float).tobytes() for a in (r.t, r.alpha_upper, r.alpha_lower,
-                                                              r.x, r.Fx, r.v)))
+                                                              r.x, r.Fx, r.v, r.weights)))
 
 
 # Expression trees of the criterion grammar: ("num", literal), ("var", K),
@@ -578,6 +578,29 @@ class TestConfigFile:
             assert sorted(p.relative_to(cwd) for p in cwd.rglob("*")) == [Path(m) for m in made]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3", "4"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "quad_pair"],
+        ["sweep", "--problem", "quad_pair", "--sigmas", "0"],
+        ["verify", "--problem", "quad_pair"],
+    ])
+    def test_prefix_under_a_regular_file_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                          argv):
+        def refuse(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "_verify_checks", refuse)
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept")
+        absolute = str(tmp_path / "afile")
+        for out, ancestor in (("afile/x", "afile"), ("afile/sub/x", "afile"),
+                              (f"{absolute}/x", absolute)):
+            assert main([*argv, "--out", out]) == 1
+            assert capsys.readouterr() == (
+                "", f"config error: output prefix {out!r} lies under the file {ancestor!r}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+        assert Path("afile").read_text() == "kept"
+
     def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nn = 2\n")
@@ -609,7 +632,7 @@ class TestSolveCommand:
         assert doc["diagnostics"]["all_ok"] is True
         header = (tmp_path / "qp.trajectory.csv").read_text().splitlines()[0]
         assert header == ("k,t,j,alpha_upper,alpha_lower,sigma_certified,inner_iterations,"
-                          "x_1,x_2,F_1,F_2,v_1,v_2")
+                          "x_1,x_2,F_1,F_2,v_1,v_2,w_1,w_2")
 
     def test_immediate_critical_run_has_one_row(self, tmp_path):
         out = tmp_path / "pc"
@@ -893,6 +916,26 @@ class TestRoundTripAndDeterminism:
         s_replay = run_diagnostics(desc.problem, replay, 0.0).to_dict()
         assert s_live == s_replay
 
+    def test_load_run_rejects_another_schema(self, tmp_path):
+        # a run/2 CSV has no dual weights, so its steps could not be replayed
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        report = tmp_path / "rt.report.json"
+        csv = tmp_path / "rt.trajectory.csv"
+        doc = json.loads(report.read_text())
+        header, *rows = csv.read_text().splitlines()
+        width = header.split(",").index("w_1")
+        csv.write_text("".join(",".join(line.split(",")[:width]) + "\n" for line in (header, *rows)))
+        for schema in ("paretodescent.run/2", None):
+            if schema is None:
+                del doc["schema"]
+            else:
+                doc["schema"] = schema
+            report.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError) as exc:
+                load_run(tmp_path / "rt")
+            assert str(exc.value) == (f"{tmp_path / 'rt'}.report.json: schema {schema!r} "
+                                      "is not 'paretodescent.run/3'")
+
     def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         csv = tmp_path / "rt.trajectory.csv"
@@ -907,7 +950,7 @@ class TestRoundTripAndDeterminism:
         report, doc = load_run(out)
         rep = run(get_problem("quasi_exp").problem,
                   get_problem("quasi_exp").recommended_x0, SolverConfig())
-        assert doc["schema"] == "paretodescent.run/2"
+        assert doc["schema"] == "paretodescent.run/3"
         assert report.config == rep.config
         assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
         # an uncertified direction and its inner iterations come back as well

@@ -20,13 +20,19 @@ from paretodescent import (
     check_quasi_fejer,
     check_summability,
     get_problem,
+    kkt_direction,
+    list_problems,
     run,
     run_diagnostics,
+    solve_sigma_approx,
 )
 from paretodescent import diagnostics as diagnostics_module
+from paretodescent import direction as direction_module
 from paretodescent import solver as solver_module
 from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS, STATUS_PRECONDITION
-from paretodescent.direction import STATUS_CERTIFIED, STATUS_MAX_INNER, solve_exact
+from paretodescent.direction import STATUS_CERTIFIED, _allowance
+
+from test_direction import _hard_jacobians
 
 
 def quad_run(x0=(0.4, 2.5), sigma=0.0):
@@ -48,8 +54,8 @@ def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
         v = np.zeros(n) if vs is None else np.asarray(vs[k], dtype=float)
         t = 0.0 if last else (1.0 if ts is None else float(ts[k]))
         records.append(
-            IterationRecord(k=k, x=x, Fx=F, v=v, t=t, alpha_upper=alpha,
-                            alpha_lower=alpha, j=-1 if last else 0,
+            IterationRecord(k=k, x=x, Fx=F, v=v, weights=np.full(F.size, 1.0 / F.size), t=t,
+                            alpha_upper=alpha, alpha_lower=alpha, j=-1 if last else 0,
                             sigma_certified=True, inner_iterations=0)
         )
     return RunReport(records=tuple(records), termination="max_iter", config=SolverConfig())
@@ -87,7 +93,7 @@ class TestSummability:
         desc = get_problem("quasi_exp")
         rep = run(desc.problem, desc.recommended_x0)
         assert len(rep.stepped_records) >= 10
-        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
+        out = check_summability(rep)
         assert out.ok
         assert "telescoped ratio" in out.note
 
@@ -97,31 +103,25 @@ class TestSummability:
         xs = [[float(k)] for k in range(30)]
         Fs = [[30.0 - 0.25 * k, 30.0 - 0.25 * k] for k in range(30)]
         rep = synthetic_report(xs, Fs, vs=[[1.0]] * 30, alpha=-0.5)
-        out = check_summability(rep, [np.array([[-1.0], [-1.0]])] * 29)
+        out = check_summability(rep)
         assert out.status == STATUS_FAIL
         assert out.worst_violation == pytest.approx(0.25)
 
     def test_vacuous_without_steps(self):
         rep = run(get_problem("paper_cubic").problem, [2.0])
-        out = check_summability(rep, [])
+        out = check_summability(rep)
         assert out.ok and "vacuous" in out.note
         # one step is already checked
-        desc = get_problem("scalar_quad")
-        rep = run(desc.problem, [1.0])
-        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
+        rep = run(get_problem("scalar_quad").problem, [1.0])
+        out = check_summability(rep)
         assert len(rep.stepped_records) == 1
         assert out.ok and "vacuous" not in out.note
 
-    def test_jacobian_count_must_match_the_steps(self):
-        with pytest.raises(ValueError):
-            check_summability(quad_run(), [])
-
     def test_non_finite_step_energy_fails(self):
-        desc = get_problem("quad_pair")
         rep = quad_run()
         first = dataclasses.replace(rep.records[0], alpha_upper=math.nan)
         rep = dataclasses.replace(rep, records=(first, *rep.records[1:]))
-        out = check_summability(rep, stepped_jacobians(desc.problem, rep))
+        out = check_summability(rep)
         assert (out.status, out.worst_violation, out.worst_index, out.note) == (
             STATUS_FAIL, math.inf, 0, "non-finite step energy")
 
@@ -137,46 +137,47 @@ def steep_pair():
     )
 
 
-def _summability(problem, rep):
-    return check_summability(rep, stepped_jacobians(problem, rep))
+def _certificate(problem, rep):
+    return check_proximity(rep, stepped_jacobians(problem, rep))
 
 
 class TestEnergyInequalityMutations:
-    """Each mutation of a correct run must fail the energy-inequality check,
-    which passes on the run itself."""
+    """Each mutation of a correct run must fail the energy inequality or,
+    for a mutated certificate, the proximity check, which carries each
+    step's certificate; both pass on the run itself."""
 
     def test_step_accepted_against_armijo(self, monkeypatch):
         problem = steep_pair()
         cfg = SolverConfig(max_iter=3)
-        assert _summability(problem, run(problem, [2.0, 2.0], cfg)).ok
+        assert check_summability(run(problem, [2.0, 2.0], cfg)).ok
         monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(t=1.0, j=0))
-        out = _summability(problem, run(problem, [2.0, 2.0], cfg))
+        out = check_summability(run(problem, [2.0, 2.0], cfg))
         assert out.status == STATUS_FAIL
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_alpha_upper_made_less_negative(self, sigma):
         desc = get_problem("quad_pair")
         rep = quad_run(sigma=sigma)
-        assert _summability(desc.problem, rep).ok
+        assert _certificate(desc.problem, rep).ok
         first = rep.records[0]
         mutated = dataclasses.replace(first, alpha_upper=0.5 * first.alpha_upper)
         rep = dataclasses.replace(rep, records=(mutated,) + rep.records[1:])
-        out = _summability(desc.problem, rep)
+        out = _certificate(desc.problem, rep)
         assert out.status == STATUS_FAIL and out.worst_index == 0
 
     def test_sigma_mismatch(self):
         desc = get_problem("quad_pair")
         rep = quad_run(x0=(3.0, 3.0), sigma=0.5)
-        assert _summability(desc.problem, rep).ok
+        assert _certificate(desc.problem, rep).ok
         with pytest.raises(ValueError):
             run_diagnostics(desc.problem, rep, 0.0)
         claimed = dataclasses.replace(rep, config=SolverConfig(sigma=0.0))
-        assert _summability(desc.problem, claimed).status == STATUS_FAIL
+        assert _certificate(desc.problem, claimed).status == STATUS_FAIL
 
     def test_uncertified_direction_recorded_as_certified(self, monkeypatch):
         desc = get_problem("quad_pair")
         cfg = SolverConfig(max_iter=5)
-        assert _summability(desc.problem, run(desc.problem, [3.0, 3.0], cfg)).ok
+        assert _certificate(desc.problem, run(desc.problem, [3.0, 3.0], cfg)).ok
 
         def barycenter(J, sigma, **kwargs):
             # the first dual iterate, not solved, labelled certified
@@ -190,7 +191,7 @@ class TestEnergyInequalityMutations:
         monkeypatch.setattr(solver_module, "solve_sigma_approx", barycenter)
         rep = run(desc.problem, [3.0, 3.0], cfg)
         assert rep.iterations == 5
-        assert _summability(desc.problem, rep).status == STATUS_FAIL
+        assert _certificate(desc.problem, rep).status == STATUS_FAIL
 
 
 def _convex_problem(rng, m, n):
@@ -266,6 +267,34 @@ class TestQuasiFejer:
         assert summary.checks[3].status == STATUS_PRECONDITION
 
 
+def one_step_report(J, res, sigma):
+    """A report of one step along the direction ``res`` solved at J."""
+    m, n = J.shape
+    step = IterationRecord(k=0, x=np.zeros(n), Fx=np.zeros(m), v=res.v, weights=res.weights,
+                           t=1.0, alpha_upper=res.alpha_upper, alpha_lower=res.alpha_lower, j=0,
+                           sigma_certified=True, inner_iterations=res.inner_iterations)
+    end = dataclasses.replace(step, k=1, t=0.0, j=-1)
+    return RunReport(records=(step, end), termination="max_iter", config=SolverConfig(sigma=sigma))
+
+
+def _mutated(rep, k, **fields):
+    records = list(rep.records)
+    records[k] = dataclasses.replace(records[k], **fields)
+    return dataclasses.replace(rep, records=tuple(records))
+
+
+def _negative_entry(w):
+    w = w.copy()
+    w[w.argmin()] = -1e-300 if w.min() == 0.0 else -w.min()
+    return w
+
+
+def _nan_entry(w):
+    w = w.copy()
+    w[0] = math.nan
+    return w
+
+
 class TestProximity:
     def test_exact_runs_recover_the_exact_direction(self):
         desc = get_problem("quad_pair")
@@ -293,28 +322,113 @@ class TestProximity:
                 check_proximity(rep, given)
             assert str(exc.value) == f"{len(given)} jacobian(s) for 3 step(s)"
 
-    def test_record_whose_re_solve_is_uncertified_is_skipped_and_named(self, monkeypatch):
-        # a recorded direction far from the exact one at J = I
-        rep = synthetic_report([[0.0, 0.0]] * 2, [[1.0, 1.0], [0.0, 0.0]],
-                               vs=[[100.0, 100.0], [0.0, 0.0]])
-        J = np.eye(2)
-        assert check_proximity(rep, [J]).status == STATUS_FAIL
-        # the same record is skipped where its re-solve ends uncertified
-        stalled = dataclasses.replace(solve_exact(J), status=STATUS_MAX_INNER)
-        monkeypatch.setattr(diagnostics_module, "solve_exact", lambda J: stalled)
-        out = check_proximity(rep, [J])
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_PASS, 0.0, None)
-        assert out.note == "1 record(s) skipped: subproblem re-solve uncertified"
+    @pytest.mark.parametrize("mutation", [
+        pytest.param(lambda r: {"weights": r.weights * (1.0 + 1e-6)}, id="scaled_weights"),
+        pytest.param(lambda r: {"weights": _negative_entry(r.weights)}, id="negative_weight"),
+        pytest.param(lambda r: {"v": r.v * (1.0 + 1e-6)}, id="v_not_minus_JTw"),
+        pytest.param(lambda r: {"alpha_lower": r.alpha_lower * (1.0 - 1e-6)}, id="shrunk_alpha_lower"),
+        pytest.param(lambda r: {"alpha_upper": r.alpha_upper * (1.0 + 1e-6)}, id="lowered_alpha_upper"),
+        pytest.param(lambda r: {"weights": _nan_entry(r.weights)}, id="nan_weight"),
+    ])
+    @pytest.mark.parametrize("name,sigma", [("quasi_exp", 0.0), ("quasi_exp", 0.5),
+                                            ("quad_pair", 0.9)])
+    def test_each_mutation_of_a_step_fails(self, mutation, name, sigma):
+        desc = get_problem(name)
+        rep = run(desc.problem, desc.recommended_x0, SolverConfig(sigma=sigma))
+        jacobians = stepped_jacobians(desc.problem, rep)
+        assert check_proximity(rep, jacobians).ok
+        # the first step, far from the critical set, where a relative change
+        # of 1e-6 is far above the rounding allowance
+        out = check_proximity(_mutated(rep, 0, **mutation(rep.records[0])), jacobians)
+        assert (out.status, out.worst_index) == (STATUS_FAIL, 0)
+        assert out.worst_violation > 0.0
 
-    def test_zero_direction_at_noncritical_point_is_flagged(self):
-        desc = get_problem("quad_pair")
-        rec = IterationRecord(k=0, x=np.array([2.0, 2.0]), Fx=np.array([4.0, 2.5]),
-                              v=np.zeros(2), t=1.0, alpha_upper=0.0, alpha_lower=0.0,
-                              j=0, sigma_certified=True, inner_iterations=0)
-        rep = RunReport(records=(rec,), termination="max_iter", config=SolverConfig())
+    # one step at J = [g1; g2; g1 + g2; (g1 + g2) / 2], whose rows are linearly
+    # dependent, so that w can move off the simplex with J^T w unchanged; the
+    # recorded weights (1/2, 1/2, 0, 0) are optimal, and every float is exact
+    _DEPENDENT_J = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+    _EPS_W = 2.0**-20
+
+    def _step(self, J, w, v, sigma):
+        phi = float((J @ v).max()) + 0.5 * float(v @ v)
+        g = J.T @ w
+        res = DirectionResult(v, -0.5 * float(g @ g), phi, w, 0, STATUS_CERTIFIED, J @ v)
+        return one_step_report(J, res, sigma)
+
+    def test_each_condition_fails_alone(self):
+        J, e = self._DEPENDENT_J, self._EPS_W
+        w, v = np.array([0.5, 0.5, 0.0, 0.0]), np.array([-0.5, -0.5])
+        assert check_proximity(self._step(J, w, v, 0.0), [J]).ok
+        # a negative weight, at the same sum and the same J^T w
+        out = check_proximity(self._step(J, w + [e / 2, e / 2, 0.0, -e], v, 0.0), [J])
+        assert (out.status, out.worst_violation) == (STATUS_FAIL, e)
+        # a sum of 1 - e, at the same J^T w
+        out = check_proximity(self._step(J, w + [-e, -e, e, 0.0], v, 0.0), [J])
+        assert (out.status, out.worst_violation) == (STATUS_FAIL, e - 4.0 * 6 * np.finfo(float).eps)
+        # v off -J^T w, with alpha_upper its own primal value, which a loose
+        # sigma still certifies
+        out = check_proximity(self._step(J, w, v * (1.0 + 1e-3), 0.9), [J])
+        assert out.status == STATUS_FAIL and out.worst_violation == pytest.approx(0.5e-6)
+        # a primal value above zero that the gap floor alone would admit:
+        # v = -g for weights (1, 0) that do not solve the subproblem at a
+        # critical point of gradient scale 1e-8
+        J = np.array([[1e-8, 0.0], [-1e-8, 0.0]])
+        step = self._step(J, np.array([1.0, 0.0]), np.array([-1e-8, 0.0]), 0.5)
+        out = check_proximity(step, [J])
+        assert out.status == STATUS_FAIL and out.worst_violation == step.records[0].alpha_upper > 0.0
+
+    def test_note_reports_the_largest_proximity_bound(self):
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0, SolverConfig(sigma=0.9))
         out = check_proximity(rep, stepped_jacobians(desc.problem, rep))
-        assert out.status == STATUS_FAIL
-        assert "zero direction" in out.note
+        bound = max(2.0 * (r.alpha_upper - r.alpha_lower) for r in rep.stepped_records)
+        assert out.ok and bound > 0.0
+        assert out.note == f"max 2(phi - d)={bound:.3e}"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(J=_hard_jacobians(), sigma=st.sampled_from([0.0, 0.5, 0.9]))
+    def test_every_certified_direction_passes_and_bounds_its_distance(self, J, sigma):
+        res = solve_sigma_approx(J, sigma, max_inner=300)
+        if res.status != STATUS_CERTIFIED:  # a critical or stalled solve takes no step
+            return
+        out = check_proximity(one_step_report(J, res, sigma), [J])
+        bound = 2.0 * (res.alpha_upper - res.alpha_lower)
+        assert out.ok, out
+        assert out.note == f"max 2(phi - d)={bound:.3e}"
+        if J.shape[0] > 4:
+            return
+        _w, v_ref, alpha_ref = kkt_direction(J)
+        rounding = _allowance(J @ J.T, J.shape[1])
+        dist = float(np.linalg.norm(res.v - v_ref))
+        if alpha_ref >= res.alpha_lower - rounding:
+            assert dist * dist <= bound + rounding
+        else:
+            # the recorded w refutes the reference's optimality (an ill-conditioned
+            # face can hide the optimum from it), whose own distance to the exact
+            # direction is then at most sqrt(2 (phi - alpha_ref)) by the same bound
+            assert dist <= math.sqrt(bound + rounding) + math.sqrt(2.0 * (res.alpha_upper - alpha_ref))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", list_problems())
+def test_diagnostics_call_no_solver_and_one_jacobian_per_step(monkeypatch, name, sigma):
+    desc = get_problem(name)
+    rep = run(desc.problem, desc.recommended_x0, SolverConfig(sigma=sigma))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diagnostics called a solver")
+
+    for module, attr in ((direction_module, "solve_sigma_approx"),
+                         (solver_module, "solve_sigma_approx"), (diagnostics_module, "solve_exact")):
+        monkeypatch.setattr(module, attr, refuse)
+    calls = []
+    counted = MultiObjective(
+        n=desc.problem.n, m=desc.problem.m,
+        f=lambda x: calls.append("f") or desc.problem.f(x),
+        jac=lambda x: calls.append("jac") or desc.problem.jac(x),
+    )
+    assert run_diagnostics(counted, rep, sigma).all_ok
+    assert calls == ["jac"] * len(rep.stepped_records)
 
 
 # few distinct values, so ties and repeats are common; NaN must never win

@@ -75,6 +75,17 @@ def test_known_critical_set_agrees_with_the_criticality_test(name):
     assert misses == 0
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_critical_set_tests_rows_as_it_tests_points(name):
+    desc = get_problem(name)
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.uniform(*desc.box, size=(200, desc.problem.n)),
+                   [desc.sample_critical(rng) for _ in range(20)]])
+    rows = desc.critical_set(X, desc.critical_margin)
+    assert rows.shape == (len(X),)
+    assert rows.tolist() == [bool(desc.critical_set(x, desc.critical_margin)) for x in X]
+
+
 def one_candidate_per_draw(desc, rng):
     """The rejection sampler drawing its candidates one at a time: the point
     kept (None if none is) and the number of candidates drawn."""
