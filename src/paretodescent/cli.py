@@ -66,9 +66,21 @@ def _fmt(value: float) -> str:
 # source compiles to one lambda.  Of the Python the grammar's tokens can
 # spell, the grammar excludes only a call, the empty tuple and unary plus,
 # and each of these shows in a token and the one before it; so the token
-# loop checks that pair, and a source that passes is compiled as it stands.
-# Only a flagged source, or one that compile refuses, is parsed into a tree
-# and walked against a node whitelist, to name the column of the error.
+# loop checks that pair, and a source that passes is compiled as it stands
+# but for its squares.  A square is a base B (a variable, a literal or a
+# parenthesized group) to the power of a numeric literal equal to 2 that is
+# not itself the base of another ^, and it compiles as ((_t := B) * _t):
+# one product, which IEEE 754 rounds correctly, where pow(B, 2.0) is not
+# always (x1^2 at x1 = -3.636895521234246 is 13.227009032373717, and pow
+# gives 13.227009032373719).  This is the one place where a criterion's bits
+# differ from pow; x1^(2), x1^-2 and x1^2^3 keep their pow.  A square nests
+# its base two parentheses deeper than the text does, so Python's limit of
+# 200 takes at most 66 squares nested in one another.  A square wraps only
+# an operand that stands where one may start, so it neither makes a call
+# (x1 x2^2) nor an empty tuple (x1 + (^2)), and the source compiles with its
+# squares where it compiles without them.  Only a flagged source, or one
+# that compile refuses, is parsed into a tree, from the plain tokens, and
+# walked against a node whitelist, to name the column of the error.
 # A criterion's value is the lambda's on np.float64 variables, with a complex
 # value or a ZeroDivisionError or OverflowError (which only float literals
 # raise, as in 1/0 or 10^400) read as NaN.  The inline problem first runs the
@@ -99,6 +111,11 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
     pos = max_var = 0
     prev = "("  # the start of the text admits what an open parenthesis does
     excluded = False  # whether a token pair spells Python the grammar excludes
+    # where the last operand, each open group and the base of the last ^
+    # start (an index into parts), or None where a square may not wrap them
+    start = base = None
+    opens: list[int] = []
+    squares: list[tuple[int, int]] = []  # (base, literal 2) of each square
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
@@ -122,6 +139,10 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
                 tok = "".join(c if c in ".eE+-" else str(int(c)) for c in tok)
             if tok.isdigit():  # an int literal would make 3^40 exact and 10^400 not overflow
                 tok += ".0"
+            if prev == "^" and base is not None and float(tok) == 2.0:
+                after = _TOKEN_RE.match(text, m.end())
+                if after is None or after.group("op") != "^":
+                    squares.append((base, len(parts)))
         else:
             if (tok == "(" and prev not in _EXPECTS_OPERAND  # a call
                     or tok == ")" and prev == "("  # the empty tuple
@@ -129,17 +150,28 @@ def parse_expression(text: str) -> tuple[Callable[[np.ndarray], float], int]:
                 excluded = True
             if tok == "^":
                 tok = "**"
+                base = None if prev in _EXPECTS_OPERAND else start
+            elif tok == "(":  # after an operand it is a call, and nothing compiles
+                opens.append(len(parts))
+            elif tok == ")":
+                start = opens.pop() if opens else None
+        if kind != "op":
+            start = len(parts) if prev in _EXPECTS_OPERAND else None
         parts.append(tok)
         cols.append(col)
         prev = m.group(kind)
         pos = m.end()
-    # single spaces keep "x1 * * 2" an error instead of a power
-    source = _PREFIX + " ".join(parts)
     if not excluded:
+        code = parts.copy()
+        for b, two in squares:  # B ** 2.0 as ((_t := B) * _t)
+            code[b] = "((_t := " + code[b]
+            code[two - 1:two + 1] = ") *", "_t)"
+        program = _PREFIX + " ".join(code)  # single spaces keep "x1 * * 2" an error
         try:
-            return eval(compile(source, "<criterion>", "eval"), {"__builtins__": {}}), max_var
+            return eval(compile(program, "<criterion>", "eval"), {"__builtins__": {}}), max_var
         except (SyntaxError, RecursionError, MemoryError):
             pass
+    source = _PREFIX + " ".join(parts)
     # the error path: a tree of the source, and a column map from it to the text
     where = [0] * len(_PREFIX)  # column in text of each character of the Python source
     for tok, col in zip(parts, cols):
@@ -326,16 +358,20 @@ _SCALAR_COLUMNS = (
 )
 
 
+def _trajectory_header(n: int, m: int) -> str:
+    names = [name for name, _read in _SCALAR_COLUMNS]
+    names += [f"{vec}_{i + 1}" for vec, size in (("x", n), ("F", m), ("v", n), ("w", m))
+              for i in range(size)]
+    return ",".join(names)
+
+
 def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) -> None:
     """One row per visited point, floats at 17 significant digits so every
     double round-trips exactly, with every field of its record: the
     terminal row has t = 0 and j = -1, and ``sigma_certified`` is 1 or 0.
     The direction and its dual weights come last, so a re-parsed trajectory
     replays through the diagnostics unchanged."""
-    header = [name for name, _read in _SCALAR_COLUMNS]
-    header += [f"{vec}_{i + 1}" for vec, size in (("x", n), ("F", m), ("v", n), ("w", m))
-               for i in range(size)]
-    lines = [",".join(header)]
+    lines = [_trajectory_header(n, m)]
     for r in report.records:
         row = [_fmt(getattr(r, name)) if read is float else str(int(getattr(r, name)))
                for name, read in _SCALAR_COLUMNS]
@@ -346,11 +382,15 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
-    of the writer)."""
+    of the writer); a header other than the writer's, such as a run/2 one
+    without the dual weights, is a config error."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
     n, m = (sum(name.startswith(vec) for name in lines[0].split(",")) for vec in ("x_", "F_"))
+    if lines[0] != _trajectory_header(n, m):
+        raise ConfigError(f"{path}: not a run/3 trajectory header (k, t, ..., x_1..x_{n}, "
+                          f"F_1..F_{m}, v_1..v_{n}, w_1..w_{m})")
     records = []
     for line in lines[1:]:
         parts = line.split(",")

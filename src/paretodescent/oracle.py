@@ -105,6 +105,13 @@ def kkt_direction(J) -> tuple[np.ndarray, np.ndarray, float]:
     deterministic, and immune to the anisotropy that can trap the grid
     refinement, so it pins v to linear-solver accuracy.  Same m <= 4 guard
     as the grid (2^m - 1 faces).
+
+    Known limit: on near-parallel gradients with norms near 1e5, lstsq on
+    the ill-conditioned bordered system can miss the optimal face, and the
+    alpha returned then lies below the lower bound that a certified dual w
+    proves (-1.14e10 against -1.12e10 at m = 2, n = 171; 15 of 3 793
+    certified m <= 4 draws).  Tests trust it only where a certified w does
+    not refute it.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m = J.shape[0]

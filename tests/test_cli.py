@@ -113,6 +113,8 @@ def reference(tree, x):
         return -reference(tree[1], x)
     _, op, left, right = tree
     a = reference(left, x)
+    if op == "^" and right[0] == "num" and float(right[1]) == 2.0:
+        return a * a  # a square is one product
     return _OPS[op](a, reference(right, x))
 
 
@@ -162,7 +164,7 @@ def outcome(fn, *args):
 
 # The parser that checked every criterion's tree before the token check took
 # its place, kept as the reference: a column map over the tokens, ast.parse,
-# a node whitelist, then compile.
+# a node whitelist, then compile, with the squares the tree holds rewritten.
 _REF_TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<var>x\d+)"
@@ -210,7 +212,22 @@ def checked_parse(text):
             checked = getattr(node, "op", node)
             if isinstance(node, ast.expr) and not isinstance(checked, _REF_NODES):
                 raise SyntaxError("unexpected expression", ("", 1, node.col_offset + 1, source))
-        code = compile(source, "<criterion>", "eval")
+        # each square B ** 2.0, its literal written right after the ** (x1^(2)
+        # parses to the same node), is spliced into the source at the tree's
+        # offsets as ((_t := B) * _t); compile(tree) would take only about a
+        # thousand terms, where the source takes the parser's limit
+        edits = []
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2.0
+                    and source[node.right.col_offset - 2] == "*"):
+                edits += [(node.col_offset, node.col_offset, "((_t := "),
+                          (node.right.col_offset - 3, node.right.end_col_offset, ") * _t)")]
+        pieces, at = [], 0
+        for lo, hi, new in sorted(edits):
+            pieces += [source[at:lo], new]
+            at = hi
+        code = compile("".join(pieces) + source[at:], "<criterion>", "eval")
     except SyntaxError as exc:
         msg = exc.msg.partition(". ")[0]
         raise ConfigError(f"column {where[(exc.offset or 0) - 1] + 1}: {msg}") from None
@@ -354,6 +371,8 @@ class TestExpressionParser:
     @example(text="x1 ** 2")
     @example(text="x0 + $")
     @example(text="\u0661 + x\u0661")
+    @example(text="x1 x2^2")  # a square after an operand must not make a call
+    @example(text="x1 + (^2)")  # nor a ^ after an operator an empty tuple
     def test_parser_matches_the_checked_parser_on_token_soups(self, text):
         assert parsed(parse_expression, text) == parsed(checked_parse, text), repr(text)
 
@@ -398,6 +417,58 @@ class TestExpressionParser:
             self, text, x1, expected):
         (y,) = build_inline_problem([text]).f(np.array([x1]))
         assert same_or_both_nan(y, expected)
+
+    def test_a_square_is_the_correctly_rounded_product(self):
+        # pow(x1, 2.0) gives 13.227009032373719 here on glibc's libm
+        x = np.array([-3.636895521234246, 0.0])
+        fn, _ = parse_expression("x1^2")
+        assert fn(x.tolist()) == fn(x) == 13.227009032373717 and type(fn(x)) is np.float64
+        # 1/(1 + 1/x2) raises on Python floats at x2 = 0, and is 0 on np.float64
+        fallback = build_inline_problem(["x1^2 + 1/(1 + 1/x2)"]).f(x)
+        assert fallback.tobytes() == np.array([13.227009032373717]).tobytes()
+
+    @pytest.mark.parametrize("text,product", [
+        ("x1^2.0", lambda a: a * a),
+        ("x1^02", lambda a: a * a),
+        ("((x1-1)^2)^2", lambda a: ((a - 1) * (a - 1)) * ((a - 1) * (a - 1))),
+        ("-x1^2", lambda a: -(a * a)),
+        ("2^x1^2", lambda a: 2.0 ** (a * a)),
+    ])
+    def test_literal_squares_compile_as_products(self, text, product):
+        fn, _ = parse_expression(text)
+        assert "_t" in fn.__code__.co_varnames, text
+        for a in (-3.636895521234246, 1.7, 2.0 ** 0.5):
+            for x in ([a], np.array([a])):
+                assert np.float64(fn(x)).tobytes() == np.float64(product(x[0])).tobytes(), text
+
+    @pytest.mark.parametrize("text,power", [
+        ("x1^(2)", lambda a: a ** 2.0),
+        ("x1^-2", lambda a: a ** -2.0),
+        ("x1^2^3", lambda a: a ** 8.0),
+        ("x1^0.5", lambda a: a ** 0.5),
+    ])
+    def test_other_powers_keep_pow(self, text, power):
+        fn, _ = parse_expression(text)
+        assert "_t" not in fn.__code__.co_varnames, text
+        for a in (3.636895521234246, 1.7, 2.0 ** 0.5):
+            for x in ([a], np.array([a])):
+                assert np.float64(fn(x)).tobytes() == np.float64(power(x[0])).tobytes(), text
+
+    def test_an_error_after_a_square_names_the_column_of_the_text(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_expression("x1^2 + (")
+        assert str(exc.value) == "column 8: '(' was never closed"
+
+    def test_nested_squares_reach_the_parenthesis_limit_sooner(self):
+        # each square nests its base two parentheses deeper, and Python's
+        # parser takes 200: 66 squares in one another compile, 67 do not
+        def nested(k):
+            return "(" * k + "x1" + ")^2" * k
+
+        assert parse_expression(nested(66))[0]([1.0]) == 1.0
+        with pytest.raises(ConfigError) as exc:
+            parse_expression(nested(67))
+        assert str(exc.value) == "column 1: expression too long for Python's parser"
 
     def test_compiled_criterion_sees_no_builtins(self):
         fn, _ = parse_expression("x1 + 1")
@@ -904,6 +975,13 @@ def _forced_run(seed, shape, sigma, target, fail_at):
     return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg
 
 
+def drop_dual_weights(csv):
+    """Rewrite a trajectory CSV as run/2 wrote it: without the w_ columns."""
+    header, *rows = csv.read_text().splitlines()
+    width = header.split(",").index("w_1")
+    csv.write_text("".join(",".join(line.split(",")[:width]) + "\n" for line in (header, *rows)))
+
+
 class TestRoundTripAndDeterminism:
     def test_csv_replay_reproduces_the_diagnostics_summary(self, tmp_path):
         desc = get_problem("quad_pair")
@@ -917,14 +995,10 @@ class TestRoundTripAndDeterminism:
         assert s_live == s_replay
 
     def test_load_run_rejects_another_schema(self, tmp_path):
-        # a run/2 CSV has no dual weights, so its steps could not be replayed
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         report = tmp_path / "rt.report.json"
-        csv = tmp_path / "rt.trajectory.csv"
         doc = json.loads(report.read_text())
-        header, *rows = csv.read_text().splitlines()
-        width = header.split(",").index("w_1")
-        csv.write_text("".join(",".join(line.split(",")[:width]) + "\n" for line in (header, *rows)))
+        drop_dual_weights(tmp_path / "rt.trajectory.csv")
         for schema in ("paretodescent.run/2", None):
             if schema is None:
                 del doc["schema"]
@@ -935,6 +1009,18 @@ class TestRoundTripAndDeterminism:
                 load_run(tmp_path / "rt")
             assert str(exc.value) == (f"{tmp_path / 'rt'}.report.json: schema {schema!r} "
                                       "is not 'paretodescent.run/3'")
+
+    def test_a_run2_trajectory_is_a_config_error(self, tmp_path):
+        # its records would carry no dual weights, and replaying their steps
+        # would fail inside numpy instead
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        drop_dual_weights(csv)
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == (f"{csv}: not a run/3 trajectory header "
+                                      "(k, t, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
 
     def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
