@@ -995,6 +995,7 @@ class TestRoundTripAndDeterminism:
         assert s_live == s_replay
 
     def test_load_run_rejects_another_schema(self, tmp_path):
+        # a run/2 CSV has no dual weights, so its steps could not be replayed
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         report = tmp_path / "rt.report.json"
         doc = json.loads(report.read_text())
