@@ -239,8 +239,9 @@ def build_inline_problem(exprs: list[str], n: int | None = None) -> MultiObjecti
 # ---------------------------------------------------------------------------
 # config files: flat "key = value" lines, '#' comments, unknown keys rejected
 
-# config keys that set a SolverConfig field; an absent key keeps its default
-_CONFIG_FIELDS = {"beta": float, "sigma": float, "eps_critical": float, "max_iter": int}
+# config keys that set a SolverConfig field, each read as its default's type;
+# an absent key keeps its default
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SolverConfig)}
 _SCALAR_KEYS = {"problem", "x0", "output", "n", *_CONFIG_FIELDS}
 _F_KEY_RE = re.compile(r"^f\d+$")
 
@@ -382,18 +383,25 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
-    of the writer); a header other than the writer's, such as a run/2 one
-    without the dual weights, is a config error."""
+    of the writer).  A header other than the writer's, such as a run/2 one
+    without the dual weights, a row with another number of fields than the
+    header, and a file without rows are config errors."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
-    n, m = (sum(name.startswith(vec) for name in lines[0].split(",")) for vec in ("x_", "F_"))
+    header = lines[0].split(",")
+    n, m = (sum(name.startswith(vec) for name in header) for vec in ("x_", "F_"))
     if lines[0] != _trajectory_header(n, m):
         raise ConfigError(f"{path}: not a run/3 trajectory header (k, t, ..., x_1..x_{n}, "
                           f"F_1..F_{m}, v_1..v_{n}, w_1..w_{m})")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no rows after the header")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, "
+                              f"the header {len(header)}")
         scalars = {name: read(part) for (name, read), part in zip(_SCALAR_COLUMNS, parts)}
         vals = np.array([float(part) for part in parts[len(_SCALAR_COLUMNS):]])
         x, Fx, v, w = np.split(vals, np.cumsum([n, m, n]))
@@ -408,7 +416,7 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     if schema != _RUN_SCHEMA:
         raise ConfigError(f"{prefix}.report.json: schema {schema!r} is not {_RUN_SCHEMA!r}")
     records = read_trajectory_csv(f"{prefix}.trajectory.csv")
-    cfg = SolverConfig(**{f.name: doc["config"][f.name] for f in fields(SolverConfig)})
+    cfg = SolverConfig(**{key: doc["config"][key] for key in _CONFIG_FIELDS})
     return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
 

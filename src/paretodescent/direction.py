@@ -63,6 +63,8 @@ STATUS_MAX_INNER = "max_inner"
 
 # relative duality-gap tolerance of the exact (sigma = 0) solve
 TOL_GAP = 1e-10
+# safety cap on the moves of one solve, reached only below the rounding floor
+MAX_INNER = 10_000
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -190,7 +192,7 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
-                       max_inner: int = 10_000) -> DirectionResult:
+                       max_inner: int = MAX_INNER) -> DirectionResult:
     """Compute a sigma-approximate steepest-descent direction at J.
 
     The dual active-set loop terminates as soon as the sufficient
@@ -272,7 +274,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
         it += 1
 
 
-def solve_exact(J, *, eps_critical: float = 1e-12, max_inner: int = 10_000) -> DirectionResult:
+def solve_exact(J, *, eps_critical: float = 1e-12, max_inner: int = MAX_INNER) -> DirectionResult:
     """Solve the direction subproblem to the relative duality-gap tolerance.
 
     Identical to ``solve_sigma_approx`` with sigma = 0.  Its default

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -12,7 +13,7 @@ __all__ = ["StepResult", "LineSearchError", "armijo_step"]
 
 
 class LineSearchError(RuntimeError):
-    """No dyadic step up to 2**-max_j satisfied the sufficient-decrease test."""
+    """No dyadic step met the Armijo target while it still asked for a decrease."""
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ def armijo_step(
     v: np.ndarray,
     Jv: np.ndarray,
     beta: float,
-    max_j: int = 60,
 ) -> StepResult:
     """Largest t = 2**-j, j = 0, 1, ..., with componentwise sufficient decrease.
 
@@ -39,23 +39,25 @@ def armijo_step(
     compared with zero slack.  ``Jv`` is the vector of directional slopes
     J(x) @ v, passed in so the caller computes it exactly once.  Trial values
     that come back non-finite count as failures, so backtracking recovers
-    from overflow regions.  Raises ``LineSearchError`` after max_j rejections
-    past j=0, which signals either a non-descent direction due to numerical
-    error or an objective inconsistent with its Jacobian.
+    from overflow regions.  Raises ``LineSearchError`` once the target lies
+    below F(x) in no component (beta*t*Jv rounded away against F(x), a Jv
+    with no negative entry, or a NaN target), where a trial could pass by
+    rounding alone; that signals either a non-descent direction due to
+    numerical error or an objective inconsistent with its Jacobian.  Every
+    search ends by j = 1075, where 2**-1075 is 0.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if max_j < 0:
-        raise ValueError("max_j must be nonnegative")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     Fx = np.asarray(Fx, dtype=float)
     Jv = np.asarray(Jv, dtype=float)
-    for j in range(max_j + 1):
+    for j in count():
         t = 2.0 ** (-j)
+        target = Fx + (beta * t) * Jv
+        if not (target < Fx).any():
+            raise LineSearchError(f"Armijo target F(x) + beta*t*J v lies below F(x) in no "
+                                  f"component at t = 2**-{j}")
         trial = problem.evaluate(x + t * v, require_finite=False)
-        if np.isfinite(trial).all() and (trial <= Fx + (beta * t) * Jv).all():
+        if (trial <= target).all() and np.isfinite(trial).all():
             return StepResult(t=t, j=j)
-    raise LineSearchError(
-        f"Armijo condition not met for any t = 2**-j with j <= {max_j}"
-    )

@@ -36,8 +36,6 @@ class SolverConfig:
     sigma: float = 0.0
     eps_critical: float = 1e-8
     max_iter: int = 10_000
-    max_j: int = 60
-    max_inner: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
@@ -46,8 +44,8 @@ class SolverConfig:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         if not 0.0 < self.eps_critical < math.inf:
             raise ValueError("eps_critical must be positive and finite")
-        if self.max_iter < 1 or self.max_j < 0 or self.max_inner < 1:
-            raise ValueError("max_iter and max_inner must be >= 1 and max_j >= 0")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
         try:
             if not np.isfinite(Fx).all():
                 raise NonFiniteError("F(x) has non-finite entries")
-            res = solve_sigma_approx(problem.jacobian(x), cfg.sigma, eps_critical=cfg.eps_critical,
-                                     max_inner=cfg.max_inner)
+            res = solve_sigma_approx(problem.jacobian(x), cfg.sigma, eps_critical=cfg.eps_critical)
         except NonFiniteError:
             records.append(IterationRecord(k, x, Fx, np.zeros(problem.n), t=0.0, j=-1,
                                            weights=np.full(problem.m, math.nan),
@@ -159,7 +156,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
             termination = TERMINATION_MAX_ITER
         else:
             try:
-                st = armijo_step(problem, x, Fx, res.v, res.slopes, cfg.beta, cfg.max_j)
+                st = armijo_step(problem, x, Fx, res.v, res.slopes, cfg.beta)
             except LineSearchError:
                 termination = TERMINATION_LINESEARCH
             else:

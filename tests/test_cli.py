@@ -6,8 +6,10 @@ import operator
 import re
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from paretodescent import (
     run_diagnostics,
     solve_exact,
 )
-from paretodescent import cli
+from paretodescent import cli, direction, solver
 from paretodescent.cli import (
     ConfigError,
     RunSettings,
@@ -567,6 +569,23 @@ class TestConfigFile:
                **{k: getattr(settings.cfg, k) for k in ("beta", "sigma", "eps_critical", "max_iter")}}
         assert got == {**in_file, key: expected}
 
+    def test_the_run_values_are_exactly_the_solver_config_fields(self, tmp_path):
+        # every value a user can set reaches SolverConfig by one name, in the
+        # config file, on the command line and in report.json, and nothing else does
+        names = {f.name for f in fields(SolverConfig)}
+        assert names == {"beta", "sigma", "eps_critical", "max_iter"}
+        choices = {"problem", "x0", "output"}
+        assert cli._SCALAR_KEYS - choices - {"n"} == names
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        for command in ("solve", "sweep"):
+            dests = {a.dest for a in subparsers[command]._actions if a.option_strings}
+            assert dests - choices - {"help", "config", "sigmas"} == names
+        assert set(cli._CONFIG_FIELDS) == names
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "r")]) == 0
+        config = json.loads((tmp_path / "r.report.json").read_text())["config"]
+        assert set(config) - choices == names
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_n_is_a_config_error(self, tmp_path, capsys, n):
         cfg = tmp_path / "a.cfg"
@@ -942,12 +961,13 @@ SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0
 
 
 def _forced_run(seed, shape, sigma, target, fail_at):
-    """Problem, start and config that force ``target``: a seeded convex
-    quadratic per criterion, started far from its critical set, with
-    max_iter = fail_at, or with SUBNORMAL_JACOBIAN (under max_inner = 1, so
-    m = 3 and n = 2) or a numerically failing Jacobian at the fail_at-th
-    Jacobian call only: NaN at odd fail_at, and at even fail_at a finite one
-    whose Gram matrix overflows."""
+    """Problem, start, config and direction solver that force ``target``: a
+    seeded convex quadratic per criterion, started far from its critical set,
+    with max_iter = fail_at, or with SUBNORMAL_JACOBIAN (under a solver of
+    max_inner = 1, so m = 3 and n = 2), a negated Jacobian (whose slopes
+    claim a descent where F rises) or a numerically failing Jacobian at the
+    fail_at-th Jacobian call only: NaN at odd fail_at, and at even fail_at a
+    finite one whose Gram matrix overflows."""
     m, n = (3, 2) if target == "subproblem_failure" else shape
     rng = np.random.default_rng(seed)
     C = rng.uniform(-2.0, 2.0, size=(m, n))
@@ -963,16 +983,19 @@ def _forced_run(seed, shape, sigma, target, fail_at):
             return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
             return SUBNORMAL_JACOBIAN
+        if calls[0] == fail_at and target == "linesearch_failure":
+            return -J
         return J
 
     def f(x):
         d = x - C
         return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
 
-    cfg = SolverConfig(sigma=sigma,
-                       max_iter=fail_at if target == "max_iter" else 10_000,
-                       max_inner=1 if target == "subproblem_failure" else 10_000)
-    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg
+    cfg = SolverConfig(sigma=sigma, max_iter=fail_at if target == "max_iter" else 10_000)
+    solve = direction.solve_sigma_approx
+    if target == "subproblem_failure":
+        solve = partial(solve, max_inner=1)
+    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg, solve
 
 
 def drop_dual_weights(csv):
@@ -1031,6 +1054,52 @@ class TestRoundTripAndDeterminism:
             load_run(tmp_path / "rt")
         assert str(exc.value) == f"{csv}: empty trajectory file"
 
+    @pytest.mark.parametrize("edit, lineno, width", [
+        (lambda row: row[:-2], 2, 13),  # a short row: its two weights dropped
+        (lambda row: row + ["0"], 3, 16),  # a long row
+    ])
+    def test_a_row_of_another_width_is_a_config_error(self, tmp_path, edit, lineno, width):
+        # a short row would come back with too few weights, and replaying its
+        # step would fail inside numpy instead
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        lines = csv.read_text().splitlines()
+        lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
+        csv.write_text("\n".join(lines) + "\n")
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == f"{csv}: line {lineno} has {width} fields, the header 15"
+
+    def test_a_header_without_rows_is_a_config_error(self, tmp_path):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == f"{csv}: no rows after the header"
+
+    def test_load_run_reads_a_config_with_the_removed_caps(self, tmp_path):
+        # earlier run/3 reports carry max_j and max_inner in their config;
+        # load_run reads them and ignores both keys
+        out = tmp_path / "rt"
+        assert main(["solve", "--problem", "quasi_exp", "--out", str(out)]) == 0
+        report_json = tmp_path / "rt.report.json"
+        doc = json.loads(report_json.read_text())
+        assert list(doc["config"]) == ["problem", "x0", "beta", "sigma", "eps_critical",
+                                       "max_iter", "output"]
+        config = doc["config"]
+        doc["config"] = {**{k: v for k, v in config.items() if k != "output"},
+                         "max_j": 60, "max_inner": 10_000, "output": config["output"]}
+        report_json.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        report, reread = load_run(out)
+        rep = run(get_problem("quasi_exp").problem,
+                  get_problem("quasi_exp").recommended_x0, SolverConfig())
+        assert reread == doc and report.config == SolverConfig()
+        assert report.termination == rep.termination
+        assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
+
     def test_load_run_round_trips_records_exactly(self, tmp_path):
         out = tmp_path / "rt"
         assert main(["solve", "--problem", "quasi_exp", "--out", str(out)]) == 0
@@ -1043,7 +1112,9 @@ class TestRoundTripAndDeterminism:
         # an uncertified direction and its inner iterations come back as well
         J = SUBNORMAL_JACOBIAN
         linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
-        rep = run(linear, [0.0, 0.0], SolverConfig(max_inner=1))
+        with mock.patch.object(solver, "solve_sigma_approx",
+                               partial(direction.solve_sigma_approx, max_inner=1)):
+            rep = run(linear, [0.0, 0.0])
         assert rep.termination == "subproblem_failure"
         write_trajectory_csv(tmp_path / "sf.trajectory.csv", rep, 2, 3)
         records = read_trajectory_csv(tmp_path / "sf.trajectory.csv")
@@ -1056,16 +1127,18 @@ class TestRoundTripAndDeterminism:
         shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
         sigma=st.floats(0.0, 0.99),
         target=st.sampled_from(["critical_point", "max_iter", "subproblem_failure",
-                                "numerical_failure"]),
+                                "numerical_failure", "linesearch_failure"]),
         fail_at=st.integers(1, 3),
     )
     @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=1)
     @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=2)
     @example(seed=0, shape=(3, 2), sigma=0.0, target="subproblem_failure", fail_at=1)
+    @example(seed=0, shape=(2, 3), sigma=0.0, target="linesearch_failure", fail_at=1)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):
-        problem, x0, cfg = _forced_run(seed, shape, sigma, target, fail_at)
-        rep = run(problem, x0, cfg)
+        problem, x0, cfg, solve = _forced_run(seed, shape, sigma, target, fail_at)
+        with mock.patch.object(solver, "solve_sigma_approx", solve):
+            rep = run(problem, x0, cfg)
         assert rep.termination == target
         if target == "numerical_failure":
             assert math.isnan(rep.final_alpha) and math.isnan(rep.records[-1].alpha_lower)

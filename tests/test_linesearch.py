@@ -13,12 +13,23 @@ HALF_SQUARE = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
 LINEAR = scalar_problem(lambda t: t, lambda t: 1.0)
 
 
-def take_step(problem, x, v, beta, max_j=60):
+def take_step(problem, x, v, beta):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     Fx = problem.evaluate(x)
     Jv = problem.jacobian(x) @ v
-    return armijo_step(problem, x, Fx, v, Jv, beta, max_j)
+    return armijo_step(problem, x, Fx, v, Jv, beta)
+
+
+def counted(f, m=1):
+    """A 1-D problem of ``m`` criteria from ``f``, and the list of its calls."""
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return np.atleast_1d(f(x[0]))
+
+    return MultiObjective(n=1, m=m, f=value), calls
 
 
 class TestExamples:
@@ -82,10 +93,28 @@ class TestContract:
         assert np.any(after < before)
 
     def test_exhaustion_raises_on_inconsistent_slope(self):
-        # claimed slope says descent, objective says ascent: every j fails
-        with pytest.raises(LineSearchError):
+        # claimed slope says descent, objective says ascent: every j fails.
+        # The target 0.5 - 2**-(j+1) rounds to F = 0.5 at j = 54, where the
+        # trial at 1 + 2**-54 = 1 would pass with no decrease at all
+        with pytest.raises(LineSearchError, match=r"t = 2\*\*-54$"):
             armijo_step(HALF_SQUARE, np.array([1.0]), np.array([0.5]),
-                        np.array([1.0]), np.array([-1.0]), 0.5, max_j=20)
+                        np.array([1.0]), np.array([-1.0]), 0.5)
+
+    def test_search_from_a_zero_value_runs_until_the_decrease_underflows(self):
+        # f(x) = x at x = 0 with a claimed slope of -1: the target -2**-(j+1)
+        # is below 0 for j <= 1073 and is 0 at j = 1074
+        p, calls = counted(lambda t: t)
+        with pytest.raises(LineSearchError, match=r"t = 2\*\*-1074$"):
+            armijo_step(p, np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.5)
+        assert len(calls) == 1074
+
+    @pytest.mark.parametrize("Jv", [[0.0, 0.0], [1.0, 0.0], [-0.0, 2.0], [np.nan, 0.0]])
+    def test_slopes_without_a_descent_fail_before_any_trial(self, Jv):
+        # no negative slope (or a NaN one) leaves no target component below F(x)
+        p, calls = counted(lambda t: [t, -t], m=2)
+        with pytest.raises(LineSearchError, match=r"t = 2\*\*-0$"):
+            armijo_step(p, np.array([0.0]), np.array([0.0, 0.0]), np.array([1.0]), np.array(Jv), 0.5)
+        assert calls == []
 
     def test_nonfinite_trials_count_as_rejections(self):
         def f(x):

@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from paretodescent import direction, solver
 from paretodescent import (
     MultiObjective,
     SolverConfig,
@@ -124,9 +126,11 @@ class TestRunContract:
         assert rep.iterations == 3
         assert rep.records[-1].t == 0.0 and rep.records[-1].j == -1
 
-    def test_subproblem_failure_is_reported_not_raised(self):
-        # three linear criteria whose direction solve needs two moves
-        rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0], SolverConfig(max_inner=1))
+    def test_subproblem_failure_is_reported_not_raised(self, monkeypatch):
+        # three linear criteria whose direction solve needs two moves, one allowed
+        monkeypatch.setattr(solver, "solve_sigma_approx",
+                            partial(direction.solve_sigma_approx, max_inner=1))
+        rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0])
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
 
@@ -134,8 +138,33 @@ class TestRunContract:
         # Jacobian lies about the slope sign, so no dyadic step can pass
         lying = MultiObjective(n=1, m=1, f=lambda x: np.array([0.5 * x[0] ** 2]),
                                jac=lambda x: np.array([[-x[0]]]))
-        rep = run(lying, [1.0], SolverConfig(max_j=20))
+        rep = run(lying, [1.0])
         assert rep.termination == TERMINATION_LINESEARCH
+
+    def test_a_sign_flipped_slope_fails_at_the_first_step(self):
+        # F(1) = 0.5 and the claimed decrease -2**-(j+1) rounds away against it
+        # at j = 54, where the trial at 1 + 2**-54 = 1 would pass unmoved: one
+        # F at x^0 and 54 trials, not a run of unmoving steps to max_iter
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.array([0.5 * x[0] ** 2])
+
+        lying = MultiObjective(n=1, m=1, f=f, jac=lambda x: np.array([[-x[0]]]))
+        rep = run(lying, [1.0], SolverConfig(max_iter=50))
+        assert rep.termination == TERMINATION_LINESEARCH
+        assert rep.iterations == 0 and rep.records[-1].k == 0
+        assert len(calls) == 55
+
+    def test_negated_jacobian_of_a_pair_fails_at_the_first_step(self):
+        # two criteria 0.5*||x - c_i||^2 whose Jacobian claims the opposite slopes
+        C = np.array([[0.0, 0.0], [1.0, 1.0]])
+        p = MultiObjective(n=2, m=2, f=lambda x: 0.5 * ((x - C) ** 2).sum(axis=1),
+                           jac=lambda x: -(x - C))
+        rep = run(p, [0.0, 3.0], SolverConfig(max_iter=200))
+        assert rep.termination == TERMINATION_LINESEARCH
+        assert rep.iterations == 0 and rep.records[-1].k == 0
 
     def test_nonfinite_jacobian_is_reported_not_raised(self):
         # the first step lands at x = 0, where the Jacobian is infinite
@@ -208,7 +237,7 @@ class TestRunContract:
             with pytest.raises(ValueError):
                 SolverConfig(eps_critical=eps)
         with pytest.raises(ValueError):
-            SolverConfig(max_inner=0)
+            SolverConfig(max_iter=0)
 
 
 class TestIsCritical:
