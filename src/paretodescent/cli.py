@@ -385,7 +385,8 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
     of the writer).  A header other than the writer's, such as a run/2 one
     without the dual weights, a row with another number of fields than the
-    header, and a file without rows are config errors."""
+    header, a field that does not parse and a file without rows are config
+    errors."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
@@ -396,15 +397,23 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
                           f"F_1..F_{m}, v_1..v_{n}, w_1..w_{m})")
     if len(lines) == 1:
         raise ConfigError(f"{path}: no rows after the header")
+    readers = [read for _name, read in _SCALAR_COLUMNS] + [float] * (2 * (n + m))
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(header):
             raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, "
                               f"the header {len(header)}")
-        scalars = {name: read(part) for (name, read), part in zip(_SCALAR_COLUMNS, parts)}
-        vals = np.array([float(part) for part in parts[len(_SCALAR_COLUMNS):]])
-        x, Fx, v, w = np.split(vals, np.cumsum([n, m, n]))
+        fields = []
+        for name, read, part in zip(header, readers, parts):
+            try:
+                fields.append(read(part))
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}, column {name}: "
+                                  f"could not parse {part!r}") from None
+        scalars = dict(zip(header, fields[:len(_SCALAR_COLUMNS)]))
+        vals = np.array(fields[len(_SCALAR_COLUMNS):])
+        x, Fx, v, w = vals[:n], vals[n:n + m], vals[n + m:2 * n + m], vals[2 * n + m:]
         records.append(IterationRecord(x=x, Fx=Fx, v=v, weights=w, **scalars))
     return records
 
@@ -415,8 +424,12 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     schema = doc.get("schema")
     if schema != _RUN_SCHEMA:
         raise ConfigError(f"{prefix}.report.json: schema {schema!r} is not {_RUN_SCHEMA!r}")
+    config = doc.get("config", {})
+    missing = [key for key in _CONFIG_FIELDS if key not in config]
+    if missing:
+        raise ConfigError(f"{prefix}.report.json: config has no {missing[0]!r}")
     records = read_trajectory_csv(f"{prefix}.trajectory.csv")
-    cfg = SolverConfig(**{key: doc["config"][key] for key in _CONFIG_FIELDS})
+    cfg = SolverConfig(**{key: config[key] for key in _CONFIG_FIELDS})
     return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
 
@@ -545,8 +558,7 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
         add("noncritical_points", True, "critical set covers the box; off-set check vacuous")
 
     worst_gap = 0.0
-    for _ in range(20):
-        x = rng.uniform(desc.box[0], desc.box[1], size=problem.n)
+    for x in rng.uniform(desc.box[0], desc.box[1], size=(20, problem.n)):
         J = problem.jacobian(x)
         res = solve_exact(J)
         _w, _v, alpha = brute_force_direction(J)

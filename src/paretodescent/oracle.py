@@ -172,6 +172,13 @@ def finite_diff_jacobian(problem: MultiObjective, x, h: float | None = None) -> 
     return J
 
 
+def _tally(viol) -> tuple[int, float]:
+    """Count the violations above 1e-10 and keep the largest (0.0 if none)."""
+    over = np.array(viol, dtype=float)
+    over = over[over > 1e-10]
+    return over.size, float(over.max(initial=0.0))
+
+
 def sample_quasiconvex(
     problem: MultiObjective,
     trials: int,
@@ -186,23 +193,19 @@ def sample_quasiconvex(
 
     with 1e-10 slack.  Deterministic for a fixed seed.  A sampling check,
     not a proof: zero violations is evidence, one violation is a disproof.
+    All ``trials * (2n + 1)`` uniforms are drawn in one call and held at
+    once, each trial's x, y and t in the order a one-trial-at-a-time loop
+    draws them, so a seed tests the same points bit for bit as that loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations = 0
-    max_violation = 0.0
-    for _ in range(trials):
-        x = rng.uniform(box[0], box[1], size=problem.n)
-        y = rng.uniform(box[0], box[1], size=problem.n)
-        t = rng.uniform()
-        mid = problem.evaluate((1.0 - t) * x + t * y)
-        cap = np.maximum(problem.evaluate(x), problem.evaluate(y))
-        viol = float(np.max(mid - cap))
-        if viol > 1e-10:
-            violations += 1
-            max_violation = max(max_violation, viol)
-    return ViolationReport(trials, trials, violations, max_violation)
+    n = problem.n
+    draws = np.random.default_rng(seed).uniform(
+        [box[0]] * (2 * n) + [0.0], [box[1]] * (2 * n) + [1.0], size=(trials, 2 * n + 1))
+    viol = [float(np.max(problem.evaluate((1.0 - t) * x + t * y)
+                         - np.maximum(problem.evaluate(x), problem.evaluate(y))))
+            for x, y, t in ((row[:n], row[n:-1], row[-1]) for row in draws)]
+    return ViolationReport(trials, trials, *_tally(viol))
 
 
 def check_gradient_characterization(
@@ -216,25 +219,16 @@ def check_gradient_characterization(
     Whenever F(y) is strictly below F(x) in every component, a quasi-convex
     F must satisfy J(x) @ (y - x) <= 0 componentwise; violations beyond
     1e-10 are counted.  ``checked`` reports how many pairs triggered the
-    premise.
+    premise.  All ``trials * 2n`` coordinates are drawn in one call and held
+    at once, in the order a one-pair-at-a-time loop draws them, so a seed
+    tests the same pairs bit for bit as that loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    checked = 0
-    violations = 0
-    max_violation = 0.0
-    for _ in range(trials):
-        x = rng.uniform(box[0], box[1], size=problem.n)
-        y = rng.uniform(box[0], box[1], size=problem.n)
-        if not np.all(problem.evaluate(y) < problem.evaluate(x)):
-            continue
-        checked += 1
-        viol = float(np.max(problem.jacobian(x) @ (y - x)))
-        if viol > 1e-10:
-            violations += 1
-            max_violation = max(max_violation, viol)
-    return ViolationReport(trials, checked, violations, max_violation)
+    pairs = np.random.default_rng(seed).uniform(box[0], box[1], size=(trials, 2, problem.n))
+    viol = [float(np.max(problem.jacobian(x) @ (y - x)))
+            for x, y in pairs if (problem.evaluate(y) < problem.evaluate(x)).all()]
+    return ViolationReport(trials, len(viol), *_tally(viol))
 
 
 def check_weak_pareto_local(
@@ -249,23 +243,22 @@ def check_weak_pareto_local(
     Draws points uniformly in the ball of the given radius and returns True
     iff no sample improves on F(x_star) by more than 1e-10 in every
     component simultaneously.  A sampling check, not a proof of weak Pareto
-    optimality.
+    optimality.  All ``trials * (n + 1)`` doubles, every direction and then
+    every radius, are drawn and held at once, and so are the ``trials * n``
+    coordinates of the points built from them.  Unlike the two samplers
+    above, a seed does not test the points a one-sample-at-a-time loop would.
     """
     if trials < 1 or radius <= 0:
         raise ValueError("trials must be >= 1 and radius positive")
     x_star = as_point(x_star, problem.n)
     f_star = problem.evaluate(x_star)
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = rng.standard_normal(problem.n)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            continue
-        r = radius * rng.uniform() ** (1.0 / problem.n)
-        y = x_star + (r / nrm) * u
-        if np.all(f_star - problem.evaluate(y) > 1e-10):
-            return False
-    return True
+    normals = rng.standard_normal((trials, problem.n))
+    radii = radius * rng.uniform(size=trials) ** (1.0 / problem.n)
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > 0.0
+    points = x_star + (radii[keep] / norms[keep])[:, None] * normals[keep]
+    return not any((f_star - problem.evaluate(y) > 1e-10).all() for y in points)
 
 
 def sufficient_sigma_condition(J, v, sigma: float) -> bool:

@@ -1080,6 +1080,31 @@ class TestRoundTripAndDeterminism:
                 read(csv)
             assert str(exc.value) == f"{csv}: no rows after the header"
 
+    @pytest.mark.parametrize("column", ["k", "alpha_upper", "sigma_certified", "x_1"])
+    def test_a_field_that_does_not_parse_is_a_config_error(self, tmp_path, column):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        header, *rows = csv.read_text().splitlines()
+        parts = rows[1].split(",")
+        parts[header.split(",").index(column)] = "abc"
+        rows[1] = ",".join(parts)
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == f"{csv}: line 3, column {column}: could not parse 'abc'"
+
+    def test_a_report_config_without_a_run_value_is_a_config_error(self, tmp_path):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        report_json = tmp_path / "rt.report.json"
+        written = json.loads(report_json.read_text())
+        for key in ("beta", "sigma", "eps_critical", "max_iter"):
+            config = {name: value for name, value in written["config"].items() if name != key}
+            report_json.write_text(json.dumps({**written, "config": config}))
+            with pytest.raises(ConfigError) as exc:
+                load_run(tmp_path / "rt")
+            assert str(exc.value) == f"{tmp_path / 'rt'}.report.json: config has no {key!r}"
+
     def test_load_run_reads_a_config_with_the_removed_caps(self, tmp_path):
         # earlier run/3 reports carry max_j and max_inner in their config;
         # load_run reads them and ignores both keys

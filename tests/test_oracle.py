@@ -4,17 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretodescent import oracle
 from paretodescent import (
     MultiObjective,
     NonFiniteError,
+    ViolationReport,
     brute_force_direction,
     check_gradient_characterization,
     check_weak_pareto_local,
     finite_diff_jacobian,
     get_problem,
     kkt_direction,
+    list_problems,
     sample_quasiconvex,
     solve_exact,
     sufficient_sigma_condition,
@@ -126,6 +130,70 @@ class TestGradientCharacterization:
         report = check_gradient_characterization(desc.problem, 2000, 3, desc.box)
         assert report.checked > 0
         assert report.violations > 0
+
+
+def one_trial_at_a_time_segments(problem, trials, seed, box):
+    """The segment test drawing x, y and t trial by trial, as a reference."""
+    rng = np.random.default_rng(seed)
+    violations, max_violation = 0, 0.0
+    for _ in range(trials):
+        x = rng.uniform(box[0], box[1], size=problem.n)
+        y = rng.uniform(box[0], box[1], size=problem.n)
+        t = rng.uniform()
+        mid = problem.evaluate((1.0 - t) * x + t * y)
+        viol = float(np.max(mid - np.maximum(problem.evaluate(x), problem.evaluate(y))))
+        if viol > 1e-10:
+            violations += 1
+            max_violation = max(max_violation, viol)
+    return ViolationReport(trials, trials, violations, max_violation)
+
+
+def one_pair_at_a_time_gradients(problem, trials, seed, box):
+    """The first-order test drawing x and y pair by pair, as a reference."""
+    rng = np.random.default_rng(seed)
+    checked, violations, max_violation = 0, 0, 0.0
+    for _ in range(trials):
+        x = rng.uniform(box[0], box[1], size=problem.n)
+        y = rng.uniform(box[0], box[1], size=problem.n)
+        if not np.all(problem.evaluate(y) < problem.evaluate(x)):
+            continue
+        checked += 1
+        viol = float(np.max(problem.jacobian(x) @ (y - x)))
+        if viol > 1e-10:
+            violations += 1
+            max_violation = max(max_violation, viol)
+    return ViolationReport(trials, checked, violations, max_violation)
+
+
+class TestBatchedDrawsMatchOneTrialAtATime:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(name=st.sampled_from([*list_problems(), "sign_flip_pair"]),
+           unit_box=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           trials=st.sampled_from([1, 2, 7, 1000]))
+    @example(name="sign_flip_pair", unit_box=True, seed=42, trials=1000)
+    @example(name="nonconvex_demo", unit_box=False, seed=3, trials=1000)
+    def test_reports_equal_the_per_trial_loops(self, name, unit_box, seed, trials):
+        # each check tests the same points, so its report is the same,
+        # max_violation to the bit; the two examples find violations, one
+        # of each check
+        if name == "sign_flip_pair":
+            problem, box = sign_flip_pair(), oracle.DEFAULT_BOX
+        else:
+            problem, box = get_problem(name).problem, get_problem(name).box
+        box = (-1.0, 1.0) if unit_box else box
+        for check, reference in ((sample_quasiconvex, one_trial_at_a_time_segments),
+                                 (check_gradient_characterization, one_pair_at_a_time_gradients)):
+            got, want = check(problem, trials, seed, box), reference(problem, trials, seed, box)
+            assert got == want
+            assert np.float64(got.max_violation).tobytes() == np.float64(want.max_violation).tobytes()
+
+    def test_no_pair_meets_the_premise(self):
+        # no point of F(t) = (t^2, -t^2) lowers both criteria below another's
+        report = check_gradient_characterization(sign_flip_pair(), 1000, 5, (-1.0, 1.0))
+        assert report == one_pair_at_a_time_gradients(sign_flip_pair(), 1000, 5, (-1.0, 1.0))
+        assert report.checked == 0 and report.ok
+        assert np.float64(report.max_violation).tobytes() == np.float64(0.0).tobytes()
 
 
 class TestWeakParetoSampler:
