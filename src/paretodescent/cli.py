@@ -30,6 +30,7 @@ from .oracle import (
 )
 from .problems import ProblemDescriptor, UnknownProblemError, get_problem, list_problems
 from .solver import (
+    _TERMINATIONS,
     TERMINATION_CRITICAL,
     TERMINATION_MAX_ITER,
     IterationRecord,
@@ -420,16 +421,26 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
 
 def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     """Reload a solve's run/3 outputs: (report rebuilt from CSV + JSON, report JSON)."""
-    doc = json.loads(Path(f"{prefix}.report.json").read_text())
+    name = f"{prefix}.report.json"
+    doc = json.loads(Path(name).read_text())
     schema = doc.get("schema")
     if schema != _RUN_SCHEMA:
-        raise ConfigError(f"{prefix}.report.json: schema {schema!r} is not {_RUN_SCHEMA!r}")
+        raise ConfigError(f"{name}: schema {schema!r} is not {_RUN_SCHEMA!r}")
     config = doc.get("config", {})
-    missing = [key for key in _CONFIG_FIELDS if key not in config]
-    if missing:
-        raise ConfigError(f"{prefix}.report.json: config has no {missing[0]!r}")
+    for key, conv in _CONFIG_FIELDS.items():
+        if key not in config:
+            raise ConfigError(f"{name}: config has no {key!r}")
+        if type(config[key]) not in (int, conv):  # an int also serves a float; a bool neither
+            raise ConfigError(f"{name}: config {key!r} is {config[key]!r}, not a JSON "
+                              f"{'number' if conv is float else 'integer'}")
+    if doc.get("termination") not in _TERMINATIONS:
+        raise ConfigError(f"{name}: termination {doc.get('termination')!r} is not one of "
+                          f"{', '.join(_TERMINATIONS)}")
+    try:
+        cfg = SolverConfig(**{key: config[key] for key in _CONFIG_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(f"{name}: config {exc}") from None
     records = read_trajectory_csv(f"{prefix}.trajectory.csv")
-    cfg = SolverConfig(**{key: config[key] for key in _CONFIG_FIELDS})
     return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
 

@@ -1,17 +1,15 @@
 """Post-hoc verification of trajectory properties the method guarantees.
 
-Each check is a pure function of a run report, and for the proximity check
-of the Jacobians at its stepped points: rerunning it on the same report
-yields an identical outcome.  No check calls a solver.  Checks report their
-worst violation so a failure localizes to a step.
+Each check is a pure function of a run report, and for the armijo and
+proximity checks of the Jacobians at its stepped points: rerunning it on
+the same report yields an identical outcome.  No check calls a solver.
+Checks report their worst violation so a failure localizes to a step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .direction import _EPS, _allowance, _certificate_excess, _gap_floor
 from .direction import solve_exact  # unused: bench/tracing.py patches this name
@@ -22,8 +20,7 @@ __all__ = [
     "CheckOutcome",
     "DiagnosticsSummary",
     "check_monotone",
-    "check_level_set",
-    "check_summability",
+    "check_armijo",
     "check_quasi_fejer",
     "check_proximity",
     "run_diagnostics",
@@ -81,53 +78,39 @@ def check_monotone(report: RunReport) -> CheckOutcome:
     return _outcome("monotone", worst, worst_k)
 
 
-def check_level_set(report: RunReport) -> CheckOutcome:
-    """Every iterate stays in the initial level set: F(x^k) <= F(x^0)."""
-    recs = report.records
-    if len(recs) < 2:
-        return CheckOutcome("level_set", STATUS_PASS, 0.0, None, "vacuous: fewer than two records")
-    F0 = recs[0].Fx
-    worst, worst_k = _worst((float((r.Fx - F0).max()), r.k) for r in recs)
-    return _outcome("level_set", worst, worst_k)
+def check_armijo(report: RunReport, jacobians) -> CheckOutcome:
+    """Each step is the dyadic Armijo step of the method, at zero slack.
 
-
-def check_summability(report: RunReport) -> CheckOutcome:
-    """The energy inequality of the method, per step and telescoped.
-
-    With beta from the report's config, each step must decrease
-
-        beta * t_k * (||v^k||^2 / 2 - alpha_upper) <= min_i (f_i(x^k) - f_i(x^{k+1})),
-
-    so that sum_k t_k ||v^k||^2 <= (2 / beta) * min_i (f_i(x^0) - f_i(x^K)).
-    The decrease allows only rounding: with u = eps/2, the accepted Armijo
-    test, alpha_upper = fl(max(J v) + ||v||^2 / 2) and this check's own
-    arithmetic err by at most u * (2|F| + |F_next| + 5 * need) to first order,
-    which tol = 8u * (|F| + |F_next| + need) covers.
+    With J = J(x^k) from ``jacobians`` per stepped record (another count
+    raises ValueError), it requires t = 2**-j, x^{k+1} = x^k + t v bit for
+    bit, and F(x^{k+1}) <= Fx + (beta * t) * (J v) in every component, the
+    target formed as ``armijo_step`` forms it and below F(x^k) somewhere.
+    The violation is the largest F(x^{k+1}) minus the target, and inf for a
+    broken rule, a step without a next record or a non-finite value.  With
+    the proximity check's phi <= 0, a pass implies the energy inequality
+    sum_k t_k ||v^k||^2 <= (2 / beta) min_i (f_i(x^0) - f_i(x^K)), whose sum
+    and ratio the note reports.
     """
-    recs = report.records
-    steps = [(r, nxt) for r, nxt in zip(recs, recs[1:]) if r.t > 0.0]
+    recs, steps = report.records, report.stepped_records
+    if len(jacobians) != len(steps):
+        raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
     if not steps:
-        return CheckOutcome("summability", STATUS_PASS, 0.0, None, "vacuous: no steps")
+        return CheckOutcome("armijo", STATUS_PASS, 0.0, None, "vacuous: no steps")
     beta = report.config.beta
-    pairs, energy, tols = [], [], []
-    for r, nxt in steps:
-        vv = float(r.v @ r.v)
-        need = beta * r.t * (0.5 * vv - r.alpha_upper)
-        tol = 4.0 * _EPS * (np.abs(r.Fx) + np.abs(nxt.Fx) + need)
-        excess = need - (r.Fx - nxt.Fx) - tol
-        if not (math.isfinite(need) and np.isfinite(excess).all()):
-            return CheckOutcome("summability", STATUS_FAIL, math.inf, r.k, "non-finite step energy")
-        pairs.append((float(excess.max()), r.k))
-        energy.append(r.t * vv)
-        tols.append(tol)
-    total = math.fsum(energy)
-    drop = recs[0].Fx - recs[-1].Fx
-    slack = np.array([math.fsum(col) for col in zip(*tols)])
-    pairs.append((total - float(((2.0 / beta) * (drop + slack)).min()), recs[-1].k))
-    worst, worst_k = _worst(pairs)
-    ratio = total / ((2.0 / beta) * float(drop.min())) if drop.min() > 0.0 else math.inf
+    pairs = []
+    for (r, nxt), J in zip([(r, nxt) for r, nxt in zip(recs, recs[1:]) if r.t > 0.0], jacobians):
+        target = r.Fx + (beta * r.t) * (J @ r.v)
+        excess = float((nxt.Fx - target).max())
+        exact = (r.j >= 0 and r.t == 2.0 ** -r.j and (target < r.Fx).any()
+                 and nxt.x.tobytes() == (r.x + r.t * r.v).tobytes())
+        pairs.append((excess if exact and math.isfinite(excess) else math.inf, r.k))
+    if recs[-1].t > 0.0:
+        pairs.append((math.inf, recs[-1].k))
+    total = math.fsum(r.t * float(r.v @ r.v) for r in steps)
+    drop = float((recs[0].Fx - recs[-1].Fx).min())
+    ratio = total / ((2.0 / beta) * drop) if drop > 0.0 else math.inf
     note = f"sum t|v|^2={total:.3e} telescoped ratio={ratio:.3g}"
-    return _outcome("summability", worst, worst_k, note)
+    return _outcome("armijo", *_worst(pairs), note)
 
 
 def check_quasi_fejer(
@@ -248,8 +231,7 @@ def run_diagnostics(
     jacobians = [problem.jacobian(r.x) for r in report.stepped_records]
     return DiagnosticsSummary((
         check_monotone(report),
-        check_level_set(report),
-        check_summability(report),
+        check_armijo(report, jacobians),
         check_quasi_fejer(report, x_tilde, problem),
         check_proximity(report, jacobians),
     ))

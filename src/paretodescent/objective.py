@@ -50,6 +50,8 @@ class MultiObjective:
     name : str
         Optional identifier used in reports.
 
+    ``f`` and ``jac`` must return the same bits for the same x: the
+    diagnostics recompute J(x^k) and test each Armijo step at zero slack.
     Instances are immutable and safe to share across concurrent runs.
     """
 

@@ -28,6 +28,8 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_LINESEARCH = "linesearch_failure"
 TERMINATION_SUBPROBLEM = "subproblem_failure"
 TERMINATION_NUMERICAL = "numerical_failure"
+_TERMINATIONS = (TERMINATION_CRITICAL, TERMINATION_MAX_ITER, TERMINATION_LINESEARCH,
+                 TERMINATION_SUBPROBLEM, TERMINATION_NUMERICAL)
 
 
 @dataclass(frozen=True)

@@ -832,7 +832,7 @@ class TestSolveCommand:
         assert doc["iterations"] == 0
         assert doc["final_F"] == [None, 0.0]
         assert doc["final_alpha"] is None
-        assert doc["diagnostics"]["level_set"]["ok"]
+        assert doc["diagnostics"]["monotone"]["ok"] and doc["diagnostics"]["armijo"]["ok"]
 
     def test_thousand_term_criterion_solves(self, tmp_path):
         cfg = tmp_path / "long.cfg"
@@ -1104,6 +1104,43 @@ class TestRoundTripAndDeterminism:
             with pytest.raises(ConfigError) as exc:
                 load_run(tmp_path / "rt")
             assert str(exc.value) == f"{tmp_path / 'rt'}.report.json: config has no {key!r}"
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc.pop("termination"),
+                     "termination None is not one of critical_point, max_iter, "
+                     "linesearch_failure, subproblem_failure, numerical_failure",
+                     id="no_termination"),
+        pytest.param(lambda doc: doc.update(termination="banana"),
+                     "termination 'banana' is not one of critical_point, max_iter, "
+                     "linesearch_failure, subproblem_failure, numerical_failure",
+                     id="unknown_termination"),
+        pytest.param(lambda doc: doc["config"].update(beta="abc"),
+                     "config 'beta' is 'abc', not a JSON number", id="beta_a_string"),
+        pytest.param(lambda doc: doc["config"].update(eps_critical=True),
+                     "config 'eps_critical' is True, not a JSON number", id="eps_a_boolean"),
+        pytest.param(lambda doc: doc["config"].update(max_iter=1.5),
+                     "config 'max_iter' is 1.5, not a JSON integer", id="max_iter_a_float"),
+        pytest.param(lambda doc: doc["config"].update(sigma=2.0),
+                     "config sigma must lie in [0, 1), got 2.0", id="sigma_out_of_range"),
+    ])
+    def test_a_malformed_report_is_a_config_error(self, tmp_path, edit, message):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        report_json = tmp_path / "rt.report.json"
+        doc = json.loads(report_json.read_text())
+        edit(doc)
+        report_json.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_run(tmp_path / "rt")
+        assert str(exc.value) == f"{report_json}: {message}"
+
+    def test_an_integer_for_a_float_run_value_loads(self, tmp_path):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        report_json = tmp_path / "rt.report.json"
+        doc = json.loads(report_json.read_text())
+        doc["config"]["sigma"] = 0
+        report_json.write_text(json.dumps(doc))
+        report, _doc = load_run(tmp_path / "rt")
+        assert report.config == SolverConfig()
 
     def test_load_run_reads_a_config_with_the_removed_caps(self, tmp_path):
         # earlier run/3 reports carry max_j and max_inner in their config;

@@ -14,11 +14,10 @@ from paretodescent import (
     RunReport,
     SolverConfig,
     StepResult,
-    check_level_set,
+    check_armijo,
     check_monotone,
     check_proximity,
     check_quasi_fejer,
-    check_summability,
     get_problem,
     kkt_direction,
     list_problems,
@@ -78,52 +77,80 @@ class TestMonotone:
         assert out.ok and "vacuous" in out.note
 
 
-class TestLevelSet:
-    def test_passes_on_solver_run(self):
-        assert check_level_set(quad_run()).ok
-
-    def test_fails_when_an_iterate_escapes(self):
-        rep = synthetic_report([[0.0], [1.0], [2.0]],
-                               [[1.0, 1.0], [0.9, 0.9], [1.1, 0.8]])
-        assert check_level_set(rep).status == STATUS_FAIL
-
-
-class TestSummability:
+class TestArmijo:
     def test_passes_on_convergent_run(self):
         desc = get_problem("quasi_exp")
         rep = run(desc.problem, desc.recommended_x0)
         assert len(rep.stepped_records) >= 10
-        out = check_summability(rep)
+        out = check_armijo(rep, stepped_jacobians(desc.problem, rep))
         assert out.ok
         assert "telescoped ratio" in out.note
 
-    def test_fails_on_constant_step_energy(self):
-        # g = -1 and v = 1 give alpha = -1/2, so each unit step must lower
-        # both criteria by beta * (1/2 + 1/2) = 1/2; they fall by 1/4
+    def test_fails_on_too_small_a_decrease(self):
+        # J v = -1 along v = 1, so each unit step must lower both criteria
+        # by beta * 1 = 1/2; they fall by 1/4
         xs = [[float(k)] for k in range(30)]
         Fs = [[30.0 - 0.25 * k, 30.0 - 0.25 * k] for k in range(30)]
         rep = synthetic_report(xs, Fs, vs=[[1.0]] * 30, alpha=-0.5)
-        out = check_summability(rep)
-        assert out.status == STATUS_FAIL
-        assert out.worst_violation == pytest.approx(0.25)
+        out = check_armijo(rep, [np.array([[-1.0], [-1.0]])] * 29)
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, 0.25, 0)
+
+    @pytest.mark.parametrize("F, J", [([1.0], [[0.0]]), ([1e20], [[-1.0]])],
+                             ids=["flat", "rounded_away"])
+    def test_a_target_that_asks_for_no_decrease_fails(self, F, J):
+        # J v = 0, or beta t J v lost against F(x): a step onto an equal value
+        # meets the target but decreases nothing
+        rep = synthetic_report([[0.0], [1.0]], [F, F], vs=[[1.0], [0.0]])
+        out = check_armijo(rep, [np.array(J)])
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
+
+    def test_a_step_length_other_than_two_to_the_minus_j_fails(self):
+        # t = 1/2 along v = 1 from 0, with a decrease beyond the target
+        rep = synthetic_report([[0.0], [0.5]], [[2.0], [1.0]], ts=[0.5], vs=[[1.0], [0.0]])
+        J = [np.array([[-1.0]])]
+        out = check_armijo(rep, J)
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
+        assert check_armijo(_mutated(rep, 0, j=1), J).ok
 
     def test_vacuous_without_steps(self):
         rep = run(get_problem("paper_cubic").problem, [2.0])
-        out = check_summability(rep)
+        out = check_armijo(rep, [])
         assert out.ok and "vacuous" in out.note
-        # one step is already checked
-        rep = run(get_problem("scalar_quad").problem, [1.0])
-        out = check_summability(rep)
+        # one step is already checked: 1/2 x^2 from 1 lands on 0, the target exactly
+        desc = get_problem("scalar_quad")
+        rep = run(desc.problem, [1.0])
+        out = check_armijo(rep, stepped_jacobians(desc.problem, rep))
         assert len(rep.stepped_records) == 1
-        assert out.ok and "vacuous" not in out.note
+        assert (out.status, out.worst_violation) == (STATUS_PASS, 0.0)
+        assert out.note == "sum t|v|^2=1.000e+00 telescoped ratio=0.5"
 
-    def test_non_finite_step_energy_fails(self):
+    def test_jacobian_count_must_match_the_steps(self):
+        desc = get_problem("quad_pair")
         rep = quad_run()
-        first = dataclasses.replace(rep.records[0], alpha_upper=math.nan)
-        rep = dataclasses.replace(rep, records=(first, *rep.records[1:]))
-        out = check_summability(rep)
-        assert (out.status, out.worst_violation, out.worst_index, out.note) == (
-            STATUS_FAIL, math.inf, 0, "non-finite step energy")
+        jacobians = stepped_jacobians(desc.problem, rep)
+        with pytest.raises(ValueError) as exc:
+            check_armijo(rep, jacobians[:2])
+        assert str(exc.value) == "2 jacobian(s) for 3 step(s)"
+
+    @pytest.mark.parametrize("k, value", [(0, math.nan), (1, math.inf)])
+    def test_non_finite_next_value_fails(self, k, value):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        jacobians = stepped_jacobians(desc.problem, rep)
+        Fx = rep.records[k + 1].Fx.copy()
+        Fx[k] = value
+        out = check_armijo(_mutated(rep, k + 1, Fx=Fx), jacobians)
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, k)
+
+    def test_a_step_without_a_next_record_fails(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        jacobians = stepped_jacobians(desc.problem, rep)
+        rep = _mutated(rep, len(rep.records) - 1, t=1.0, j=0)
+        jacobians.append(desc.problem.jacobian(rep.records[-1].x))
+        out = check_armijo(rep, jacobians)
+        assert (out.status, out.worst_violation, out.worst_index) == (
+            STATUS_FAIL, math.inf, rep.records[-1].k)
 
 
 def steep_pair():
@@ -141,18 +168,55 @@ def _certificate(problem, rep):
     return check_proximity(rep, stepped_jacobians(problem, rep))
 
 
-class TestEnergyInequalityMutations:
-    """Each mutation of a correct run must fail the energy inequality or,
-    for a mutated certificate, the proximity check, which carries each
-    step's certificate; both pass on the run itself."""
+def _next_value_past_its_target(rep, problem):
+    """F(x^1) raised to one ulp past the Armijo target of step 0, in criterion 0."""
+    r = rep.records[0]
+    target = r.Fx + (rep.config.beta * r.t) * (problem.jacobian(r.x) @ r.v)
+    Fx = rep.records[1].Fx.copy()
+    Fx[0] = np.nextafter(target[0], math.inf)
+    return _mutated(rep, 1, Fx=Fx)
+
+
+def _next_point_one_ulp_off(rep, _problem):
+    x = rep.records[1].x.copy()
+    x[0] = np.nextafter(x[0], math.inf)
+    return _mutated(rep, 1, x=x)
+
+
+class TestStepMutations:
+    """Each mutation of a correct run must fail the armijo check or, for a
+    mutated certificate, the proximity check, which carries each step's
+    certificate; both pass on the run itself."""
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda rep, _p: _mutated(rep, 0, t=2.0 * rep.records[0].t), id="t_doubled"),
+        pytest.param(lambda rep, _p: _mutated(rep, 0, j=-2000), id="j_negative"),
+        pytest.param(_next_point_one_ulp_off, id="next_x_one_ulp_off"),
+        pytest.param(_next_value_past_its_target, id="next_F_one_ulp_past_target"),
+        pytest.param(lambda rep, _p: dataclasses.replace(rep, config=SolverConfig(beta=0.9)),
+                     id="beta_raised"),
+    ])
+    @pytest.mark.parametrize("name", ["steep_pair", "quasi_exp"])
+    def test_each_mutation_of_a_step_fails_the_armijo_check(self, mutate, name):
+        if name == "steep_pair":
+            problem, x0 = steep_pair(), [2.0, 2.0]
+        else:
+            problem, x0 = get_problem(name).problem, get_problem(name).recommended_x0
+        rep = run(problem, x0)
+        jacobians = stepped_jacobians(problem, rep)
+        assert check_armijo(rep, jacobians).ok
+        out = check_armijo(mutate(rep, problem), jacobians)
+        assert out.status == STATUS_FAIL and out.worst_violation > 0.0
 
     def test_step_accepted_against_armijo(self, monkeypatch):
+        # every step forced to t = 1: t = 2**-j and the update hold, and the
+        # Armijo inequality breaks
         problem = steep_pair()
         cfg = SolverConfig(max_iter=3)
-        assert check_summability(run(problem, [2.0, 2.0], cfg)).ok
         monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(t=1.0, j=0))
-        out = check_summability(run(problem, [2.0, 2.0], cfg))
-        assert out.status == STATUS_FAIL
+        rep = run(problem, [2.0, 2.0], cfg)
+        out = check_armijo(rep, stepped_jacobians(problem, rep))
+        assert out.status == STATUS_FAIL and math.isfinite(out.worst_violation)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_alpha_upper_made_less_negative(self, sigma):
@@ -263,8 +327,8 @@ class TestQuasiFejer:
         desc = get_problem("quad_pair")
         rep = quad_run()
         summary = run_diagnostics(desc.problem, rep, 0.0, [5.0, 5.0])
-        assert summary.checks[3] == check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
-        assert summary.checks[3].status == STATUS_PRECONDITION
+        assert summary.checks[2] == check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
+        assert summary.checks[2].status == STATUS_PRECONDITION
 
 
 def one_step_report(J, res, sigma):
@@ -431,6 +495,29 @@ def test_diagnostics_call_no_solver_and_one_jacobian_per_step(monkeypatch, name,
     assert calls == ["jac"] * len(rep.stepped_records)
 
 
+def test_a_jacobian_that_is_not_bit_reproducible_flips_the_armijo_check():
+    # MultiObjective requires jac to return the same bits for the same x; this
+    # one returns J one ulp up on every second call.  1/2 x^2 from 1 steps
+    # onto its Armijo target exactly, so J(1) one ulp up, as the second
+    # diagnostics sees it, puts the target 2**-53 below F(x^1) = 0
+    calls = []
+
+    def jac(x):
+        calls.append(x)
+        J = np.array([[x[0]]])
+        return np.nextafter(J, math.inf) if len(calls) % 2 == 0 else J
+
+    problem = MultiObjective(n=1, m=1, f=lambda x: 0.5 * x * x, jac=jac)
+    rep = run(problem, [1.0])
+    assert (rep.termination, len(rep.stepped_records)) == ("critical_point", 1)
+    first = run_diagnostics(problem, rep, 0.0)
+    second = run_diagnostics(problem, rep, 0.0)
+    assert len(calls) == 4 and first.all_ok
+    assert [c.status for c in second.checks] == [STATUS_PASS, STATUS_FAIL, STATUS_PASS, STATUS_PASS]
+    armijo = second.checks[1]
+    assert (armijo.name, armijo.worst_violation, armijo.worst_index) == ("armijo", 2.0**-53, 0)
+
+
 # few distinct values, so ties and repeats are common; NaN must never win
 _F_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan])
 _F_SEQUENCES = st.integers(1, 3).flatmap(
@@ -442,11 +529,16 @@ class TestWorstViolation:
     @settings(derandomize=True, deadline=None)
     @given(_F_SEQUENCES)
     def test_first_index_attaining_the_maximum_is_reported(self, Fs):
-        rep = synthetic_report([[0.0]] * len(Fs), Fs)
+        # unit steps along v = 1 with J v = -1, so each Armijo target is
+        # F(x^k) - 1/2 exactly; a NaN in either value is an infinite violation
+        rep = synthetic_report([[float(k)] for k in range(len(Fs))], Fs, vs=[[1.0]] * len(Fs))
         F = np.array(Fs)
+        jacobians = [-np.ones((F.shape[1], 1))] * (len(Fs) - 1)
+        armijo = [math.inf if np.isnan([a, b]).any() else np.max(b - (a - 0.5))
+                  for a, b in zip(F, F[1:])]
         cases = (
             (check_monotone(rep), [np.max(b - a) for a, b in zip(F, F[1:])]),
-            (check_level_set(rep), [np.max(row - F[0]) for row in F]),
+            (check_armijo(rep, jacobians), armijo),
         )
         for out, viols in cases:
             finite = [v for v in viols if not np.isnan(v)]
@@ -466,8 +558,7 @@ class TestSummary:
         s2 = run_diagnostics(desc.problem, rep, 0.0)
         assert s1.all_ok
         assert s1.to_dict() == s2.to_dict()
-        assert list(s1.to_dict()) == ["monotone", "level_set", "summability",
-                                      "quasi_fejer", "proximity", "all_ok"]
+        assert list(s1.to_dict()) == ["monotone", "armijo", "quasi_fejer", "proximity", "all_ok"]
 
 
 _LIBRARY_MODULES = tuple(f"paretodescent.{m}" for m in (
