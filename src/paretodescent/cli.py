@@ -249,7 +249,12 @@ _F_KEY_RE = re.compile(r"^f\d+$")
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -422,11 +427,18 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
 def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     """Reload a solve's run/3 outputs: (report rebuilt from CSV + JSON, report JSON)."""
     name = f"{prefix}.report.json"
-    doc = json.loads(Path(name).read_text())
+    try:
+        doc = json.loads(Path(name).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{name}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name}: the top level is not a JSON object")
     schema = doc.get("schema")
     if schema != _RUN_SCHEMA:
         raise ConfigError(f"{name}: schema {schema!r} is not {_RUN_SCHEMA!r}")
     config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError(f"{name}: config is {config!r}, not a JSON object")
     for key, conv in _CONFIG_FIELDS.items():
         if key not in config:
             raise ConfigError(f"{name}: config has no {key!r}")

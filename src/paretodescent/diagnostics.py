@@ -2,7 +2,8 @@
 
 Each check is a pure function of a run report, and for the armijo and
 proximity checks of the Jacobians at its stepped points: rerunning it on
-the same report yields an identical outcome.  No check calls a solver.
+the same report yields an identical outcome.  No check calls a solver or
+evaluates F: the quasi-Fejer reference is the report's final iterate.
 Checks report their worst violation so a failure localizes to a step.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .direction import _EPS, _allowance, _certificate_excess, _gap_floor
 from .direction import solve_exact  # unused: bench/tracing.py patches this name
-from .objective import MultiObjective, as_point
+from .objective import MultiObjective
 from .solver import RunReport
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
-STATUS_PRECONDITION = "precondition_violation"
 
 
 @dataclass(frozen=True)
@@ -113,44 +113,18 @@ def check_armijo(report: RunReport, jacobians) -> CheckOutcome:
     return _outcome("armijo", *_worst(pairs), note)
 
 
-def check_quasi_fejer(
-    report: RunReport,
-    x_tilde=None,
-    problem: MultiObjective | None = None,
-) -> CheckOutcome:
-    """Per-step inequality toward a point x_tilde that dominates the trajectory.
+def check_quasi_fejer(report: RunReport) -> CheckOutcome:
+    """Per-step inequality toward the final iterate x_tilde = x^K.
 
     Verifies ||x^{k+1} - x_tilde||^2 <= ||x^k - x_tilde||^2 + t_k^2 ||v^k||^2
     for every move, with relative slack 1e-10 * (1 + ||x^k - x_tilde||^2).
-    Membership is checked first: F(x_tilde) <= F(x^k) + 1e-10 must hold for
-    every recorded k, and a non-member yields a precondition_violation
-    status, not a failure.  x_tilde defaults to the run's final iterate,
-    whose membership follows from monotone decrease, so no problem
-    evaluation is needed; an explicit x_tilde requires ``problem`` to
-    evaluate F(x_tilde).
+    x^K lies in the paper's T whenever ``check_monotone`` passes, since float
+    <= is transitive, so this check does not test membership again.
     """
     recs = report.records
-    if x_tilde is None:
-        if len(recs) < 2:
-            return CheckOutcome("quasi_fejer", STATUS_PASS, 0.0, None, "vacuous: no steps")
-        x_tilde = recs[-1].x
-        F_tilde = recs[-1].Fx
-    else:
-        x_tilde = as_point(x_tilde, recs[0].x.size)
-        if problem is None:
-            raise ValueError("an explicit reference requires the problem to evaluate F(x_tilde)")
-        F_tilde = problem.evaluate(x_tilde)
-    worst_mem, worst_mem_k = _worst((float((F_tilde - r.Fx).max()) - 1e-10, r.k) for r in recs)
-    if worst_mem > 0.0:
-        return CheckOutcome(
-            "quasi_fejer",
-            STATUS_PRECONDITION,
-            worst_mem,
-            worst_mem_k,
-            "reference does not dominate the trajectory",
-        )
     if len(recs) < 2:
         return CheckOutcome("quasi_fejer", STATUS_PASS, 0.0, None, "vacuous: no steps")
+    x_tilde = recs[-1].x
 
     def excess(a, b) -> float:
         da = a.x - x_tilde
@@ -214,17 +188,10 @@ class DiagnosticsSummary:
         return {**{c.name: c.to_dict() for c in self.checks}, "all_ok": self.all_ok}
 
 
-def run_diagnostics(
-    problem: MultiObjective,
-    report: RunReport,
-    sigma: float,
-    x_tilde=None,
-) -> DiagnosticsSummary:
+def run_diagnostics(problem: MultiObjective, report: RunReport, sigma: float) -> DiagnosticsSummary:
     """Run the full check battery on one report.
 
-    ``sigma`` must be the sigma the run used, which the report records;
-    ``x_tilde`` is the quasi-Fejer reference point (default: the final
-    iterate).
+    ``sigma`` must be the sigma the run used, which the report records.
     """
     if sigma != report.config.sigma:
         raise ValueError(f"sigma {sigma} differs from the run's sigma {report.config.sigma}")
@@ -232,6 +199,6 @@ def run_diagnostics(
     return DiagnosticsSummary((
         check_monotone(report),
         check_armijo(report, jacobians),
-        check_quasi_fejer(report, x_tilde, problem),
+        check_quasi_fejer(report),
         check_proximity(report, jacobians),
     ))

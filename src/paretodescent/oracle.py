@@ -24,7 +24,6 @@ __all__ = [
     "sample_quasiconvex",
     "check_gradient_characterization",
     "check_weak_pareto_local",
-    "sufficient_sigma_condition",
 ]
 
 DEFAULT_BOX = (-10.0, 10.0)
@@ -259,17 +258,3 @@ def check_weak_pareto_local(
     keep = norms > 0.0
     points = x_star + (radii[keep] / norms[keep])[:, None] * normals[keep]
     return not any((f_star - problem.evaluate(y) > 1e-10).all() for y in points)
-
-
-def sufficient_sigma_condition(J, v, sigma: float) -> bool:
-    """Cross-check inequality: max_i <g_i, v> <= -(1 - sigma/2) * ||v||^2.
-
-    For a scalarization-compatible v this is sufficient (not necessary) for
-    v to be sigma-approximate; kept oracle-side only, the production
-    certificate is the duality-gap one.
-    """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    v = np.asarray(v, dtype=float)
-    return float(np.max(J @ v)) <= -(1.0 - 0.5 * sigma) * float(v @ v)

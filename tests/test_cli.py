@@ -644,6 +644,20 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda path: None, "No such file or directory", id="missing"),
+        pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b"problem = quad_pair # caf\xe9\n"),
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 25: "
+                     "invalid continuation byte", id="latin1"),
+    ])
+    def test_an_unreadable_config_is_a_config_error(self, tmp_path, capsys, make, message):
+        cfg = tmp_path / "a.cfg"
+        make(cfg)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out" / "x")]) == 1
+        assert capsys.readouterr() == ("", f"config error: {cfg}: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "quad_pair"],
         ["sweep", "--problem", "quad_pair", "--sigmas", "0"],
@@ -1122,13 +1136,26 @@ class TestRoundTripAndDeterminism:
                      "config 'max_iter' is 1.5, not a JSON integer", id="max_iter_a_float"),
         pytest.param(lambda doc: doc["config"].update(sigma=2.0),
                      "config sigma must lie in [0, 1), got 2.0", id="sigma_out_of_range"),
+        pytest.param(lambda doc: json.dumps(doc).encode("utf-16"),
+                     "not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte", id="utf16"),
+        pytest.param(lambda doc: b'{"schema": ',
+                     "not UTF-8 JSON: Expecting value: line 1 column 12 (char 11)", id="truncated"),
+        pytest.param(lambda doc: json.dumps([doc]).encode(),
+                     "the top level is not a JSON object", id="top_level_a_list"),
+        pytest.param(lambda doc: doc.update(config=None),
+                     "config is None, not a JSON object", id="config_null"),
+        pytest.param(lambda doc: doc.update(config=list(doc["config"])),
+                     "config is ['problem', 'x0', 'beta', 'sigma', 'eps_critical', 'max_iter', "
+                     "'output'], not a JSON object", id="config_a_list"),
     ])
     def test_a_malformed_report_is_a_config_error(self, tmp_path, edit, message):
+        # an edit changes the document in place, or returns the bytes to write
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         report_json = tmp_path / "rt.report.json"
         doc = json.loads(report_json.read_text())
-        edit(doc)
-        report_json.write_text(json.dumps(doc))
+        written = edit(doc)
+        report_json.write_bytes(written if isinstance(written, bytes) else json.dumps(doc).encode())
         with pytest.raises(ConfigError) as exc:
             load_run(tmp_path / "rt")
         assert str(exc.value) == f"{report_json}: {message}"

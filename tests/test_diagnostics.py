@@ -28,7 +28,7 @@ from paretodescent import (
 from paretodescent import diagnostics as diagnostics_module
 from paretodescent import direction as direction_module
 from paretodescent import solver as solver_module
-from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS, STATUS_PRECONDITION
+from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS
 from paretodescent.direction import STATUS_CERTIFIED, _allowance
 
 from test_direction import _hard_jacobians
@@ -296,39 +296,43 @@ class TestQuasiFejer:
         out = check_quasi_fejer(quad_run())
         assert out.ok
 
-    def test_explicit_minimizer_reference_on_scalar_problem(self):
-        desc = get_problem("scalar_quad")
-        rep = run(desc.problem, [1.0])
-        out = check_quasi_fejer(rep, np.array([0.0]), desc.problem)
-        assert out.ok
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_an_interior_iterate_moved_away_fails_at_its_step(self, k):
+        # quad_pair from (0.4, 2.5) stops at x^3 = (0.4, 0) after three steps
+        rep = quad_run()
+        recs = list(rep.records)
+        assert len(recs) == 4
+        x_tilde = recs[-1].x
+        moved = x_tilde + 10.0 * (recs[k + 1].x - x_tilde)
+        recs[k + 1] = dataclasses.replace(recs[k + 1], x=moved)
+        out = check_quasi_fejer(dataclasses.replace(rep, records=tuple(recs)))
+        a = recs[k]
+        sq_a = float((a.x - x_tilde) @ (a.x - x_tilde))
+        rhs = sq_a + a.t * a.t * float(a.v @ a.v) + 1e-10 * (1.0 + sq_a)
+        assert (out.status, out.worst_index) == (STATUS_FAIL, k)
+        assert out.worst_violation == float((moved - x_tilde) @ (moved - x_tilde)) - rhs > 1.0
 
-    def test_non_dominating_reference_is_a_precondition_violation(self):
-        desc = get_problem("quad_pair")
-        rep = run(desc.problem, [0.4, 2.5])
-        out = check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
-        assert out.status == STATUS_PRECONDITION
-        assert not out.ok
+    def test_a_last_step_that_raises_f_is_left_to_monotone(self):
+        # F(x^K) > F(x^1): x^K is outside T, which monotone reports; the
+        # quasi-Fejer check still reports on its own inequality toward x^K
+        Fs = [[4.0], [1.0], [2.0]]
+        toward = synthetic_report([[2.0], [1.0], [0.0]], Fs, vs=[[-1.0], [-1.0], [0.0]])
+        away = synthetic_report([[1.0], [0.0], [1.0]], Fs)
+        for rep in (toward, away):
+            assert check_monotone(rep).status == STATUS_FAIL
+        out = check_quasi_fejer(toward)
+        assert (out.status, out.worst_index) == (STATUS_PASS, 1)
+        assert out.worst_violation == 0.0 - (1.0 + 1.0 + 1e-10 * 2.0)
+        out = check_quasi_fejer(away)
+        assert (out.status, out.worst_index) == (STATUS_FAIL, 0)
+        assert out.worst_violation == 1.0 - 1e-10
 
-    def test_explicit_reference_requires_problem(self):
-        with pytest.raises(ValueError):
-            check_quasi_fejer(quad_run(), np.array([0.5, 0.0]))
-
-    def test_explicit_reference_on_a_report_without_steps(self):
+    def test_a_report_without_steps_passes_vacuously(self):
         desc = get_problem("scalar_quad")
         rep = run(desc.problem, [0.0])  # starts critical: one record, no step
         assert len(rep.records) == 1
-        out = check_quasi_fejer(rep, np.array([0.0]), desc.problem)
+        out = check_quasi_fejer(rep)
         assert (out.status, out.worst_violation, out.note) == (STATUS_PASS, 0.0, "vacuous: no steps")
-        # membership is checked first, also without steps
-        out = check_quasi_fejer(rep, np.array([1.0]), desc.problem)
-        assert out.status == STATUS_PRECONDITION
-
-    def test_run_diagnostics_checks_toward_the_given_point(self):
-        desc = get_problem("quad_pair")
-        rep = quad_run()
-        summary = run_diagnostics(desc.problem, rep, 0.0, [5.0, 5.0])
-        assert summary.checks[2] == check_quasi_fejer(rep, np.array([5.0, 5.0]), desc.problem)
-        assert summary.checks[2].status == STATUS_PRECONDITION
 
 
 def one_step_report(J, res, sigma):

@@ -21,8 +21,17 @@ from paretodescent import (
     list_problems,
     sample_quasiconvex,
     solve_exact,
-    sufficient_sigma_condition,
 )
+
+
+def sufficient_sigma_condition(J, v, sigma):
+    """max_i <g_i, v> <= -(1 - sigma/2) ||v||^2.
+
+    For v = -J^T w with w on the simplex this is sufficient, not necessary,
+    for v to be sigma-approximate: a cross-check independent of the
+    duality-gap certificate the direction module emits.
+    """
+    return float((J @ v).max()) <= -(1.0 - 0.5 * sigma) * float(v @ v)
 
 
 def sign_flip_pair():
