@@ -247,15 +247,19 @@ _SCALAR_KEYS = {"problem", "x0", "output", "n", *_CONFIG_FIELDS}
 _F_KEY_RE = re.compile(r"^f\d+$")
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; an unreadable or non-UTF-8 file is a config error naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -389,11 +393,11 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
-    of the writer).  A header other than the writer's, such as a run/2 one
-    without the dual weights, a row with another number of fields than the
-    header, a field that does not parse and a file without rows are config
-    errors."""
-    lines = Path(path).read_text().splitlines()
+    of the writer).  A file that cannot be read or is not UTF-8, a header
+    other than the writer's, such as a run/2 one without the dual weights, a
+    row with another number of fields than the header, a field that does not
+    parse and a file without rows are config errors."""
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
     header = lines[0].split(",")
@@ -428,9 +432,9 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     """Reload a solve's run/3 outputs: (report rebuilt from CSV + JSON, report JSON)."""
     name = f"{prefix}.report.json"
     try:
-        doc = json.loads(Path(name).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{name}: not UTF-8 JSON: {exc}") from None
+        doc = json.loads(_read_text(name))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{name}: the top level is not a JSON object")
     schema = doc.get("schema")

@@ -1,10 +1,11 @@
 """Post-hoc verification of trajectory properties the method guarantees.
 
-Each check is a pure function of a run report, and for the armijo and
-proximity checks of the Jacobians at its stepped points: rerunning it on
-the same report yields an identical outcome.  No check calls a solver or
-evaluates F: the quasi-Fejer reference is the report's final iterate.
-Checks report their worst violation so a failure localizes to a step.
+Each check is a pure function of a run report, and for the armijo and proximity
+checks of the Jacobians at its stepped points: rerunning it on the same report
+yields an identical outcome.  No check calls a solver or evaluates F: the
+quasi-Fejer reference is the report's final iterate.  Passing armijo and
+proximity implies decrease, level-set containment and that iterate's membership
+in T.  Checks report their worst violation so a failure localizes to a step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .solver import RunReport
 __all__ = [
     "CheckOutcome",
     "DiagnosticsSummary",
-    "check_monotone",
     "check_armijo",
     "check_quasi_fejer",
     "check_proximity",
@@ -69,43 +69,37 @@ def _outcome(name: str, worst: float, index: int | None, note: str = "") -> Chec
     return CheckOutcome(name, status, worst, index, note)
 
 
-def check_monotone(report: RunReport) -> CheckOutcome:
-    """Componentwise decrease F(x^{k+1}) <= F(x^k), zero slack, every move."""
-    recs = report.records
-    if len(recs) < 2:
-        return CheckOutcome("monotone", STATUS_PASS, 0.0, None, "vacuous: fewer than two records")
-    worst, worst_k = _worst((float((b.Fx - a.Fx).max()), a.k) for a, b in zip(recs, recs[1:]))
-    return _outcome("monotone", worst, worst_k)
-
-
 def check_armijo(report: RunReport, jacobians) -> CheckOutcome:
-    """Each step is the dyadic Armijo step of the method, at zero slack.
+    """Each move is the dyadic Armijo step of the method, at zero slack.
 
     With J = J(x^k) from ``jacobians`` per stepped record (another count
-    raises ValueError), it requires t = 2**-j, x^{k+1} = x^k + t v bit for
-    bit, and F(x^{k+1}) <= Fx + (beta * t) * (J v) in every component, the
-    target formed as ``armijo_step`` forms it and below F(x^k) somewhere.
-    The violation is the largest F(x^{k+1}) minus the target, and inf for a
-    broken rule, a step without a next record or a non-finite value.  With
-    the proximity check's phi <= 0, a pass implies the energy inequality
-    sum_k t_k ||v^k||^2 <= (2 / beta) min_i (f_i(x^0) - f_i(x^K)), whose sum
-    and ratio the note reports.
+    raises ValueError), every record but the last must step, with t = 2**-j,
+    x^{k+1} = x^k + t v bit for bit and F(x^{k+1}) <= Fx + (beta * t) * (J v)
+    in every component, the target formed as ``armijo_step`` forms it and
+    below F(x^k) somewhere.  The violation is the largest F(x^{k+1}) minus the
+    target, and inf for a broken rule, a non-step before the last record, a
+    step without a next record or a non-finite value.  The proximity check's
+    phi <= 0 puts each target at or below F(x^k), so with it a pass implies
+    decrease at every move and the energy inequality sum_k t_k ||v^k||^2 <=
+    (2 / beta) min_i (f_i(x^0) - f_i(x^K)), whose sum and ratio the note reports.
     """
     recs, steps = report.records, report.stepped_records
     if len(jacobians) != len(steps):
         raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
-    if not steps:
-        return CheckOutcome("armijo", STATUS_PASS, 0.0, None, "vacuous: no steps")
-    beta = report.config.beta
-    pairs = []
-    for (r, nxt), J in zip([(r, nxt) for r, nxt in zip(recs, recs[1:]) if r.t > 0.0], jacobians):
-        target = r.Fx + (beta * r.t) * (J @ r.v)
+    beta, slopes, pairs = report.config.beta, iter(jacobians), []
+    for r, nxt in zip(recs, recs[1:]):
+        if not r.t > 0.0:
+            pairs.append((math.inf, r.k))
+            continue
+        target = r.Fx + (beta * r.t) * (next(slopes) @ r.v)
         excess = float((nxt.Fx - target).max())
         exact = (r.j >= 0 and r.t == 2.0 ** -r.j and (target < r.Fx).any()
                  and nxt.x.tobytes() == (r.x + r.t * r.v).tobytes())
         pairs.append((excess if exact and math.isfinite(excess) else math.inf, r.k))
     if recs[-1].t > 0.0:
         pairs.append((math.inf, recs[-1].k))
+    if not pairs:
+        return CheckOutcome("armijo", STATUS_PASS, 0.0, None, "vacuous: no steps")
     total = math.fsum(r.t * float(r.v @ r.v) for r in steps)
     drop = float((recs[0].Fx - recs[-1].Fx).min())
     ratio = total / ((2.0 / beta) * drop) if drop > 0.0 else math.inf
@@ -118,8 +112,8 @@ def check_quasi_fejer(report: RunReport) -> CheckOutcome:
 
     Verifies ||x^{k+1} - x_tilde||^2 <= ||x^k - x_tilde||^2 + t_k^2 ||v^k||^2
     for every move, with relative slack 1e-10 * (1 + ||x^k - x_tilde||^2).
-    x^K lies in the paper's T whenever ``check_monotone`` passes, since float
-    <= is transitive, so this check does not test membership again.
+    x^K lies in the paper's T when armijo and proximity pass, since float <= is
+    transitive, so this check does not test membership again.
     """
     recs = report.records
     if len(recs) < 2:
@@ -197,7 +191,6 @@ def run_diagnostics(problem: MultiObjective, report: RunReport, sigma: float) ->
         raise ValueError(f"sigma {sigma} differs from the run's sigma {report.config.sigma}")
     jacobians = [problem.jacobian(r.x) for r in report.stepped_records]
     return DiagnosticsSummary((
-        check_monotone(report),
         check_armijo(report, jacobians),
         check_quasi_fejer(report),
         check_proximity(report, jacobians),

@@ -15,7 +15,6 @@ from paretodescent import (
     SolverConfig,
     brute_force_direction,
     check_armijo,
-    check_monotone,
     check_proximity,
     check_quasi_fejer,
     check_weak_pareto_local,
@@ -120,9 +119,10 @@ def test_criterion_3_trajectory_invariants(acceptance_runs):
     failures = []
     for name, reports in acceptance_runs.items():
         for i, rep in enumerate(reports):
-            mono = check_monotone(rep)
-            if not mono.ok:
-                failures.append(f"{name}[{i}]: monotone violated by {mono.worst_violation:.3e}")
+            recs = rep.records
+            rise = max((float(np.max(b.Fx - a.Fx)) for a, b in zip(recs, recs[1:])), default=0.0)
+            if not rise <= 0.0:
+                failures.append(f"{name}[{i}]: F rose by {rise:.3e} in one move")
             jacobians = [get_problem(name).problem.jacobian(r.x) for r in rep.stepped_records]
             step = check_armijo(rep, jacobians)
             if not step.ok:

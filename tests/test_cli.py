@@ -846,7 +846,9 @@ class TestSolveCommand:
         assert doc["iterations"] == 0
         assert doc["final_F"] == [None, 0.0]
         assert doc["final_alpha"] is None
-        assert doc["diagnostics"]["monotone"]["ok"] and doc["diagnostics"]["armijo"]["ok"]
+        assert list(doc["diagnostics"]) == ["armijo", "quasi_fejer", "proximity", "all_ok"]
+        assert doc["diagnostics"]["armijo"]["note"] == "vacuous: no steps"
+        assert doc["diagnostics"]["all_ok"]
 
     def test_thousand_term_criterion_solves(self, tmp_path):
         cfg = tmp_path / "long.cfg"
@@ -1137,10 +1139,10 @@ class TestRoundTripAndDeterminism:
         pytest.param(lambda doc: doc["config"].update(sigma=2.0),
                      "config sigma must lie in [0, 1), got 2.0", id="sigma_out_of_range"),
         pytest.param(lambda doc: json.dumps(doc).encode("utf-16"),
-                     "not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
                      "invalid start byte", id="utf16"),
         pytest.param(lambda doc: b'{"schema": ',
-                     "not UTF-8 JSON: Expecting value: line 1 column 12 (char 11)", id="truncated"),
+                     "not JSON: Expecting value: line 1 column 12 (char 11)", id="truncated"),
         pytest.param(lambda doc: json.dumps([doc]).encode(),
                      "the top level is not a JSON object", id="top_level_a_list"),
         pytest.param(lambda doc: doc.update(config=None),
@@ -1159,6 +1161,25 @@ class TestRoundTripAndDeterminism:
         with pytest.raises(ConfigError) as exc:
             load_run(tmp_path / "rt")
         assert str(exc.value) == f"{report_json}: {message}"
+
+    @pytest.mark.parametrize("suffix, make, message", [
+        pytest.param("trajectory.csv", lambda path: path.write_bytes(b"k\xe9" + path.read_bytes()[1:]),
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 1: "
+                     "invalid continuation byte", id="latin1_trajectory"),
+        pytest.param("trajectory.csv", lambda path: path.unlink(), "No such file or directory",
+                     id="missing_trajectory"),
+        pytest.param("report.json", lambda path: path.unlink(), "No such file or directory",
+                     id="missing_report"),
+        pytest.param("trajectory.csv", lambda path: path.unlink() or path.mkdir(), "Is a directory",
+                     id="trajectory_a_directory"),
+    ])
+    def test_an_unreadable_output_file_is_a_config_error(self, tmp_path, suffix, make, message):
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        path = tmp_path / f"rt.{suffix}"
+        make(path)
+        with pytest.raises(ConfigError) as exc:
+            load_run(tmp_path / "rt")
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_an_integer_for_a_float_run_value_loads(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0

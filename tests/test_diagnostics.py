@@ -15,7 +15,6 @@ from paretodescent import (
     SolverConfig,
     StepResult,
     check_armijo,
-    check_monotone,
     check_proximity,
     check_quasi_fejer,
     get_problem,
@@ -60,21 +59,89 @@ def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
     return RunReport(records=tuple(records), termination="max_iter", config=SolverConfig())
 
 
-class TestMonotone:
-    def test_passes_on_solver_run(self):
-        out = check_monotone(quad_run())
-        assert out.ok and out.worst_violation <= 0.0
+def _decreases(report):
+    """The rule of the monotone check that the armijo check took over:
+    F(x^{k+1}) <= F(x^k) in every component at every move, a pair whose
+    largest difference is NaN counting as no violation, and some finite one
+    required once there is a move."""
+    recs = report.records
+    diffs = [float(np.max(b.Fx - a.Fx)) for a, b in zip(recs, recs[1:])]
+    worst = max((d for d in diffs if not math.isnan(d)), default=-math.inf)
+    return len(recs) < 2 or -math.inf < worst <= 0.0
 
-    def test_fails_on_increasing_component(self):
-        rep = synthetic_report([[0.0], [1.0]], [[1.0, 1.0], [0.5, 1.2]])
-        out = check_monotone(rep)
-        assert out.status == STATUS_FAIL
-        assert out.worst_violation == pytest.approx(0.2)
 
-    def test_vacuous_on_single_record(self):
-        rep = run(get_problem("paper_cubic").problem, [2.0])
-        out = check_monotone(rep)
-        assert out.ok and "vacuous" in out.note
+def _nudged(values, i, kind, scale):
+    """values with entry i (mod its size) shifted by scale, moved one ulp
+    toward scale's sign, or made NaN."""
+    values = values.copy()
+    i %= values.size
+    if kind == "shift":
+        values[i] += scale
+    elif kind == "ulp":
+        values[i] = np.nextafter(values[i], math.copysign(math.inf, scale))
+    else:
+        values[i] = math.nan
+    return values
+
+
+class TestDecrease:
+    """The armijo check, with the proximity check's phi <= 0, covers the
+    decrease F(x^{k+1}) <= F(x^k) at every move, which has no check of its own."""
+
+    def test_a_component_that_rises_fails_at_its_step(self):
+        desc = get_problem("quad_pair")
+        rep = quad_run()
+        r = rep.records[1]
+        Fx = rep.records[2].Fx.copy()
+        Fx[1] = r.Fx[1] + 0.2
+        risen = _mutated(rep, 2, Fx=Fx)
+        target = r.Fx + (rep.config.beta * r.t) * (desc.problem.jacobian(r.x) @ r.v)
+        out = run_diagnostics(desc.problem, risen, 0.0).checks[0]
+        assert not _decreases(risen)
+        assert (out.name, out.status, out.worst_index) == ("armijo", STATUS_FAIL, 1)
+        assert out.worst_violation == Fx[1] - target[1] >= 0.2
+
+    def test_an_interior_stop_fails_the_armijo_check(self):
+        # quasi_exp from (3, -3) at sigma 0.25, record 1 made a stop (t = 0,
+        # j = -1) and F(x^2) set above F(x^1): no step is left to check there,
+        # and F rises, so only the deleted monotone check used to fail
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, [3.0, -3.0], SolverConfig(sigma=0.25))
+        stopped = _mutated(_mutated(rep, 1, t=0.0, j=-1), 2, Fx=rep.records[1].Fx + 1.0)
+        summary = run_diagnostics(desc.problem, stopped, 0.25)
+        assert not _decreases(stopped)
+        assert [(c.name, c.status) for c in summary.checks] == [
+            ("armijo", STATUS_FAIL), ("quasi_fejer", STATUS_PASS), ("proximity", STATUS_PASS)]
+        armijo = summary.checks[0]
+        assert (armijo.worst_violation, armijo.worst_index) == (math.inf, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(name=st.sampled_from(list_problems()), sigma=st.sampled_from([0.0, 0.25, 0.9]),
+           mutations=st.lists(st.tuples(
+               st.sampled_from(["F_shift", "F_ulp", "F_nan", "x_ulp", "stop"]),
+               st.integers(0, 10**6), st.integers(0, 3),
+               st.sampled_from([-1.0, -1e-9, 1e-9, 1.0])), min_size=1, max_size=3))
+    def test_every_report_the_deleted_rule_rejects_fails_armijo_or_proximity(
+            self, name, sigma, mutations):
+        # F raised or lowered, F or x one ulp off, NaN in F, a record made a
+        # stop; the run itself passes both the battery and the deleted rule
+        desc = get_problem(name)
+        rep = run(desc.problem, desc.recommended_x0, SolverConfig(sigma=sigma))
+        assert _decreases(rep) and run_diagnostics(desc.problem, rep, sigma).all_ok
+        for kind, k, i, scale in mutations:
+            k %= len(rep.records)
+            r = rep.records[k]
+            if kind == "stop":
+                rep = _mutated(rep, k, t=0.0, j=-1)
+            elif kind == "x_ulp":
+                rep = _mutated(rep, k, x=_nudged(r.x, i, "ulp", scale))
+            else:
+                rep = _mutated(rep, k, Fx=_nudged(r.Fx, i, kind[2:], scale))
+        checks = {c.name: c for c in run_diagnostics(desc.problem, rep, sigma).checks}
+        if not _decreases(rep):
+            assert not (checks["armijo"].ok and checks["proximity"].ok)
+        if any(not r.t > 0.0 for r in rep.records[:-1]):
+            assert checks["armijo"].worst_violation == math.inf
 
 
 class TestArmijo:
@@ -312,14 +379,16 @@ class TestQuasiFejer:
         assert (out.status, out.worst_index) == (STATUS_FAIL, k)
         assert out.worst_violation == float((moved - x_tilde) @ (moved - x_tilde)) - rhs > 1.0
 
-    def test_a_last_step_that_raises_f_is_left_to_monotone(self):
-        # F(x^K) > F(x^1): x^K is outside T, which monotone reports; the
-        # quasi-Fejer check still reports on its own inequality toward x^K
+    def test_a_last_step_that_raises_f_is_left_to_armijo(self):
+        # F(x^K) > F(x^1): x^K is outside T, and the step onto it misses its
+        # Armijo target; the quasi-Fejer check still reports on its own
+        # inequality toward x^K
         Fs = [[4.0], [1.0], [2.0]]
         toward = synthetic_report([[2.0], [1.0], [0.0]], Fs, vs=[[-1.0], [-1.0], [0.0]])
         away = synthetic_report([[1.0], [0.0], [1.0]], Fs)
         for rep in (toward, away):
-            assert check_monotone(rep).status == STATUS_FAIL
+            assert not _decreases(rep)
+            assert check_armijo(rep, [np.array([[1.0]])] * 2).status == STATUS_FAIL
         out = check_quasi_fejer(toward)
         assert (out.status, out.worst_index) == (STATUS_PASS, 1)
         assert out.worst_violation == 0.0 - (1.0 + 1.0 + 1e-10 * 2.0)
@@ -517,8 +586,8 @@ def test_a_jacobian_that_is_not_bit_reproducible_flips_the_armijo_check():
     first = run_diagnostics(problem, rep, 0.0)
     second = run_diagnostics(problem, rep, 0.0)
     assert len(calls) == 4 and first.all_ok
-    assert [c.status for c in second.checks] == [STATUS_PASS, STATUS_FAIL, STATUS_PASS, STATUS_PASS]
-    armijo = second.checks[1]
+    assert [c.status for c in second.checks] == [STATUS_FAIL, STATUS_PASS, STATUS_PASS]
+    armijo = second.checks[0]
     assert (armijo.name, armijo.worst_violation, armijo.worst_index) == ("armijo", 2.0**-53, 0)
 
 
@@ -540,18 +609,20 @@ class TestWorstViolation:
         jacobians = [-np.ones((F.shape[1], 1))] * (len(Fs) - 1)
         armijo = [math.inf if np.isnan([a, b]).any() else np.max(b - (a - 0.5))
                   for a, b in zip(F, F[1:])]
+        rises = [np.max(b - a) for a, b in zip(F, F[1:])]
+        out = check_armijo(rep, jacobians)
         cases = (
-            (check_monotone(rep), [np.max(b - a) for a, b in zip(F, F[1:])]),
-            (check_armijo(rep, jacobians), armijo),
+            (diagnostics_module._worst((v, k) for k, v in enumerate(rises)), rises),
+            ((out.worst_violation, out.worst_index), armijo),
         )
-        for out, viols in cases:
+        for (worst, index), viols in cases:
             finite = [v for v in viols if not np.isnan(v)]
             if not finite:
-                assert out.worst_violation == -math.inf and out.worst_index is None
+                assert worst == -math.inf and index is None
                 continue
             top = max(finite)
-            assert out.worst_violation == top
-            assert out.worst_index == next(k for k, v in enumerate(viols) if v == top)
+            assert worst == top
+            assert index == next(k for k, v in enumerate(viols) if v == top)
 
 
 class TestSummary:
@@ -562,7 +633,7 @@ class TestSummary:
         s2 = run_diagnostics(desc.problem, rep, 0.0)
         assert s1.all_ok
         assert s1.to_dict() == s2.to_dict()
-        assert list(s1.to_dict()) == ["monotone", "armijo", "quasi_fejer", "proximity", "all_ok"]
+        assert list(s1.to_dict()) == ["armijo", "quasi_fejer", "proximity", "all_ok"]
 
 
 _LIBRARY_MODULES = tuple(f"paretodescent.{m}" for m in (
