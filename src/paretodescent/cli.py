@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import run_diagnostics
-from .direction import STATUS_CERTIFIED, solve_exact
+from .direction import STATUS_CERTIFIED, solve_sigma_approx
 from .objective import MultiObjective
 from .oracle import (
     brute_force_direction,
@@ -515,6 +515,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.sigma is not None:
+        raise ConfigError("sweep takes its sigma values from --sigmas, not --sigma")
     settings = _resolve_settings(args)
     sigmas = _parse(args.sigmas, "sigmas", _floats)
     try:
@@ -564,18 +566,14 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
     # the run's own stop test: a max_inner result is neither critical nor
     # certified, so it fails either check
     eps_critical = SolverConfig().eps_critical
-    on_ok = sum(
-        solve_exact(problem.jacobian(desc.sample_critical(rng)), eps_critical=eps_critical).critical
-        for _ in range(50)
-    )
+    on_ok = sum(solve_sigma_approx(problem.jacobian(desc.sample_critical(rng)), 0.0,
+                                   eps_critical=eps_critical).critical for _ in range(50))
     add("critical_set_members", on_ok == 50, f"{on_ok}/50 sampled members report critical")
     off = [desc.sample_noncritical(rng) for _ in range(50)]
     off = [x for x in off if x is not None]
     if off:
-        off_ok = sum(
-            solve_exact(problem.jacobian(x), eps_critical=eps_critical).status == STATUS_CERTIFIED
-            for x in off
-        )
+        off_ok = sum(solve_sigma_approx(problem.jacobian(x), 0.0, eps_critical=eps_critical).status
+                     == STATUS_CERTIFIED for x in off)
         add(
             "noncritical_points",
             off_ok == len(off),
@@ -587,7 +585,7 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
     worst_gap = 0.0
     for x in rng.uniform(desc.box[0], desc.box[1], size=(20, problem.n)):
         J = problem.jacobian(x)
-        res = solve_exact(J)
+        res = solve_sigma_approx(J, 0.0)
         _w, _v, alpha = brute_force_direction(J)
         scale = max(1.0, float(np.sum(J * J)))
         worst_gap = max(worst_gap, abs(res.alpha_upper - alpha) / scale)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .objective import NonFiniteError
 
-__all__ = ["DirectionResult", "solve_exact", "solve_sigma_approx"]
+__all__ = ["DirectionResult", "solve_sigma_approx"]
 
 STATUS_CERTIFIED = "certified"
 STATUS_CRITICAL = "critical"
@@ -191,8 +191,7 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
-                       max_inner: int = MAX_INNER) -> DirectionResult:
+def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> DirectionResult:
     """Compute a sigma-approximate steepest-descent direction at J.
 
     The dual active-set loop terminates as soon as the sufficient
@@ -204,23 +203,21 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
 
     A J whose Gram matrix J J^T has a non-finite trace raises ``NonFiniteError``.
 
-    ``max_inner`` caps the moves for optimal values below the rounding floor
-    of G.  Exhausting it returns the best iterate seen, by its Gram-space
-    upper bound, with status ``"max_inner"``, which is not certified; its
-    bounds are those of the returned v.  The loop returns that result before
-    the cap once w minimizes psi on its face and the vertex with the smallest
-    (G w)_i already lies in that face: in exact arithmetic w is then optimal
-    with a zero gap and no move changes it, so the stop test failed by
-    rounding alone.
+    ``MAX_INNER``, read at each call, caps the moves for optimal values below
+    the rounding floor of G.  Exhausting it returns the best iterate seen, by
+    its Gram-space upper bound, with status ``"max_inner"``, which is not
+    certified; its bounds are those of the returned v.  The loop returns that
+    result before the cap once w minimizes psi on its face and the vertex
+    with the smallest (G w)_i already lies in that face: in exact arithmetic
+    w is then optimal with a zero gap and no move changes it, so the stop
+    test failed by rounding alone.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if not 0.0 < eps_critical < math.inf or max_inner < 1:
-        raise ValueError("eps_critical must be positive and finite and max_inner >= 1")
+    if not 0.0 < eps_critical < math.inf:
+        raise ValueError("eps_critical must be positive and finite")
     J = np.asarray(J, dtype=float)
-    if J.ndim < 2:
-        J = J.reshape(1, -1)
-    elif J.ndim != 2:
+    if J.ndim != 2:
         raise ValueError(f"jacobian must be a matrix, got shape {J.shape}")
     m, n = J.shape
     with np.errstate(all="ignore"):
@@ -254,7 +251,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
         # w minimizes psi on its face, and no vertex off the face has a
         # smaller (Gw)_i: the next move would leave w where it is
         stalled = on_face_min and support[entering]
-        if it >= max_inner or stalled:
+        if it >= MAX_INNER or stalled:
             v, Jv, d, p = _bounds(J, best_w)
             return DirectionResult(v, d, p, best_w, it, STATUS_MAX_INNER, Jv)
         if on_face_min:
@@ -274,12 +271,11 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12,
         it += 1
 
 
-def solve_exact(J, *, eps_critical: float = 1e-12, max_inner: int = MAX_INNER) -> DirectionResult:
-    """Solve the direction subproblem to the relative duality-gap tolerance.
+def solve_exact(J, *, eps_critical: float = 1e-12) -> DirectionResult:
+    """``solve_sigma_approx(J, 0.0, eps_critical=eps_critical)``.
 
-    Identical to ``solve_sigma_approx`` with sigma = 0.  Its default
-    ``eps_critical`` of 1e-12 is stricter than ``SolverConfig``'s 1e-8;
-    a caller that must agree with a run's stop test passes the run's value.
+    No module of the package calls it: it is defined only because
+    ``bench/tracing.py`` patches the name ``diagnostics.solve_exact``, and it
+    goes once the benchmark no longer looks it up.
     """
-    return solve_sigma_approx(J, 0.0, eps_critical=eps_critical, max_inner=max_inner)
-
+    return solve_sigma_approx(J, 0.0, eps_critical=eps_critical)

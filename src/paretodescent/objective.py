@@ -98,8 +98,6 @@ class MultiObjective:
         if self.jac is None:
             return self._central_differences(x)
         J = np.asarray(self.jac(x), dtype=float)
-        if J.ndim < 2:
-            J = J.reshape(1, -1)
         if J.shape != (self.m, self.n):
             raise ValueError(
                 f"jacobian of '{self.name}' has shape {J.shape}, expected ({self.m}, {self.n})"

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive simplex grids, central
 differences, and seeded random sampling.  Tests lean on these to check the
 production code paths, so none of them may share logic with the modules
-they validate.  ``finite_diff_jacobian`` is the test reference for the
-objective module's own central differences, which must match it bit for bit.
+they validate.  ``kkt_direction`` and ``finite_diff_jacobian`` serve the
+tests and the benchmark and are not exported; the latter is the reference for
+the objective module's own central differences, which must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .objective import MultiObjective, NonFiniteError, as_point
 __all__ = [
     "ViolationReport",
     "brute_force_direction",
-    "kkt_direction",
-    "finite_diff_jacobian",
     "sample_quasiconvex",
     "check_gradient_characterization",
     "check_weak_pareto_local",

@@ -21,7 +21,6 @@ from paretodescent import (
     get_problem,
     run,
     sample_quasiconvex,
-    solve_exact,
     solve_sigma_approx,
 )
 from paretodescent.cli import main as cli_main
@@ -78,7 +77,7 @@ def test_criterion_1_subproblem_matches_the_grid_oracle():
         m = int(rng.integers(2, 4))
         n = int(rng.integers(1, 6))
         J = rng.uniform(-10.0, 10.0, size=(m, n))
-        res = solve_exact(J)
+        res = solve_sigma_approx(J, 0.0)
         _w, v_o, a_o = brute_force_direction(J)
         scale2 = max(1.0, float(np.sum(J * J)))
         scale1 = max(1.0, float(np.sqrt(np.sum(J * J))))
@@ -176,7 +175,7 @@ def test_criterion_6_cubic_pair_is_pareto_critical_everywhere():
     failures = []
     for _ in range(1000):
         t = rng.uniform(-10.0, 10.0)
-        res = solve_exact(desc.problem.jacobian([t]), eps_critical=1e-8)
+        res = solve_sigma_approx(desc.problem.jacobian([t]), 0.0, eps_critical=1e-8)
         if not res.critical or abs(res.alpha_upper) > 1e-12:
             failures.append(f"t={t}: status={res.status} alpha={res.alpha_upper}")
     for t0 in (-10.0, -1.3, 0.0, 5.0):

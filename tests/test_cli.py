@@ -7,7 +7,6 @@ import re
 import struct
 import tempfile
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -21,14 +20,13 @@ from paretodescent import (
     NonFiniteError,
     RunReport,
     SolverConfig,
-    finite_diff_jacobian,
     get_problem,
     list_problems,
     run,
     run_diagnostics,
-    solve_exact,
+    solve_sigma_approx,
 )
-from paretodescent import cli, direction, solver
+from paretodescent import cli, direction
 from paretodescent.cli import (
     ConfigError,
     RunSettings,
@@ -42,6 +40,7 @@ from paretodescent.cli import (
     write_trajectory_csv,
 )
 from paretodescent.direction import STATUS_MAX_INNER
+from paretodescent.oracle import finite_diff_jacobian
 
 
 def file_hash(path):
@@ -897,6 +896,26 @@ class TestSweepCommand:
         assert "config error: sigma must lie in [0, 1), got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_sigma_flag_is_a_config_error_before_any_run(self, tmp_path, capsys):
+        # sweep takes every sigma from --sigmas; a --sigma beside it was dropped
+        code = main(["sweep", "--problem", "quad_pair", "--sigma", "0.3", "--sigmas", "0,0.5",
+                     "--out", str(tmp_path / "out" / "sw")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "config error: sweep takes its sigma values from --sigmas, not --sigma\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sigmas_override_the_config_sigma(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("problem = quad_pair\nsigma = 0.9\n")
+        assert main(["sweep", "--config", str(cfg), "--sigmas", "0,0.5",
+                     "--out", str(tmp_path / "from_config")]) == 0
+        assert main(["sweep", "--problem", "quad_pair", "--sigmas", "0,0.5",
+                     "--out", str(tmp_path / "bare")]) == 0
+        table = (tmp_path / "from_config.sweep.csv").read_text()
+        assert table == (tmp_path / "bare.sweep.csv").read_text()
+        assert [row.split(",")[0] for row in table.splitlines()[1:]] == ["0", "0.5"]
+
     def test_unparsable_sigma_is_a_config_error(self, tmp_path):
         code = main(["sweep", "--problem", "quad_pair", "--sigmas", "0,abc",
                      "--out", str(tmp_path / "x")])
@@ -937,20 +956,20 @@ class TestVerifyCommand:
 
     def test_uncertified_solves_fail_both_criticality_checks(self, tmp_path, monkeypatch):
         # a max_inner result is neither critical nor certified
-        def uncertified(J, **kwargs):
-            return replace(solve_exact(J, **kwargs), status=STATUS_MAX_INNER)
+        def uncertified(J, sigma, **kwargs):
+            return replace(solve_sigma_approx(J, sigma, **kwargs), status=STATUS_MAX_INNER)
 
-        monkeypatch.setattr(cli, "solve_exact", uncertified)
+        monkeypatch.setattr(cli, "solve_sigma_approx", uncertified)
         assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 4
         checks = json.loads((tmp_path / "v.verify.json").read_text())["checks"]
         failed = [c["name"] for c in checks if not c["ok"]]
         assert failed == ["critical_set_members", "noncritical_points"]
 
     def test_numerical_failure_exits_three_not_the_failed_check_code(self, tmp_path, monkeypatch):
-        def overflowing(J, **kwargs):
+        def overflowing(J, sigma, **kwargs):
             raise NonFiniteError("Gram matrix J J^T has non-finite entries")
 
-        monkeypatch.setattr(cli, "solve_exact", overflowing)
+        monkeypatch.setattr(cli, "solve_sigma_approx", overflowing)
         assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 3
 
     def test_unknown_problem_exits_one(self):
@@ -974,13 +993,17 @@ class TestVerifyCommand:
 
 # three near-parallel gradients whose direction solve needs two moves
 SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+# three gradients whose direction solve needs two moves at every sigma: the
+# primal value is 9.06 at the barycenter and 7.93 after one move, so neither
+# iterate is certified (SUBNORMAL_JACOBIAN's barycenter is, for sigma >= 0.25)
+TWO_MOVE_JACOBIAN = np.array([[7.0, 3.0], [0.0, -4.0], [-4.0, -9.0]])
 
 
 def _forced_run(seed, shape, sigma, target, fail_at):
-    """Problem, start, config and direction solver that force ``target``: a
+    """Problem, start, config and direction move cap that force ``target``: a
     seeded convex quadratic per criterion, started far from its critical set,
-    with max_iter = fail_at, or with SUBNORMAL_JACOBIAN (under a solver of
-    max_inner = 1, so m = 3 and n = 2), a negated Jacobian (whose slopes
+    with max_iter = fail_at, or with TWO_MOVE_JACOBIAN (under a cap of one
+    move, so m = 3 and n = 2), a negated Jacobian (whose slopes
     claim a descent where F rises) or a numerically failing Jacobian at the
     fail_at-th Jacobian call only: NaN at odd fail_at, and at even fail_at a
     finite one whose Gram matrix overflows."""
@@ -998,7 +1021,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         if calls[0] == fail_at and target == "numerical_failure":
             return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
-            return SUBNORMAL_JACOBIAN
+            return TWO_MOVE_JACOBIAN
         if calls[0] == fail_at and target == "linesearch_failure":
             return -J
         return J
@@ -1008,10 +1031,8 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
 
     cfg = SolverConfig(sigma=sigma, max_iter=fail_at if target == "max_iter" else 10_000)
-    solve = direction.solve_sigma_approx
-    if target == "subproblem_failure":
-        solve = partial(solve, max_inner=1)
-    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg, solve
+    cap = 1 if target == "subproblem_failure" else direction.MAX_INNER
+    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg, cap
 
 
 def drop_dual_weights(csv):
@@ -1222,8 +1243,7 @@ class TestRoundTripAndDeterminism:
         # an uncertified direction and its inner iterations come back as well
         J = SUBNORMAL_JACOBIAN
         linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
-        with mock.patch.object(solver, "solve_sigma_approx",
-                               partial(direction.solve_sigma_approx, max_inner=1)):
+        with mock.patch.object(direction, "MAX_INNER", 1):
             rep = run(linear, [0.0, 0.0])
         assert rep.termination == "subproblem_failure"
         write_trajectory_csv(tmp_path / "sf.trajectory.csv", rep, 2, 3)
@@ -1243,11 +1263,12 @@ class TestRoundTripAndDeterminism:
     @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=1)
     @example(seed=0, shape=(2, 2), sigma=0.0, target="numerical_failure", fail_at=2)
     @example(seed=0, shape=(3, 2), sigma=0.0, target="subproblem_failure", fail_at=1)
+    @example(seed=0, shape=(1, 1), sigma=0.5, target="subproblem_failure", fail_at=1)
     @example(seed=0, shape=(2, 3), sigma=0.0, target="linesearch_failure", fail_at=1)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):
-        problem, x0, cfg, solve = _forced_run(seed, shape, sigma, target, fail_at)
-        with mock.patch.object(solver, "solve_sigma_approx", solve):
+        problem, x0, cfg, cap = _forced_run(seed, shape, sigma, target, fail_at)
+        with mock.patch.object(direction, "MAX_INNER", cap):
             rep = run(problem, x0, cfg)
         assert rep.termination == target
         if target == "numerical_failure":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from paretodescent import (
     check_proximity,
     check_quasi_fejer,
     get_problem,
-    kkt_direction,
     list_problems,
     run,
     run_diagnostics,
@@ -29,6 +29,7 @@ from paretodescent import direction as direction_module
 from paretodescent import solver as solver_module
 from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS
 from paretodescent.direction import STATUS_CERTIFIED, _allowance
+from paretodescent.oracle import kkt_direction
 
 from test_direction import _hard_jacobians
 
@@ -439,9 +440,8 @@ class TestProximity:
         out = check_proximity(rep, stepped_jacobians(desc.problem, rep))
         assert out.ok
         # sigma = 0: recorded directions coincide with re-solves to 1e-4
-        from paretodescent import solve_exact
         for r in rep.stepped_records:
-            exact = solve_exact(desc.problem.jacobian(r.x))
+            exact = solve_sigma_approx(desc.problem.jacobian(r.x), 0.0)
             assert np.linalg.norm(r.v - exact.v) <= 1e-4
 
     def test_relaxed_runs_satisfy_the_proximity_bound(self):
@@ -525,7 +525,8 @@ class TestProximity:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(J=_hard_jacobians(), sigma=st.sampled_from([0.0, 0.5, 0.9]))
     def test_every_certified_direction_passes_and_bounds_its_distance(self, J, sigma):
-        res = solve_sigma_approx(J, sigma, max_inner=300)
+        with mock.patch.object(direction_module, "MAX_INNER", 300):
+            res = solve_sigma_approx(J, sigma)
         if res.status != STATUS_CERTIFIED:  # a critical or stalled solve takes no step
             return
         out = check_proximity(one_step_report(J, res, sigma), [J])

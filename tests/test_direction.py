@@ -1,14 +1,17 @@
+import ast
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from paretodescent import direction
 from paretodescent import (
     NonFiniteError,
     brute_force_direction,
-    kkt_direction,
-    solve_exact,
     solve_sigma_approx,
 )
 from paretodescent.direction import (
@@ -19,6 +22,7 @@ from paretodescent.direction import (
     _gap_floor,
     _stop_status,
 )
+from paretodescent.oracle import kkt_direction
 
 
 def primal(J, v) -> float:
@@ -128,7 +132,7 @@ _HARD_CASES = dict(
 
 
 def _hard_solve(J, sigma, eps_critical):
-    """Solve with max_inner = 300; eps_critical None stands for the value at
+    """Solve under a cap of 300 moves; eps_critical None stands for the value at
     which the J-space critical test passes at the barycenter with equality,
     where the Gram-space screen has no rounding room to spare."""
     if eps_critical is None:
@@ -136,7 +140,8 @@ def _hard_solve(J, sigma, eps_critical):
         eps_critical = 0.5 * float(v0 @ v0)
         if eps_critical <= 0.0:
             return None, eps_critical
-    return solve_sigma_approx(J, sigma, eps_critical=eps_critical, max_inner=300), eps_critical
+    with mock.patch.object(direction, "MAX_INNER", 300):
+        return solve_sigma_approx(J, sigma, eps_critical=eps_critical), eps_critical
 
 
 def _reference_solve(J, sigma, eps_critical, max_inner):
@@ -279,7 +284,7 @@ class TestProjectSimplex:
 
 class TestSolveExact:
     def test_identity_jacobian(self):
-        res = solve_exact(np.eye(2))
+        res = solve_sigma_approx(np.eye(2), 0.0)
         np.testing.assert_allclose(res.v, [-0.5, -0.5], atol=1e-9)
         np.testing.assert_allclose(res.alpha_upper, -0.25, atol=1e-10)
         np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-9)
@@ -289,13 +294,13 @@ class TestSolveExact:
         assert abs(res.alpha_upper - a_o) <= 1e-5
 
     def test_single_criterion_reduces_to_negative_gradient(self):
-        res = solve_exact(np.array([[3.0, 4.0]]))
+        res = solve_sigma_approx(np.array([[3.0, 4.0]]), 0.0)
         assert np.array_equal(res.v, [-3.0, -4.0])
         assert res.alpha_upper == -12.5
         assert np.array_equal(res.weights, [1.0])
 
     def test_opposing_gradients_are_critical(self):
-        res = solve_exact(np.array([[1.0], [-4.0]]))
+        res = solve_sigma_approx(np.array([[1.0], [-4.0]]), 0.0)
         assert res.critical
         assert np.array_equal(res.v, [0.0])
         assert res.alpha_upper == 0.0
@@ -307,7 +312,8 @@ class TestSolveExact:
             (np.random.default_rng(3).uniform(0.5, 2.0, size=(20, 50)) * 5.0, 5),
         ]
         for J, cap in cases:
-            res = solve_exact(J, max_inner=cap)
+            with mock.patch.object(direction, "MAX_INNER", cap):
+                res = solve_sigma_approx(J, 0.0)
             assert res.status == STATUS_MAX_INNER
             assert res.inner_iterations == cap
             assert not res.sigma_certified
@@ -318,7 +324,7 @@ class TestSolveExact:
             assert res.alpha_upper == primal(J, res.v)
 
     def test_zero_gradient_beside_a_near_singular_face_reports_critical(self):
-        res = solve_exact(ZERO_ROW_JACOBIAN)
+        res = solve_sigma_approx(ZERO_ROW_JACOBIAN, 0.0)
         assert res.critical
         assert res.inner_iterations == 1
         assert np.array_equal(res.v, np.zeros(4))
@@ -337,15 +343,16 @@ class TestSolveExact:
     def test_rejects_nonfinite_jacobian(self, J, where, value):
         J[where[0] % J.shape[0], where[1] % J.shape[1]] = value
         with pytest.raises(NonFiniteError):
-            solve_exact(J)
+            solve_sigma_approx(J, 0.0)
 
 
 class TestSolveSigmaApprox:
     def test_sigma_zero_is_bitwise_the_exact_solve(self):
+        # direction.solve_exact, kept unexported for the benchmark, is the sigma = 0 case
         rng = np.random.default_rng(7)
         for _ in range(20):
             J = random_jacobian(rng)
-            a = solve_exact(J)
+            a = direction.solve_exact(J)
             b = solve_sigma_approx(J, 0.0)
             assert np.array_equal(a.v, b.v)
             assert a.alpha_upper == b.alpha_upper
@@ -361,6 +368,13 @@ class TestSolveSigmaApprox:
         assert res.critical
         assert np.array_equal(res.v, [0.0, 0.0])
         assert res.alpha_upper == 0.0
+
+    @pytest.mark.parametrize("J", [np.ones(2), np.ones((1, 2, 2)), np.float64(1.0)],
+                             ids=["vector", "three_dimensional", "scalar"])
+    def test_a_jacobian_that_is_not_a_matrix_is_rejected(self, J):
+        with pytest.raises(ValueError) as exc:
+            solve_sigma_approx(J, 0.5)
+        assert str(exc.value) == f"jacobian must be a matrix, got shape {np.shape(J)}"
 
     def test_sigma_out_of_range_rejected(self):
         for sigma in (-0.1, 1.0, 1.5):
@@ -394,7 +408,7 @@ class TestSolveSigmaApprox:
 
     def test_early_termination_saves_inner_iterations(self):
         J = np.array([[3.0, 1.0], [0.5, -2.0]])
-        exact = solve_exact(J)
+        exact = solve_sigma_approx(J, 0.0)
         loose = solve_sigma_approx(J, 0.9)
         assert loose.inner_iterations <= exact.inner_iterations
 
@@ -428,8 +442,10 @@ class TestGramSpaceLoop:
         # (Gw)_i is already in it, and every further move repeats itself
         J = _hard_jacobian(256, 1e-6, [3.8872746336723925, -1.192092896e-07, 3.9666505880759306],
                            [1.0, 1.0, -1.0], 4294967294)
-        results = [solve_sigma_approx(J, 0.9883535562604477, eps_critical=1e-12, max_inner=cap)
-                   for cap in (300, 10_000)]
+        results = []
+        for cap in (300, 10_000):
+            with mock.patch.object(direction, "MAX_INNER", cap):
+                results.append(solve_sigma_approx(J, 0.9883535562604477, eps_critical=1e-12))
         for res in results:
             assert res.status == STATUS_MAX_INNER
             assert res.inner_iterations <= 5
@@ -449,7 +465,8 @@ class TestGramSpaceLoop:
             v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
             eps_critical = max(0.5 * float(v0 @ v0), 1e-300)
         for s in (0.0, 0.25, 0.5, 0.9, sigma):
-            res = solve_sigma_approx(J, s, eps_critical=eps_critical, max_inner=max_inner)
+            with mock.patch.object(direction, "MAX_INNER", max_inner):
+                res = solve_sigma_approx(J, s, eps_critical=eps_critical)
             v, d, p, w, it, status = _reference_solve(J, s, eps_critical, max_inner)
             assert (res.status, res.inner_iterations) == (status, it)
             assert res.v.tobytes() == v.tobytes()
@@ -478,7 +495,7 @@ class TestGramSpaceLoop:
             for _ in range(30):
                 points.append(w)
                 w = project_simplex(w - step * (G @ w))
-            points.append(solve_exact(J).weights)
+            points.append(solve_sigma_approx(J, 0.0).weights)
             for w in points:
                 Gw = G @ w
                 wGw = float(w @ Gw)
@@ -523,7 +540,7 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         for _ in range(100):
             J = random_jacobian(rng)
-            res = solve_exact(J)
+            res = solve_sigma_approx(J, 0.0)
             scale = max(1.0, float(np.sum(J * J)))
             for _ in range(5):
                 v = rng.normal(scale=2.0, size=J.shape[1])
@@ -547,7 +564,7 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         for _ in range(100):
             J = random_jacobian(rng)
-            res = solve_exact(J)
+            res = solve_sigma_approx(J, 0.0)
             scale = max(1.0, float(np.sum(J * J)))
             slope = float(np.max(J @ res.v))
             assert abs(slope + float(res.v @ res.v)) <= 1e-8 * scale
@@ -566,7 +583,7 @@ class TestInvariants:
         rng = np.random.default_rng(23)
         for _ in range(100):
             J = random_jacobian(rng)
-            res = solve_exact(J)
+            res = solve_sigma_approx(J, 0.0)
             _w, _v, a_o = brute_force_direction(J)
             grid_budget = 1e-4 * max(1.0, float(np.sum(J * J)))
             assert res.alpha_lower <= a_o + grid_budget
@@ -611,3 +628,19 @@ class TestInvariants:
         else:
             assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
             assert res.alpha_upper <= 0.0
+
+
+def test_the_package_has_one_dual_solver_and_no_move_cap_argument():
+    # the exact direction is the sigma = 0 case of solve_sigma_approx, and
+    # MAX_INNER is a module constant: no package function takes max_inner, and
+    # none calls solve_exact, which stays defined only for the benchmark
+    import paretodescent
+
+    assert not {"solve_exact", "kkt_direction", "finite_diff_jacobian"} & set(paretodescent.__all__)
+    for path in Path(paretodescent.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", getattr(node.func, "attr", None)) != "solve_exact", path
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+                assert "max_inner" not in params, (path.name, node.name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paretodescent import LineSearchError, MultiObjective, armijo_step, get_problem, solve_exact
+from paretodescent import LineSearchError, MultiObjective, armijo_step, get_problem, solve_sigma_approx
 
 
 def scalar_problem(f, jac):
@@ -53,7 +53,7 @@ class TestContract:
         p = get_problem("quad_pair").problem
         for _ in range(50):
             x = rng.uniform(-3, 3, size=2)
-            res = solve_exact(p.jacobian(x))
+            res = solve_sigma_approx(p.jacobian(x), 0.0)
             if res.critical:
                 continue
             st = take_step(p, x, res.v, float(rng.uniform(0.05, 0.95)))
@@ -66,7 +66,7 @@ class TestContract:
         checked = 0
         for _ in range(200):
             x = rng.uniform(-3, 3, size=1)
-            res = solve_exact(p.jacobian(x))
+            res = solve_sigma_approx(p.jacobian(x), 0.0)
             if res.critical or res.alpha_upper > -1e-6:
                 continue
             beta = float(rng.choice([0.1, 0.5, 0.9]))
@@ -85,7 +85,7 @@ class TestContract:
     def test_componentwise_decrease_with_strict_improvement(self):
         p = get_problem("quad_pair").problem
         x = np.array([2.0, 2.0])
-        res = solve_exact(p.jacobian(x))
+        res = solve_sigma_approx(p.jacobian(x), 0.0)
         st = take_step(p, x, res.v, 0.5)
         after = p.evaluate(x + st.t * res.v)
         before = p.evaluate(x)
@@ -142,7 +142,7 @@ def test_well_defined_on_certified_directions_across_problems():
         desc = get_problem(names[int(rng.integers(len(names)))])
         p = desc.problem
         x = rng.uniform(desc.box[0], desc.box[1], size=p.n)
-        res = solve_exact(p.jacobian(x))
+        res = solve_sigma_approx(p.jacobian(x), 0.0)
         if res.critical or res.alpha_upper > -1e-6:
             continue
         st = take_step(p, x, res.v, 0.5)

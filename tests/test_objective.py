@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from paretodescent import (
     MultiObjective,
     NonFiniteError,
-    finite_diff_jacobian,
     get_problem,
     make_quad_pair,
     run,
 )
+from paretodescent.oracle import finite_diff_jacobian
 from paretodescent.cli import build_inline_problem
 
 
@@ -50,6 +50,22 @@ class TestEvaluate:
         bad = MultiObjective(n=1, m=1, f=lambda x: np.array([1.0 / x[0]]))
         with pytest.raises(ValueError):
             bad.evaluate([0.0])
+
+    @pytest.mark.parametrize("f, shape", [
+        (lambda x: np.array([1.0, 2.0, 3.0]), "(3,)"),
+        (lambda x: 1.0, "(1,)"),
+        (lambda x: np.ones((2, 1)), "(2, 1)"),
+    ])
+    def test_a_value_of_the_wrong_shape_is_rejected(self, f, shape):
+        p = MultiObjective(n=2, m=2, f=f, name="bad")
+        with pytest.raises(ValueError) as exc:
+            p.evaluate([0.0, 0.0])
+        assert str(exc.value) == f"objective 'bad' returned shape {shape}, expected (2,)"
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (-1, 2)])
+    def test_nonpositive_dimensions_are_rejected(self, n, m):
+        with pytest.raises(ValueError, match="n and m must be positive integers"):
+            MultiObjective(n=n, m=m, f=lambda x: x)
 
     def test_unchecked_mode_passes_nonfinite_through(self):
         bad = MultiObjective(n=1, m=1, f=lambda x: np.array([1.0 / x[0]]))
@@ -108,6 +124,14 @@ class TestJacobian:
             p.jacobian([0.0, 0.0])
         with pytest.raises(ValueError, match=r"returned shape \(1,\), expected \(2,\)"):
             MultiObjective(n=2, m=2, f=lambda x: x[0]).jacobian([0.0, 0.0])
+
+    def test_a_one_dimensional_jacobian_is_rejected_with_its_shape(self):
+        # a single criterion's gradient must come back as a 1 x n matrix
+        p = MultiObjective(n=2, m=1, f=lambda x: np.array([x[0] + x[1]]),
+                           jac=lambda x: np.array([1.0, 1.0]), name="flat")
+        with pytest.raises(ValueError) as exc:
+            p.jacobian([0.0, 0.0])
+        assert str(exc.value) == "jacobian of 'flat' has shape (2,), expected (1, 2)"
 
     def test_bad_jacobian_shape_rejected(self):
         p = MultiObjective(n=2, m=2, f=lambda x: np.array([x[0], x[1]]),

@@ -15,13 +15,12 @@ from paretodescent import (
     brute_force_direction,
     check_gradient_characterization,
     check_weak_pareto_local,
-    finite_diff_jacobian,
     get_problem,
-    kkt_direction,
     list_problems,
     sample_quasiconvex,
-    solve_exact,
+    solve_sigma_approx,
 )
+from paretodescent.oracle import finite_diff_jacobian, kkt_direction
 
 
 def sufficient_sigma_condition(J, v, sigma):
@@ -73,6 +72,25 @@ class TestBruteForceDirection:
             _, _, a_kkt = kkt_direction(J)
             assert abs(a_grid - a_kkt) <= 1e-4 * max(1.0, float(np.sum(J * J)))
             assert a_grid <= a_kkt + 1e-12  # grid value never beats the true optimum
+
+
+class TestSupportEnumeration:
+    def test_too_many_criteria_rejected(self):
+        with pytest.raises(ValueError, match="m <= 4 criteria, got m=5"):
+            kkt_direction(np.ones((5, 2)))
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("sampler", [sample_quasiconvex, check_gradient_characterization])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_rejected(self, sampler, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sampler(get_problem("quad_pair").problem, trials, 0)
+
+    @pytest.mark.parametrize("trials, radius", [(0, 0.5), (10, 0.0), (10, -0.5)])
+    def test_the_weak_pareto_sampler_needs_a_trial_and_a_positive_radius(self, trials, radius):
+        with pytest.raises(ValueError, match="trials must be >= 1 and radius positive"):
+            check_weak_pareto_local(get_problem("quad_pair").problem, [0.5, 0.0], radius, trials, 0)
 
 
 class TestFiniteDifferences:
@@ -229,7 +247,7 @@ class TestSufficientCondition:
         for sigma in (0.1, 0.4, 0.9):
             for _ in range(50):
                 J = rng.uniform(-2, 2, size=(2, 3))
-                res = solve_exact(J)
+                res = solve_sigma_approx(J, 0.0)
                 if res.critical:
                     continue
                 assert sufficient_sigma_condition(J, res.v, sigma)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from paretodescent import (
     get_problem,
     list_problems,
     sample_quasiconvex,
-    solve_exact,
+    solve_sigma_approx,
 )
 from paretodescent.direction import STATUS_CERTIFIED
 
@@ -24,6 +26,12 @@ def test_registry_contains_the_expected_problems():
 def test_unknown_name_rejected():
     with pytest.raises(UnknownProblemError):
         get_problem("nope")
+
+
+def test_unknown_convexity_class_rejected():
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(get_problem("quad_pair"), convexity_class="concave")
+    assert str(exc.value) == "unknown convexity class 'concave'"
 
 
 def test_descriptor_shapes_are_consistent():
@@ -62,14 +70,14 @@ def test_known_critical_set_agrees_with_the_criticality_test(name):
     rng = np.random.default_rng(101)
     for _ in range(50):
         x = desc.sample_critical(rng)
-        res = solve_exact(desc.problem.jacobian(x), eps_critical=1e-8)
+        res = solve_sigma_approx(desc.problem.jacobian(x), 0.0, eps_critical=1e-8)
         assert res.critical, f"{name}: {x} should be critical, status={res.status}"
     misses = 0
     for _ in range(50):
         x = desc.sample_noncritical(rng)
         if x is None:
             return  # the critical set covers the box; nothing to sample
-        res = solve_exact(desc.problem.jacobian(x), eps_critical=1e-8)
+        res = solve_sigma_approx(desc.problem.jacobian(x), 0.0, eps_critical=1e-8)
         misses += int(res.critical)
         assert res.status == STATUS_CERTIFIED, f"{name}: {x} should not be critical, alpha={res.alpha_upper}"
     assert misses == 0

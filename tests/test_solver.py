@@ -1,16 +1,16 @@
 import math
-from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from paretodescent import direction, solver
+from paretodescent import direction
 from paretodescent import (
     MultiObjective,
     SolverConfig,
     get_problem,
     run,
-    solve_exact,
+    solve_sigma_approx,
 )
 from paretodescent.direction import STATUS_CERTIFIED, STATUS_MAX_INNER
 from paretodescent.solver import (
@@ -57,7 +57,7 @@ class TestRunExamples:
         assert -1e-4 <= rep.final_x[0] <= 1.0 + 1e-4
         assert abs(rep.records[-1].alpha_lower) <= 1e-8
         # some simplex weights certify J^T w ~ 0 at the final point
-        res = solve_exact(desc.problem.jacobian(rep.final_x))
+        res = solve_sigma_approx(desc.problem.jacobian(rep.final_x), 0.0)
         assert np.linalg.norm(desc.problem.jacobian(rep.final_x).T @ res.weights) <= 1e-3
 
     def test_cubic_pair_stops_immediately_everywhere(self):
@@ -126,11 +126,10 @@ class TestRunContract:
         assert rep.iterations == 3
         assert rep.records[-1].t == 0.0 and rep.records[-1].j == -1
 
-    def test_subproblem_failure_is_reported_not_raised(self, monkeypatch):
+    def test_subproblem_failure_is_reported_not_raised(self):
         # three linear criteria whose direction solve needs two moves, one allowed
-        monkeypatch.setattr(solver, "solve_sigma_approx",
-                            partial(direction.solve_sigma_approx, max_inner=1))
-        rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0])
+        with mock.patch.object(direction, "MAX_INNER", 1):
+            rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0])
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
 
@@ -243,19 +242,20 @@ class TestRunContract:
 class TestIsCritical:
     # the run's criticality test: the direction solve at its eps_critical
     def test_zero_jacobian(self):
-        res = solve_exact(np.zeros((2, 2)), eps_critical=1e-8)
+        res = solve_sigma_approx(np.zeros((2, 2)), 0.0, eps_critical=1e-8)
         assert res.critical and res.alpha_upper == 0.0
 
     def test_opposing_gradients(self):
-        res = solve_exact(np.array([[1.0], [-4.0]]), eps_critical=1e-8)
+        res = solve_sigma_approx(np.array([[1.0], [-4.0]]), 0.0, eps_critical=1e-8)
         assert res.critical and res.alpha_upper == 0.0
 
     def test_identity_jacobian_is_not_critical(self):
-        res = solve_exact(np.eye(2), eps_critical=1e-8)
+        res = solve_sigma_approx(np.eye(2), 0.0, eps_critical=1e-8)
         assert res.status == STATUS_CERTIFIED
         np.testing.assert_allclose(res.alpha_upper, -0.25, atol=1e-10)
 
     def test_uncertified_subproblem_is_neither_critical_nor_certified(self):
-        res = solve_exact(SUBNORMAL_JACOBIAN, eps_critical=1e-8, max_inner=1)
+        with mock.patch.object(direction, "MAX_INNER", 1):
+            res = solve_sigma_approx(SUBNORMAL_JACOBIAN, 0.0, eps_critical=1e-8)
         assert res.status == STATUS_MAX_INNER
         assert not res.critical and not res.sigma_certified
