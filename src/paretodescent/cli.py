@@ -257,6 +257,16 @@ def _read_text(path: str | Path) -> str:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write a file and the directories above it; a path the file system
+    refuses, as one whose name is too long, is a config error naming it."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -388,7 +398,7 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
                for name, read in _SCALAR_COLUMNS]
         row += [_fmt(val) for val in (*r.x, *r.Fx, *r.v, *r.weights)]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
@@ -500,13 +510,12 @@ def cmd_solve(args) -> int:
     settings = _resolve_settings(args)
     report = run(settings.problem, settings.x0, settings.cfg)
     summary = run_diagnostics(settings.problem, report, settings.cfg.sigma)
-    Path(settings.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(
         f"{settings.out_prefix}.trajectory.csv", report, settings.problem.n, settings.problem.m
     )
     doc = _report_document(settings, report, summary)
     text = json.dumps(doc, indent=2, allow_nan=False)
-    Path(f"{settings.out_prefix}.report.json").write_text(text + "\n")
+    _write_text(f"{settings.out_prefix}.report.json", text + "\n")
     print(
         f"{settings.problem_name}: {report.termination} after {report.iterations} step(s), "
         f"final alpha {_fmt(report.final_alpha)} -> {settings.out_prefix}.{{trajectory.csv,report.json}}"
@@ -530,8 +539,7 @@ def cmd_sweep(args) -> int:
         lines.append(f"{_fmt(cfg.sigma)},{report.iterations},{report.total_inner_iterations},"
                      f"{_fmt(report.final_alpha)},{report.termination}")
         worst = max(worst, _termination_exit(report.termination))
-    Path(settings.out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{settings.out_prefix}.sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_text(f"{settings.out_prefix}.sweep.csv", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return worst
@@ -563,7 +571,7 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
                 ok = ok and check_weak_pareto_local(problem, x_crit, 0.5, 1000, seed + 2)
             add("critical_points_weak_pareto", ok, "sampled critical points undominated locally")
 
-    # the run's own stop test: a max_inner result is neither critical nor
+    # the run's own stop test: a stalled result is neither critical nor
     # certified, so it fails either check
     eps_critical = SolverConfig().eps_critical
     on_ok = sum(solve_sigma_approx(problem.jacobian(desc.sample_critical(rng)), 0.0,
@@ -612,8 +620,7 @@ def cmd_verify(args) -> int:
         "all_ok": all_ok,
     }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{args.out}.verify.json").write_text(json.dumps(doc, indent=2) + "\n")
+        _write_text(f"{args.out}.verify.json", json.dumps(doc, indent=2) + "\n")
     for c in checks:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}")
     print(f"{desc.name}: {'all checks passed' if all_ok else 'checks FAILED'}")

@@ -20,8 +20,9 @@ iteration is one move on the support S of w: solve [G_SS 1; 1^T 0] for the
 minimizer of psi on the affine hull of the face S, and move there if it is
 nonnegative; otherwise move towards it until a weight reaches zero, and drop
 that weight from S.  Once w minimizes psi on its face, the next move first
-adds the vertex with the smallest (G w)_i.  In exact arithmetic this ends at
-the optimum after finitely many moves.
+adds the vertex with the smallest (G w)_i.  In exact arithmetic psi falls
+strictly from one face minimizer to the next, and the loop ends at the
+optimum; a face minimizer that does not lower psi ends it uncertified.
 
 Since J v = -G w and ||v||^2 = w^T G w, one product G w per iterate gives
 screened copies of both bounds at O(m^2).  Only when a screened bound comes
@@ -59,12 +60,10 @@ __all__ = ["DirectionResult", "solve_sigma_approx"]
 
 STATUS_CERTIFIED = "certified"
 STATUS_CRITICAL = "critical"
-STATUS_MAX_INNER = "max_inner"
+STATUS_STALLED = "stalled"
 
 # relative duality-gap tolerance of the exact (sigma = 0) solve
 TOL_GAP = 1e-10
-# safety cap on the moves of one solve, reached only below the rounding floor
-MAX_INNER = 10_000
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -203,14 +202,16 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> Direc
 
     A J whose Gram matrix J J^T has a non-finite trace raises ``NonFiniteError``.
 
-    ``MAX_INNER``, read at each call, caps the moves for optimal values below
-    the rounding floor of G.  Exhausting it returns the best iterate seen, by
-    its Gram-space upper bound, with status ``"max_inner"``, which is not
-    certified; its bounds are those of the returned v.  The loop returns that
-    result before the cap once w minimizes psi on its face and the vertex
-    with the smallest (G w)_i already lies in that face: in exact arithmetic
-    w is then optimal with a zero gap and no move changes it, so the stop
-    test failed by rounding alone.
+    In exact arithmetic psi falls strictly from one face minimizer to the
+    next.  A face minimizer at which w.Gw is not below its value at the last
+    one, which happens only below the rounding floor of G, returns w with
+    status ``"stalled"``, which is not certified; its bounds are those of the
+    returned v.  So the loop ends with no cap: each face minimizer is a
+    function of the support it was solved on, strict decrease means no
+    support comes back, so at most 2^m - 1 face minimizers pass and one more
+    stalls.  Each move that does not reach a face minimizer drops a vertex,
+    and the face of one vertex is its own minimizer, so each face minimizer
+    lies within m moves of the last, and a solve makes at most m * 2^m moves.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
@@ -229,15 +230,13 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> Direc
     allowance = _allowance(G, n)
     w = np.full(m, 1.0 / m)
     on_face_min = False  # w minimizes psi on the face of its support
-    best_p, best_w = np.inf, w
+    psi_min = math.inf  # w.Gw at the last face minimizer
     it = 0
     while True:
         Gw = G @ w
         wGw = float(w @ Gw)
         d_gram = -0.5 * wGw
         p_gram = 0.5 * wGw - float(Gw.min())
-        if p_gram < best_p:
-            best_p, best_w = p_gram, w
         if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
                         sigma, eps_critical, gap_floor) is not None:
             v, Jv, d, p = _bounds(J, w)
@@ -247,15 +246,12 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> Direc
             if status is not None:
                 return DirectionResult(v, d, p, w, it, status, Jv)
         support = w > 0.0
-        entering = int(Gw.argmin())
-        # w minimizes psi on its face, and no vertex off the face has a
-        # smaller (Gw)_i: the next move would leave w where it is
-        stalled = on_face_min and support[entering]
-        if it >= MAX_INNER or stalled:
-            v, Jv, d, p = _bounds(J, best_w)
-            return DirectionResult(v, d, p, best_w, it, STATUS_MAX_INNER, Jv)
         if on_face_min:
-            support[entering] = True
+            if not wGw < psi_min:  # also when wGw is NaN
+                v, Jv, d, p = _bounds(J, w)
+                return DirectionResult(v, d, p, w, it, STATUS_STALLED, Jv)
+            psi_min = wGw
+            support[int(Gw.argmin())] = True
         y = _face_minimizer(G, support)
         blocking = support & (y < 0.0)
         if not blocking.any():

@@ -1,14 +1,15 @@
 import ast
+import errno
 import hashlib
 import json
 import math
 import operator
+import os
 import re
 import struct
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from paretodescent import (
     run_diagnostics,
     solve_sigma_approx,
 )
-from paretodescent import cli, direction
+from paretodescent import cli
 from paretodescent.cli import (
     ConfigError,
     RunSettings,
@@ -39,7 +40,7 @@ from paretodescent.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from paretodescent.direction import STATUS_MAX_INNER
+from paretodescent.direction import STATUS_STALLED
 from paretodescent.oracle import finite_diff_jacobian
 
 
@@ -704,6 +705,22 @@ class TestConfigFile:
         assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
         assert Path("afile").read_text() == "kept"
 
+    @pytest.mark.parametrize("argv, ext", [
+        (["solve", "--problem", "quad_pair"], "trajectory.csv"),
+        (["sweep", "--problem", "quad_pair", "--sigmas", "0"], "sweep.csv"),
+        (["verify", "--problem", "quad_pair"], "verify.json"),
+    ])
+    def test_a_name_the_file_system_refuses_is_a_config_error(self, tmp_path, capsys, argv, ext):
+        # a file name longer than the system allows, as the prefix's last
+        # part or as a directory above it: the first write fails, and
+        # nothing is written
+        long = str(tmp_path / ("a" * 300))
+        for out in (long, f"{long}/x"):
+            assert main([*argv, "--out", out]) == 1
+            assert capsys.readouterr() == (
+                "", f"config error: {out}.{ext}: {os.strerror(errno.ENAMETOOLONG)}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_next_to_a_builtin_problem_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("problem = quad_pair\nn = 2\n")
@@ -955,9 +972,9 @@ class TestVerifyCommand:
         assert json.loads((tmp_path / "v.verify.json").read_text())["all_ok"] is True
 
     def test_uncertified_solves_fail_both_criticality_checks(self, tmp_path, monkeypatch):
-        # a max_inner result is neither critical nor certified
+        # a stalled result is neither critical nor certified
         def uncertified(J, sigma, **kwargs):
-            return replace(solve_sigma_approx(J, sigma, **kwargs), status=STATUS_MAX_INNER)
+            return replace(solve_sigma_approx(J, sigma, **kwargs), status=STATUS_STALLED)
 
         monkeypatch.setattr(cli, "solve_sigma_approx", uncertified)
         assert main(["verify", "--problem", "quad_pair", "--seed", "0", "--out", str(tmp_path / "v")]) == 4
@@ -991,19 +1008,17 @@ class TestVerifyCommand:
         assert list(tmp_path.iterdir()) == []
 
 
-# three near-parallel gradients whose direction solve needs two moves
-SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
-# three gradients whose direction solve needs two moves at every sigma: the
-# primal value is 9.06 at the barycenter and 7.93 after one move, so neither
-# iterate is certified (SUBNORMAL_JACOBIAN's barycenter is, for sigma >= 0.25)
-TWO_MOVE_JACOBIAN = np.array([[7.0, 3.0], [0.0, -4.0], [-4.0, -9.0]])
+# three gradients in R^2 that sum to about 2e-17: under eps_critical = 1e-300
+# the direction solve stalls uncertified after 4 moves at every sigma
+STALLING_JACOBIAN = np.array([[0.5706560135801596, 0.0], [1.3826081419979863, 0.0],
+                              [-1.9532643075147693, 0.0]])
 
 
 def _forced_run(seed, shape, sigma, target, fail_at):
-    """Problem, start, config and direction move cap that force ``target``: a
-    seeded convex quadratic per criterion, started far from its critical set,
-    with max_iter = fail_at, or with TWO_MOVE_JACOBIAN (under a cap of one
-    move, so m = 3 and n = 2), a negated Jacobian (whose slopes
+    """Problem, start and config that force ``target``: a seeded convex
+    quadratic per criterion, started far from its critical set, with
+    max_iter = fail_at, or with STALLING_JACOBIAN (under eps_critical =
+    1e-300, so m = 3 and n = 2), a negated Jacobian (whose slopes
     claim a descent where F rises) or a numerically failing Jacobian at the
     fail_at-th Jacobian call only: NaN at odd fail_at, and at even fail_at a
     finite one whose Gram matrix overflows."""
@@ -1021,7 +1036,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         if calls[0] == fail_at and target == "numerical_failure":
             return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
-            return TWO_MOVE_JACOBIAN
+            return STALLING_JACOBIAN
         if calls[0] == fail_at and target == "linesearch_failure":
             return -J
         return J
@@ -1031,8 +1046,9 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
 
     cfg = SolverConfig(sigma=sigma, max_iter=fail_at if target == "max_iter" else 10_000)
-    cap = 1 if target == "subproblem_failure" else direction.MAX_INNER
-    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg, cap
+    if target == "subproblem_failure":
+        cfg = replace(cfg, eps_critical=1e-300)
+    return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg
 
 
 def drop_dual_weights(csv):
@@ -1241,15 +1257,15 @@ class TestRoundTripAndDeterminism:
         assert report.config == rep.config
         assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
         # an uncertified direction and its inner iterations come back as well
-        J = SUBNORMAL_JACOBIAN
+        J = STALLING_JACOBIAN
         linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
-        with mock.patch.object(direction, "MAX_INNER", 1):
-            rep = run(linear, [0.0, 0.0])
-        assert rep.termination == "subproblem_failure"
+        rep = run(linear, [0.0, 0.0], SolverConfig(eps_critical=1e-300))
+        assert rep.termination == "subproblem_failure" and rep.iterations == 0
         write_trajectory_csv(tmp_path / "sf.trajectory.csv", rep, 2, 3)
         records = read_trajectory_csv(tmp_path / "sf.trajectory.csv")
         assert [record_bits(r) for r in records] == [record_bits(r) for r in rep.records]
-        assert not records[-1].sigma_certified and records[-1].inner_iterations == 1
+        assert records[-1].k == 0
+        assert not records[-1].sigma_certified and records[-1].inner_iterations == 4
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -1267,9 +1283,8 @@ class TestRoundTripAndDeterminism:
     @example(seed=0, shape=(2, 3), sigma=0.0, target="linesearch_failure", fail_at=1)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):
-        problem, x0, cfg, cap = _forced_run(seed, shape, sigma, target, fail_at)
-        with mock.patch.object(direction, "MAX_INNER", cap):
-            rep = run(problem, x0, cfg)
+        problem, x0, cfg = _forced_run(seed, shape, sigma, target, fail_at)
+        rep = run(problem, x0, cfg)
         assert rep.termination == target
         if target == "numerical_failure":
             assert math.isnan(rep.final_alpha) and math.isnan(rep.records[-1].alpha_lower)

@@ -1,6 +1,5 @@
 import ast
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from paretodescent import (
 from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
-    STATUS_MAX_INNER,
+    STATUS_STALLED,
     _allowance,
     _gap_floor,
     _stop_status,
@@ -42,6 +41,10 @@ ZERO_ROW_JACOBIAN = np.array([
 SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
 # finite rows whose squared norms are finite but sum past the largest double
 TRACE_OVERFLOW_JACOBIAN = np.array([[1.2e154, 0.0], [1.2e154, 1e152], [1.1e154, -3e153]])
+# three gradients in R^1 that sum to about 2e-17: the optimal value, about
+# -1e-33, lies below the rounding floor, and under eps_critical = 1e-300 the
+# fourth move reaches a face minimizer that does not lower psi
+STALLING_JACOBIAN = np.array([[0.5706560135801596], [1.3826081419979863], [-1.9532643075147693]])
 
 
 def project_simplex(y) -> np.ndarray:
@@ -132,19 +135,18 @@ _HARD_CASES = dict(
 
 
 def _hard_solve(J, sigma, eps_critical):
-    """Solve under a cap of 300 moves; eps_critical None stands for the value at
-    which the J-space critical test passes at the barycenter with equality,
-    where the Gram-space screen has no rounding room to spare."""
+    """Solve; eps_critical None stands for the value at which the J-space
+    critical test passes at the barycenter with equality, where the
+    Gram-space screen has no rounding room to spare."""
     if eps_critical is None:
         v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
         eps_critical = 0.5 * float(v0 @ v0)
         if eps_critical <= 0.0:
             return None, eps_critical
-    with mock.patch.object(direction, "MAX_INNER", 300):
-        return solve_sigma_approx(J, sigma, eps_critical=eps_critical), eps_critical
+    return solve_sigma_approx(J, sigma, eps_critical=eps_critical), eps_critical
 
 
-def _reference_solve(J, sigma, eps_critical, max_inner):
+def _reference_solve(J, sigma, eps_critical):
     """The active-set solve written with numpy's general-purpose wrappers
     (np.pad, np.ix_, np.eye, np.max, np.diag, np.trace, np.finfo), as
     (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
@@ -177,15 +179,13 @@ def _reference_solve(J, sigma, eps_critical, max_inner):
 
     w = np.full(m, 1.0 / m)
     on_face_min = False
-    best_p, best_w = np.inf, w
+    psi_min = np.inf
     it = 0
     while True:
         Gw = G @ w
         wGw = float(w @ Gw)
         d_gram = -0.5 * wGw
         p_gram = 0.5 * wGw - float(Gw.min())
-        if p_gram < best_p:
-            best_p, best_w = p_gram, w
         if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
                         sigma, eps_critical, gap_floor) is not None:
             v, d, p = bounds(w)
@@ -195,11 +195,11 @@ def _reference_solve(J, sigma, eps_critical, max_inner):
             if status is not None:
                 return v, d, p, w, it, status
         support = w > 0.0
-        entering = int(np.argmin(Gw))
-        if it >= max_inner or (on_face_min and support[entering]):
-            return (*bounds(best_w), best_w, it, STATUS_MAX_INNER)
         if on_face_min:
-            support[entering] = True
+            if not wGw < psi_min:
+                return (*bounds(w), w, it, STATUS_STALLED)
+            psi_min = wGw
+            support[int(np.argmin(Gw))] = True
         y = face_minimizer(support)
         blocking = support & (y < 0.0)
         if not blocking.any():
@@ -306,22 +306,19 @@ class TestSolveExact:
         assert res.alpha_upper == 0.0
         assert abs(res.alpha_lower) <= 1e-12
 
-    def test_max_inner_exhaustion_reports_distinct_status(self):
-        cases = [
-            (SUBNORMAL_JACOBIAN, 1),  # certifies after its second move
-            (np.random.default_rng(3).uniform(0.5, 2.0, size=(20, 50)) * 5.0, 5),
-        ]
-        for J, cap in cases:
-            with mock.patch.object(direction, "MAX_INNER", cap):
-                res = solve_sigma_approx(J, 0.0)
-            assert res.status == STATUS_MAX_INNER
-            assert res.inner_iterations == cap
-            assert not res.sigma_certified
-            assert not res.critical
-            # the returned bounds are those of the returned direction
-            assert np.array_equal(res.v, -(J.T @ res.weights))
-            assert res.alpha_lower == -0.5 * float(res.v @ res.v)
-            assert res.alpha_upper == primal(J, res.v)
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("zero_columns", [0, 1])
+    def test_a_stalled_solve_reports_distinct_status(self, zero_columns, sigma):
+        J = np.hstack([STALLING_JACOBIAN, np.zeros((3, zero_columns))])
+        res = solve_sigma_approx(J, sigma, eps_critical=1e-300)
+        assert res.status == STATUS_STALLED
+        assert res.inner_iterations == 4
+        assert not res.sigma_certified
+        assert not res.critical
+        # the returned bounds are those of the returned direction
+        assert np.array_equal(res.v, -(J.T @ res.weights))
+        assert res.alpha_lower == -0.5 * float(res.v @ res.v)
+        assert res.alpha_upper == primal(J, res.v)
 
     def test_zero_gradient_beside_a_near_singular_face_reports_critical(self):
         res = solve_sigma_approx(ZERO_ROW_JACOBIAN, 0.0)
@@ -419,7 +416,7 @@ class TestGramSpaceLoop:
     def test_certificates_hold_against_a_reference_optimum(self, J, sigma, eps_critical):
         res, eps_critical = _hard_solve(J, sigma, eps_critical)
         if res is None or not res.sigma_certified:
-            return  # a max_inner result claims nothing
+            return  # a stalled result claims nothing
         alpha = _reference_alpha(J)
         slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
         assert res.alpha_lower <= alpha + slack
@@ -431,26 +428,31 @@ class TestGramSpaceLoop:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(**_HARD_CASES)
-    def test_max_inner_is_reached_only_below_the_rounding_floor(self, J, sigma, eps_critical):
+    def test_a_solve_stalls_only_below_the_rounding_floor(self, J, sigma, eps_critical):
         res, _eps = _hard_solve(J, sigma, eps_critical)
-        if res is not None and res.status == STATUS_MAX_INNER:
+        if res is not None and res.status == STATUS_STALLED:
             assert abs(_reference_alpha(J)) <= _allowance(J @ J.T, J.shape[1])
 
-    def test_a_face_minimizer_no_vertex_improves_on_returns_before_the_cap(self):
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(**_HARD_CASES)
+    def test_every_solve_ends_within_the_move_bound(self, J, sigma, eps_critical):
+        # at most 2^m face minimizers, each within m moves of the last
+        res, _eps = _hard_solve(J, sigma, eps_critical)
+        if res is not None:
+            m = J.shape[0]
+            assert res.inner_iterations <= m * 2**m <= (2**m - 1) * (m + 1)
+
+    def test_a_face_minimizer_no_vertex_improves_on_stalls(self):
         # a _hard_jacobians draw with alpha* = -2.2e-10 and cond G = 1.2e20:
         # once w minimizes psi on its face, the vertex with the smallest
-        # (Gw)_i is already in it, and every further move repeats itself
+        # (Gw)_i is already in it, so the next move solves the same face and
+        # lands on the same w, which does not lower psi
         J = _hard_jacobian(256, 1e-6, [3.8872746336723925, -1.192092896e-07, 3.9666505880759306],
                            [1.0, 1.0, -1.0], 4294967294)
-        results = []
-        for cap in (300, 10_000):
-            with mock.patch.object(direction, "MAX_INNER", cap):
-                results.append(solve_sigma_approx(J, 0.9883535562604477, eps_critical=1e-12))
-        for res in results:
-            assert res.status == STATUS_MAX_INNER
-            assert res.inner_iterations <= 5
-            assert np.array_equal(res.v, -(J.T @ res.weights))
-        assert results[0].weights.tobytes() == results[1].weights.tobytes()
+        res = solve_sigma_approx(J, 0.9883535562604477, eps_critical=1e-12)
+        assert res.status == STATUS_STALLED
+        assert res.inner_iterations == 3
+        assert np.array_equal(res.v, -(J.T @ res.weights))
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -458,16 +460,14 @@ class TestGramSpaceLoop:
                     st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN])),
         sigma=st.floats(0.0, 0.99),
         eps_critical=_HARD_CASES["eps_critical"],
-        max_inner=st.sampled_from([1, 2, 3, 300, 10_000]),
     )
-    def test_matches_the_reference_solve_bit_for_bit(self, J, sigma, eps_critical, max_inner):
+    def test_matches_the_reference_solve_bit_for_bit(self, J, sigma, eps_critical):
         if eps_critical is None:
             v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
             eps_critical = max(0.5 * float(v0 @ v0), 1e-300)
         for s in (0.0, 0.25, 0.5, 0.9, sigma):
-            with mock.patch.object(direction, "MAX_INNER", max_inner):
-                res = solve_sigma_approx(J, s, eps_critical=eps_critical)
-            v, d, p, w, it, status = _reference_solve(J, s, eps_critical, max_inner)
+            res = solve_sigma_approx(J, s, eps_critical=eps_critical)
+            v, d, p, w, it, status = _reference_solve(J, s, eps_critical)
             assert (res.status, res.inner_iterations) == (status, it)
             assert res.v.tobytes() == v.tobytes()
             assert res.weights.tobytes() == w.tobytes()
@@ -618,7 +618,7 @@ class TestInvariants:
     def test_certified_directions_satisfy_their_sigma_inequality(self, J, sigma):
         res = solve_sigma_approx(J, sigma)
         if not res.sigma_certified:
-            return  # a max_inner result claims nothing
+            return  # a stalled result claims nothing
         _w, _v, alpha = kkt_direction(J)
         # sigma = 0 certifies only to the relative gap tolerance, not to 1e-12
         slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
@@ -631,16 +631,15 @@ class TestInvariants:
 
 
 def test_the_package_has_one_dual_solver_and_no_move_cap_argument():
-    # the exact direction is the sigma = 0 case of solve_sigma_approx, and
-    # MAX_INNER is a module constant: no package function takes max_inner, and
-    # none calls solve_exact, which stays defined only for the benchmark
+    # the exact direction is the sigma = 0 case of solve_sigma_approx, and a
+    # solve ends by its own rule, not by a cap: no package file names a
+    # max_inner constant or parameter, in any case, and none calls
+    # solve_exact, which stays defined only for the benchmark
     import paretodescent
 
     assert not {"solve_exact", "kkt_direction", "finite_diff_jacobian"} & set(paretodescent.__all__)
     for path in Path(paretodescent.__file__).parent.glob("*.py"):
+        assert "max_inner" not in path.read_text().lower(), path.name
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 assert getattr(node.func, "id", getattr(node.func, "attr", None)) != "solve_exact", path
-            if isinstance(node, ast.FunctionDef):
-                params = [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
-                assert "max_inner" not in params, (path.name, node.name)

@@ -3,14 +3,12 @@ arithmetic by the oracle in exact_certificate.py."""
 
 import ast
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretodescent import SolverConfig, get_problem, list_problems, run, solve_sigma_approx
-from paretodescent import direction
 from paretodescent.direction import STATUS_CERTIFIED
 
 import exact_certificate as oracle_module
@@ -37,14 +35,16 @@ def family_jacobian(family: str, seed: int, m: int, n: int, log_scale: float) ->
     return J
 
 
+def solves(J):
+    """(sigma, result) for each sigma."""
+    return [(sigma, solve_sigma_approx(J, sigma, eps_critical=TINY_EPS_CRITICAL))
+            for sigma in SIGMAS]
+
+
 def certified_solves(J):
-    """(sigma, result) for each sigma whose solve, under a cap of 300 moves,
-    returns a certified direction; a critical or stalled solve claims no
-    sigma certificate."""
-    with mock.patch.object(direction, "MAX_INNER", 300):
-        results = [(sigma, solve_sigma_approx(J, sigma, eps_critical=TINY_EPS_CRITICAL))
-                   for sigma in SIGMAS]
-    return [(sigma, res) for sigma, res in results if res.status == STATUS_CERTIFIED]
+    """(sigma, result) for each sigma whose solve returns a certified
+    direction; a critical or stalled solve claims no sigma certificate."""
+    return [(sigma, res) for sigma, res in solves(J) if res.status == STATUS_CERTIFIED]
 
 
 class TestOracle:
@@ -94,6 +94,16 @@ def test_every_certified_direction_holds_exactly(family, m, n, seed, log_scale):
     for sigma, res in certified_solves(J):
         cert = exact_certificate(J, res.weights, res.v, sigma)
         assert cert.holds(), (sigma, float(cert.excess), float(cert.slack()), float(cert.phi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(family=st.sampled_from(FAMILIES), m=st.integers(1, 5), n=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_every_solve_ends_within_the_move_bound(family, m, n, seed, log_scale):
+    # at most 2^m face minimizers, each within m moves of the last
+    J = family_jacobian(family, seed, m, n, log_scale)
+    for sigma, res in solves(J):
+        assert res.inner_iterations <= m * 2**m <= (2**m - 1) * (m + 1), (sigma, res.status)
 
 
 def test_the_floor_is_needed_on_near_critical_jacobians():

@@ -1,10 +1,8 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from paretodescent import direction
 from paretodescent import (
     MultiObjective,
     SolverConfig,
@@ -12,7 +10,7 @@ from paretodescent import (
     run,
     solve_sigma_approx,
 )
-from paretodescent.direction import STATUS_CERTIFIED, STATUS_MAX_INNER
+from paretodescent.direction import STATUS_CERTIFIED, STATUS_STALLED
 from paretodescent.solver import (
     TERMINATION_CRITICAL,
     TERMINATION_LINESEARCH,
@@ -22,9 +20,10 @@ from paretodescent.solver import (
 )
 
 
-# three near-parallel gradients, one entry subnormal: the direction solve
-# certifies after its second move
-SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+# three gradients in R^2 that sum to about 2e-17: under eps_critical = 1e-300
+# the direction solve stalls uncertified, below the rounding floor
+STALLING_JACOBIAN = np.array([[0.5706560135801596, 0.0], [1.3826081419979863, 0.0],
+                              [-1.9532643075147693, 0.0]])
 
 
 def linear_problem(J):
@@ -127,9 +126,8 @@ class TestRunContract:
         assert rep.records[-1].t == 0.0 and rep.records[-1].j == -1
 
     def test_subproblem_failure_is_reported_not_raised(self):
-        # three linear criteria whose direction solve needs two moves, one allowed
-        with mock.patch.object(direction, "MAX_INNER", 1):
-            rep = run(linear_problem(SUBNORMAL_JACOBIAN), [0.0, 0.0])
+        # three linear criteria whose direction solve stalls at the start
+        rep = run(linear_problem(STALLING_JACOBIAN), [0.0, 0.0], SolverConfig(eps_critical=1e-300))
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
 
@@ -255,7 +253,6 @@ class TestIsCritical:
         np.testing.assert_allclose(res.alpha_upper, -0.25, atol=1e-10)
 
     def test_uncertified_subproblem_is_neither_critical_nor_certified(self):
-        with mock.patch.object(direction, "MAX_INNER", 1):
-            res = solve_sigma_approx(SUBNORMAL_JACOBIAN, 0.0, eps_critical=1e-8)
-        assert res.status == STATUS_MAX_INNER
+        res = solve_sigma_approx(STALLING_JACOBIAN, 0.0, eps_critical=1e-300)
+        assert res.status == STATUS_STALLED
         assert not res.critical and not res.sigma_certified
