@@ -54,7 +54,10 @@ class ConfigError(ValueError):
 
 
 def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+    value = float(value)
+    if math.isnan(value) and math.copysign(1.0, value) < 0.0:
+        return "-nan"  # float("-nan") keeps the sign; the format below drops it
+    return f"{value:.17g}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .direction import _EPS, _allowance, _certificate_excess, _gap_floor
 from .direction import solve_exact  # unused: bench/tracing.py patches this name
 from .objective import MultiObjective
@@ -128,7 +130,8 @@ def check_quasi_fejer(report: RunReport) -> CheckOutcome:
         rhs = sq_a + a.t * a.t * float(a.v @ a.v) + 1e-10 * (1.0 + sq_a)
         return lhs - rhs
 
-    worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
+    with np.errstate(all="ignore"):  # a square that overflows is inf
+        worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
     return _outcome("quasi_fejer", worst, worst_k)
 
 

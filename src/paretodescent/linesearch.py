@@ -39,7 +39,8 @@ def armijo_step(
     compared with zero slack.  ``Jv`` is the vector of directional slopes
     J(x) @ v, passed in so the caller computes it exactly once.  Trial values
     that come back non-finite count as failures, so backtracking recovers
-    from overflow regions.  Raises ``LineSearchError`` once the target lies
+    from overflow regions, and an overflow in the target or the trial point
+    raises no numpy warning.  Raises ``LineSearchError`` once the target lies
     below F(x) in no component (beta*t*Jv rounded away against F(x), a Jv
     with no negative entry, or a NaN target), where a trial could pass by
     rounding alone; that signals either a non-descent direction due to
@@ -52,12 +53,13 @@ def armijo_step(
     v = np.asarray(v, dtype=float)
     Fx = np.asarray(Fx, dtype=float)
     Jv = np.asarray(Jv, dtype=float)
-    for j in count():
-        t = 2.0 ** (-j)
-        target = Fx + (beta * t) * Jv
-        if not (target < Fx).any():
-            raise LineSearchError(f"Armijo target F(x) + beta*t*J v lies below F(x) in no "
-                                  f"component at t = 2**-{j}")
-        trial = problem.evaluate(x + t * v, require_finite=False)
-        if (trial <= target).all() and np.isfinite(trial).all():
-            return StepResult(t=t, j=j)
+    with np.errstate(all="ignore"):
+        for j in count():
+            t = 2.0 ** (-j)
+            target = Fx + (beta * t) * Jv
+            if not (target < Fx).any():
+                raise LineSearchError(f"Armijo target F(x) + beta*t*J v lies below F(x) in no "
+                                      f"component at t = 2**-{j}")
+            trial = problem.evaluate(x + t * v, require_finite=False)
+            if (trial <= target).all() and np.isfinite(trial).all():
+                return StepResult(t=t, j=j)

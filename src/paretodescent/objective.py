@@ -93,11 +93,13 @@ class MultiObjective:
         return y
 
     def jacobian(self, x) -> np.ndarray:
-        """Return the (m, n) Jacobian at x; row i is the gradient of criterion i."""
+        """Return the (m, n) Jacobian at x; row i is the gradient of criterion i.
+        An overflow in ``jac`` warns of nothing and raises ``NonFiniteError``."""
         x = as_point(x, self.n)
         if self.jac is None:
             return self._central_differences(x)
-        J = np.asarray(self.jac(x), dtype=float)
+        with np.errstate(all="ignore"):
+            J = np.asarray(self.jac(x), dtype=float)
         if J.shape != (self.m, self.n):
             raise ValueError(
                 f"jacobian of '{self.name}' has shape {J.shape}, expected ({self.m}, {self.n})"

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from paretodescent import (
     MultiObjective,
     NonFiniteError,
-    RunReport,
     SolverConfig,
     get_problem,
     list_problems,
@@ -42,6 +41,11 @@ from paretodescent.cli import (
 )
 from paretodescent.direction import STATUS_STALLED
 from paretodescent.oracle import finite_diff_jacobian
+
+
+# an inline problem that sets every run value; CI solves it with the
+# installed console script as well
+INLINE_CONFIG = Path(__file__).with_name("inline.cfg")
 
 
 def file_hash(path):
@@ -1059,16 +1063,63 @@ def drop_dual_weights(csv):
 
 
 class TestRoundTripAndDeterminism:
-    def test_csv_replay_reproduces_the_diagnostics_summary(self, tmp_path):
-        desc = get_problem("quad_pair")
-        rep = run(desc.problem, [0.4, 2.5], SolverConfig())
-        path = tmp_path / "t.trajectory.csv"
-        write_trajectory_csv(path, rep, 2, 2)
-        records = read_trajectory_csv(path)
-        replay = RunReport(records=tuple(records), termination=rep.termination, config=rep.config)
-        s_live = run_diagnostics(desc.problem, rep, 0.0).to_dict()
-        s_replay = run_diagnostics(desc.problem, replay, 0.0).to_dict()
-        assert s_live == s_replay
+    @pytest.mark.parametrize("name", [*list_problems(), "inline"])
+    def test_csv_replay_reproduces_the_diagnostics_summary(self, tmp_path, name):
+        # each check that report.json records comes back from the reloaded
+        # records and the problem's own Jacobians: status, note, worst
+        # violation and index
+        if name == "inline":
+            source = ["--config", str(INLINE_CONFIG)]
+            entries = parse_config_file(INLINE_CONFIG)
+            problem = build_inline_problem([entries["f1"], entries["f2"]])
+        else:
+            source = ["--problem", name, "--eps", "1e-8"]
+            problem = get_problem(name).problem
+        assert main(["solve", *source, "--out", str(tmp_path / name)]) == 0
+        report, doc = load_run(tmp_path / name)
+        replay = run_diagnostics(problem, report, report.config.sigma)
+        replayed = {c.name: (c.status, c.note, cli._json_float(c.worst_violation), c.worst_index)
+                    for c in replay.checks}
+        assert replayed == {key: (c["status"], c["note"], c["worst_violation"], c["worst_index"])
+                            for key, c in doc["diagnostics"].items() if key != "all_ok"}
+
+    def test_the_inline_report_config_holds_the_config_run_values(self, tmp_path):
+        assert main(["solve", "--config", str(INLINE_CONFIG), "--out", str(tmp_path / "inline")]) == 0
+        report, doc = load_run(tmp_path / "inline")
+        values = {"beta": 0.25, "sigma": 0.5, "eps_critical": 1e-8, "max_iter": 5000}
+        assert doc["config"] == {"problem": "inline", "x0": [3.0, 3.0], **values, "output": "inline"}
+        assert report.config == SolverConfig(**values)
+
+    def test_a_reloaded_stop_before_the_last_record_fails_armijo_there(self, tmp_path):
+        # row 0 made a stop (t = 0, j = -1) reloads as one, and leaves no
+        # step from x^0 to x^1 for the armijo check to pass
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        header, *rows = csv.read_text().splitlines()
+        parts = rows[0].split(",")
+        for column, value in (("t", "0"), ("j", "-1")):
+            parts[header.split(",").index(column)] = value
+        csv.write_text("\n".join([header, ",".join(parts), *rows[1:]]) + "\n")
+        report, _doc = load_run(tmp_path / "rt")
+        assert (report.records[0].t, report.records[0].j) == (0.0, -1)
+        armijo = run_diagnostics(get_problem("quad_pair").problem, report, 0.0).checks[0]
+        assert (armijo.name, armijo.ok, armijo.worst_violation, armijo.worst_index) == (
+            "armijo", False, math.inf, 0)
+
+    def test_a_nan_reloads_with_its_sign(self, tmp_path):
+        # inf - inf is a NaN whose sign bit the hardware sets or not, and
+        # its negation has the other sign: both come back bit for bit
+        signs = set()
+        for criterion in ("x1*1e308*10 - x1*1e308*10", "-(x1*1e308*10 - x1*1e308*10)"):
+            cfg = tmp_path / "nan.cfg"
+            cfg.write_text(f"f1 = {criterion}\nx0 = 1\n")
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "nan")]) == 3
+            report, _doc = load_run(tmp_path / "nan")
+            rep = run(build_inline_problem([criterion]), [1.0], SolverConfig())
+            assert rep.termination == "numerical_failure" and math.isnan(rep.records[-1].Fx[0])
+            assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
+            signs.add(math.copysign(1.0, rep.records[-1].Fx[0]))
+        assert signs == {1.0, -1.0}
 
     def test_load_run_rejects_another_schema(self, tmp_path):
         # a run/2 CSV has no dual weights, so its steps could not be replayed

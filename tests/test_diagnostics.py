@@ -396,6 +396,19 @@ class TestQuasiFejer:
         assert (out.status, out.worst_index) == (STATUS_FAIL, 0)
         assert out.worst_violation == 1.0 - 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_squared_distance_warns_of_nothing(self):
+        # the run steps from 0 to -1.75e154, and ||x^0 - x^3||^2 overflows to
+        # inf, so the first step's inequality holds by -inf; the last one's
+        # is the worst
+        steep = MultiObjective(n=1, m=1, f=lambda x: np.array([1e154 * x[0] + 1.7e308]),
+                               jac=lambda x: np.array([[1e154]]))
+        rep = run(steep, [0.0], SolverConfig(max_iter=3))
+        assert rep.records[-1].x == -1.75e154
+        out = check_quasi_fejer(rep)
+        assert (out.status, out.worst_index) == (STATUS_PASS, 2)
+        assert out.worst_violation == -1.2500000000625e+307
+
     def test_a_report_without_steps_passes_vacuously(self):
         desc = get_problem("scalar_quad")
         rep = run(desc.problem, [0.0])  # starts critical: one record, no step

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from paretodescent import LineSearchError, MultiObjective, armijo_step, get_problem, solve_sigma_approx
+from paretodescent import (
+    LineSearchError,
+    MultiObjective,
+    SolverConfig,
+    armijo_step,
+    get_problem,
+    run,
+    solve_sigma_approx,
+)
 
 
 def scalar_problem(f, jac):
@@ -126,6 +134,15 @@ class TestContract:
                          np.array([-1.0]), np.array([-0.25]), 0.5)
         assert st.t <= 0.5
         assert np.isfinite(spiky.evaluate([0.25 - st.t], require_finite=False)[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_target_warns_of_nothing(self):
+        # F(0) = -1.7e308 with slope 1e154: the targets and trial values of
+        # the longest steps overflow to -inf, and those trials are rejected
+        steep = scalar_problem(lambda t: 1e154 * t - 1.7e308, lambda t: 1e154)
+        report = run(steep, [0.0], SolverConfig(max_iter=3))
+        assert report.termination == "max_iter"
+        assert [r.j for r in report.records] == [4, 5, 8, -1]
 
     def test_invalid_beta_rejected(self):
         for beta in (0.0, 1.0, -0.5):

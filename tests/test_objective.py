@@ -118,6 +118,15 @@ class TestJacobian:
         assert report.termination == "numerical_failure"
         assert report.iterations == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f, jac", [
+        pytest.param(lambda x: x * 1e308 * 10, lambda x: np.array([[1.0]]), id="f"),
+        pytest.param(lambda x: x, lambda x: np.array([[x[0] * 1e308 * 10]]), id="jac"),
+    ])
+    def test_an_overflow_in_f_or_jac_ends_the_run_as_a_numerical_failure(self, f, jac):
+        report = run(MultiObjective(n=1, m=1, f=f, jac=jac), [1.0])
+        assert (report.termination, report.iterations) == ("numerical_failure", 0)
+
     def test_fd_fallback_rejects_a_bad_value_shape(self):
         p = MultiObjective(n=2, m=2, f=lambda x: np.array([[x[0], x[1]]]))
         with pytest.raises(ValueError, match=r"returned shape \(1, 2\), expected \(2,\)"):
