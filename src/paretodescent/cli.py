@@ -46,7 +46,7 @@ EXIT_USAGE = 1
 EXIT_MAX_ITER = 2
 EXIT_FAILURE = 3
 EXIT_CHECK_FAILED = 4
-_RUN_SCHEMA = "paretodescent.run/3"  # the one report schema load_run reads
+_RUN_SCHEMA = "paretodescent.run/4"  # the one report schema load_run reads
 
 
 class ConfigError(ValueError):
@@ -374,10 +374,10 @@ def _resolve_settings(args) -> RunSettings:
 # ---------------------------------------------------------------------------
 # trajectory and report serialization
 
-# the scalar columns of a trajectory row, each with the reader of its text;
-# x (n), F (m), v (n) and the dual weights w (m) follow
+# the scalar columns of a trajectory row, each with the reader of its text, then x (n),
+# F (m), v (n) and the dual weights w (m); k is the row's position, and t is 2**-j
 _SCALAR_COLUMNS = (
-    ("k", int), ("t", float), ("j", int), ("alpha_upper", float), ("alpha_lower", float),
+    ("j", int), ("alpha_upper", float), ("alpha_lower", float),
     ("sigma_certified", lambda text: bool(int(text))), ("inner_iterations", int),
 )
 
@@ -390,9 +390,10 @@ def _trajectory_header(n: int, m: int) -> str:
 
 
 def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) -> None:
-    """One row per visited point, floats at 17 significant digits so every
-    double round-trips exactly, with every field of its record: the
-    terminal row has t = 0 and j = -1, and ``sigma_certified`` is 1 or 0.
+    """One row per visited point, with every field of its record but k (the
+    row's position) and t (2**-j): j is -1 on the terminal row,
+    ``sigma_certified`` 1 or 0, and floats have 17 significant digits, so
+    every double round-trips exactly but a NaN, which keeps only its sign.
     The direction and its dual weights come last, so a re-parsed trajectory
     replays through the diagnostics unchanged."""
     lines = [_trajectory_header(n, m)]
@@ -405,18 +406,19 @@ def write_trajectory_csv(path: str | Path, report: RunReport, n: int, m: int) ->
 
 
 def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
-    """Rebuild iteration records from a trajectory CSV, bit for bit (inverse
-    of the writer).  A file that cannot be read or is not UTF-8, a header
-    other than the writer's, such as a run/2 one without the dual weights, a
-    row with another number of fields than the header, a field that does not
-    parse and a file without rows are config errors."""
+    """Rebuild the records of a trajectory CSV, numbered by row, bit for bit
+    but that a NaN reloads as the quiet NaN of its sign (inverse of the
+    writer).  A file that cannot be read or is not UTF-8, a header other
+    than the writer's, such as a run/3 one with k and t, a row with another
+    number of fields than the header, a field that does not parse and a
+    file without rows are config errors."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
     header = lines[0].split(",")
     n, m = (sum(name.startswith(vec) for name in header) for vec in ("x_", "F_"))
     if lines[0] != _trajectory_header(n, m):
-        raise ConfigError(f"{path}: not a run/3 trajectory header (k, t, ..., x_1..x_{n}, "
+        raise ConfigError(f"{path}: not a run/4 trajectory header (j, ..., x_1..x_{n}, "
                           f"F_1..F_{m}, v_1..v_{n}, w_1..w_{m})")
     if len(lines) == 1:
         raise ConfigError(f"{path}: no rows after the header")
@@ -435,14 +437,13 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
                 raise ConfigError(f"{path}: line {lineno}, column {name}: "
                                   f"could not parse {part!r}") from None
         scalars = dict(zip(header, fields[:len(_SCALAR_COLUMNS)]))
-        vals = np.array(fields[len(_SCALAR_COLUMNS):])
-        x, Fx, v, w = vals[:n], vals[n:n + m], vals[n + m:2 * n + m], vals[2 * n + m:]
-        records.append(IterationRecord(x=x, Fx=Fx, v=v, weights=w, **scalars))
+        x, Fx, v, w = np.split(np.array(fields[len(_SCALAR_COLUMNS):]), [n, n + m, 2 * n + m])
+        records.append(IterationRecord(k=lineno - 2, x=x, Fx=Fx, v=v, weights=w, **scalars))
     return records
 
 
 def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
-    """Reload a solve's run/3 outputs: (report rebuilt from CSV + JSON, report JSON)."""
+    """Reload a solve's run/4 outputs: (report rebuilt from CSV + JSON, report JSON)."""
     name = f"{prefix}.report.json"
     try:
         doc = json.loads(_read_text(name))

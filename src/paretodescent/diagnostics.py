@@ -75,30 +75,30 @@ def check_armijo(report: RunReport, jacobians) -> CheckOutcome:
     """Each move is the dyadic Armijo step of the method, at zero slack.
 
     With J = J(x^k) from ``jacobians`` per stepped record (another count
-    raises ValueError), every record but the last must step, with t = 2**-j,
-    x^{k+1} = x^k + t v bit for bit and F(x^{k+1}) <= Fx + (beta * t) * (J v)
-    in every component, the target formed as ``armijo_step`` forms it and
-    below F(x^k) somewhere.  The violation is the largest F(x^{k+1}) minus the
-    target, and inf for a broken rule, a non-step before the last record, a
-    step without a next record or a non-finite value.  The proximity check's
-    phi <= 0 puts each target at or below F(x^k), so with it a pass implies
-    decrease at every move and the energy inequality sum_k t_k ||v^k||^2 <=
-    (2 / beta) min_i (f_i(x^0) - f_i(x^K)), whose sum and ratio the note reports.
+    raises ValueError), every record but the last must step (j >= 0, so
+    t = 2**-j), with x^{k+1} = x^k + t v bit for bit and F(x^{k+1}) <= Fx +
+    (beta * t) * (J v) in every component, the target formed as
+    ``armijo_step`` forms it and below F(x^k) somewhere.  The violation is
+    the largest F(x^{k+1}) minus the target, and inf for a broken rule, a
+    non-step before the last record, a step without a next record or a
+    non-finite value.  The proximity check's phi <= 0 puts each target at or
+    below F(x^k), so with it a pass implies decrease at every move and the
+    energy inequality sum_k t_k ||v^k||^2 <= (2 / beta) min_i (f_i(x^0) -
+    f_i(x^K)), whose sum and ratio the note reports.
     """
     recs, steps = report.records, report.stepped_records
     if len(jacobians) != len(steps):
         raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
     beta, slopes, pairs = report.config.beta, iter(jacobians), []
     for r, nxt in zip(recs, recs[1:]):
-        if not r.t > 0.0:
+        if r.j < 0:
             pairs.append((math.inf, r.k))
             continue
         target = r.Fx + (beta * r.t) * (next(slopes) @ r.v)
         excess = float((nxt.Fx - target).max())
-        exact = (r.j >= 0 and r.t == 2.0 ** -r.j and (target < r.Fx).any()
-                 and nxt.x.tobytes() == (r.x + r.t * r.v).tobytes())
+        exact = (target < r.Fx).any() and nxt.x.tobytes() == (r.x + r.t * r.v).tobytes()
         pairs.append((excess if exact and math.isfinite(excess) else math.inf, r.k))
-    if recs[-1].t > 0.0:
+    if recs[-1].j >= 0:
         pairs.append((math.inf, recs[-1].k))
     if not pairs:
         return CheckOutcome("armijo", STATUS_PASS, 0.0, None, "vacuous: no steps")

@@ -52,8 +52,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One visited point.  Stepped records have t = 2**-j > 0 and satisfy
-    x_next = x + t*v exactly; the terminal record has t = 0 and j = -1.
+    """One visited point.  Stepped records have j >= 0 and satisfy x_next =
+    x + t*v exactly, with t = 2**-j; the terminal record has j = -1 and t = 0.
     ``weights`` is the dual w of the direction solve, NaN on a numerical failure."""
 
     k: int
@@ -61,12 +61,15 @@ class IterationRecord:
     Fx: np.ndarray
     v: np.ndarray
     weights: np.ndarray
-    t: float
     alpha_upper: float
     alpha_lower: float
     j: int
     sigma_certified: bool
     inner_iterations: int
+
+    @property
+    def t(self) -> float:
+        return 2.0 ** -self.j if self.j >= 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,13 @@ class RunReport:
 
     @property
     def stepped_records(self) -> tuple[IterationRecord, ...]:
-        return tuple(r for r in self.records if r.t > 0.0)
+        return tuple(r for r in self.records if r.j >= 0)
 
 
-def _record(k: int, x, Fx, res: DirectionResult, t: float = 0.0, j: int = -1) -> IterationRecord:
-    return IterationRecord(
-        k=k,
-        x=x,
-        Fx=Fx,
-        v=res.v,
-        weights=res.weights,
-        t=t,
-        alpha_upper=res.alpha_upper,
-        alpha_lower=res.alpha_lower,
-        j=j,
-        sigma_certified=res.sigma_certified,
-        inner_iterations=res.inner_iterations,
-    )
+def _record(k: int, x, Fx, res: DirectionResult, j: int = -1) -> IterationRecord:
+    return IterationRecord(k=k, x=x, Fx=Fx, v=res.v, weights=res.weights,
+                           alpha_upper=res.alpha_upper, alpha_lower=res.alpha_lower, j=j,
+                           sigma_certified=res.sigma_certified, inner_iterations=res.inner_iterations)
 
 
 def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunReport:
@@ -128,7 +121,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     NaN weights and alpha bounds, and no inner iterations.  The Jacobian is
     not requested at a point whose F is not finite.
 
-    The record list always ends with a terminal record (t = 0) for the last
+    The record list always ends with a terminal record (j = -1) for the last
     visited point, so a run that starts at a critical point has exactly one
     record.  A run is deterministic: identical inputs reproduce the
     trajectory bit for bit.
@@ -145,9 +138,8 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
                 raise NonFiniteError("F(x) has non-finite entries")
             res = solve_sigma_approx(problem.jacobian(x), cfg.sigma, eps_critical=cfg.eps_critical)
         except NonFiniteError:
-            records.append(IterationRecord(k, x, Fx, np.zeros(problem.n), t=0.0, j=-1,
-                                           weights=np.full(problem.m, math.nan),
-                                           alpha_upper=math.nan, alpha_lower=math.nan,
+            records.append(IterationRecord(k, x, Fx, np.zeros(problem.n), np.full(problem.m, math.nan),
+                                           alpha_upper=math.nan, alpha_lower=math.nan, j=-1,
                                            sigma_certified=False, inner_iterations=0))
             return RunReport(records=tuple(records), termination=TERMINATION_NUMERICAL, config=cfg)
         if res.critical:
@@ -162,7 +154,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
             except LineSearchError:
                 termination = TERMINATION_LINESEARCH
             else:
-                records.append(_record(k, x, Fx, res, st.t, st.j))
+                records.append(_record(k, x, Fx, res, st.j))
                 x = x + st.t * res.v
                 k += 1
     records.append(_record(k, x, Fx, res))

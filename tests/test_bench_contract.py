@@ -4,10 +4,19 @@ bench/checks.py imports and patches library names and counts the
 evaluations a run makes against the pattern a report implies.  Its
 self-test runs a traced and an untraced solve and diagnosis, so a library
 change that removes a name the bench looks up, or that changes the
-evaluation pattern, fails here rather than in every benchmark run.
+evaluation pattern, fails here rather than in every benchmark run.  The
+bench also writes every builtin case's artifacts, reloads them and replays
+the diagnostics; the round trip below does the same, so a format change
+the bench would count as ``cli.replay_mismatch`` fails here too.
 """
 
 from pathlib import Path
+
+import pytest
+
+from paretodescent import SolverConfig, cli, get_problem, list_problems, run, run_diagnostics
+
+from test_cli import _forced_run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -17,3 +26,40 @@ def test_the_bench_self_test_passes(monkeypatch):
     import checks
 
     assert checks.self_test() == []
+
+
+# one forced run per termination, built as test_cli's round-trip property builds them
+_FORCED = {
+    "critical_point": (0, (2, 2), 0.0, 1),
+    "max_iter": (0, (2, 2), 0.0, 3),
+    "subproblem_failure": (0, (3, 2), 0.0, 1),
+    "numerical_failure": (0, (2, 2), 0.0, 1),
+    "linesearch_failure": (0, (2, 3), 0.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", [*list_problems(), *_FORCED])
+def test_artifacts_reload_as_the_bench_checks_them(monkeypatch, tmp_path, case):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import workloads
+
+    if case in _FORCED:
+        seed, shape, sigma, fail_at = _FORCED[case]
+        problem, x0, cfg = _forced_run(seed, shape, sigma, case, fail_at)
+    else:
+        desc = get_problem(case)
+        problem, x0, cfg = desc.problem, desc.recommended_x0, SolverConfig()
+    report = run(problem, x0, cfg)
+    assert case not in _FORCED or report.termination == case
+    summary = run_diagnostics(problem, report, cfg.sigma)
+    prefix = str(tmp_path / "case")
+    settings = cli.RunSettings(problem, case, None, x0, cfg, prefix)
+    cli.write_trajectory_csv(f"{prefix}.trajectory.csv", report, problem.n, problem.m)
+    workloads.write_report_json(prefix, settings, report, summary)
+    reloaded, _doc = cli.load_run(prefix)
+    assert checks.reload_matches(report, reloaded)
+    assert checks.lossy_records(report, reloaded) == 0
+    assert checks.trajectory_digest(reloaded) == checks.trajectory_digest(report)
+    replay = run_diagnostics(problem, reloaded, cfg.sigma)
+    assert checks._summary_json(replay) == checks._summary_json(summary)

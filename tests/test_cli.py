@@ -755,7 +755,7 @@ class TestSolveCommand:
         assert abs(doc["final_alpha"]) <= 1e-8
         assert doc["diagnostics"]["all_ok"] is True
         header = (tmp_path / "qp.trajectory.csv").read_text().splitlines()[0]
-        assert header == ("k,t,j,alpha_upper,alpha_lower,sigma_certified,inner_iterations,"
+        assert header == ("j,alpha_upper,alpha_lower,sigma_certified,inner_iterations,"
                           "x_1,x_2,F_1,F_2,v_1,v_2,w_1,w_2")
 
     def test_immediate_critical_run_has_one_row(self, tmp_path):
@@ -1091,14 +1091,13 @@ class TestRoundTripAndDeterminism:
         assert report.config == SolverConfig(**values)
 
     def test_a_reloaded_stop_before_the_last_record_fails_armijo_there(self, tmp_path):
-        # row 0 made a stop (t = 0, j = -1) reloads as one, and leaves no
-        # step from x^0 to x^1 for the armijo check to pass
+        # row 0 made a stop (j = -1) reloads as one, with t = 0, and leaves
+        # no step from x^0 to x^1 for the armijo check to pass
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         csv = tmp_path / "rt.trajectory.csv"
         header, *rows = csv.read_text().splitlines()
         parts = rows[0].split(",")
-        for column, value in (("t", "0"), ("j", "-1")):
-            parts[header.split(",").index(column)] = value
+        parts[header.split(",").index("j")] = "-1"
         csv.write_text("\n".join([header, ",".join(parts), *rows[1:]]) + "\n")
         report, _doc = load_run(tmp_path / "rt")
         assert (report.records[0].t, report.records[0].j) == (0.0, -1)
@@ -1121,6 +1120,35 @@ class TestRoundTripAndDeterminism:
             signs.add(math.copysign(1.0, rep.records[-1].Fx[0]))
         assert signs == {1.0, -1.0}
 
+    @pytest.mark.parametrize("bits, reloaded", [("010000000000f87f", "000000000000f87f"),
+                                                ("010000000000f8ff", "000000000000f8ff")])
+    def test_a_nan_reloads_as_the_quiet_nan_of_its_sign(self, tmp_path, bits, reloaded):
+        # a NaN's payload is the one thing the CSV does not keep
+        nan = np.frombuffer(bytes.fromhex(bits), dtype=float)
+        problem = MultiObjective(n=1, m=1, f=lambda x: nan.copy(), jac=lambda x: np.ones((1, 1)))
+        rep = run(problem, [0.0])
+        assert rep.termination == "numerical_failure" and rep.records[-1].Fx.tobytes().hex() == bits
+        write_trajectory_csv(tmp_path / "nan.csv", rep, 1, 1)
+        (record,) = read_trajectory_csv(tmp_path / "nan.csv")
+        assert record.Fx.tobytes().hex() == reloaded
+
+    def test_records_are_numbered_by_row(self, tmp_path):
+        # k is the row's position: a dropped row renumbers the rows after it,
+        # and the move across the gap fails the armijo check there
+        assert main(["solve", "--problem", "quad_pair", "--x0", "0.4,2.5",
+                     "--out", str(tmp_path / "rt")]) == 0
+        report, _doc = load_run(tmp_path / "rt")
+        assert [r.k for r in report.records] == list(range(len(report.records))) == [0, 1, 2, 3]
+        csv = tmp_path / "rt.trajectory.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        gapped, _doc = load_run(tmp_path / "rt")
+        assert [r.k for r in gapped.records] == [0, 1, 2]
+        assert [record_bits(r)[1:] for r in gapped.records] == [
+            record_bits(r)[1:] for r in (report.records[0], *report.records[2:])]
+        armijo = run_diagnostics(get_problem("quad_pair").problem, gapped, 0.0).checks[0]
+        assert (armijo.ok, armijo.worst_violation, armijo.worst_index) == (False, math.inf, 0)
+
     def test_load_run_rejects_another_schema(self, tmp_path):
         # a run/2 CSV has no dual weights, so its steps could not be replayed
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
@@ -1136,7 +1164,25 @@ class TestRoundTripAndDeterminism:
             with pytest.raises(ConfigError) as exc:
                 load_run(tmp_path / "rt")
             assert str(exc.value) == (f"{tmp_path / 'rt'}.report.json: schema {schema!r} "
-                                      "is not 'paretodescent.run/3'")
+                                      "is not 'paretodescent.run/4'")
+
+    def test_a_run3_pair_is_a_schema_error(self, tmp_path):
+        # run/3 wrote k and t = 2**-j as columns; its CSV is no run/4 trajectory
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        report, csv = tmp_path / "rt.report.json", tmp_path / "rt.trajectory.csv"
+        records = read_trajectory_csv(csv)
+        header, *rows = csv.read_text().splitlines()
+        csv.write_text("\n".join([f"k,t,{header}"] + [f"{r.k},{cli._fmt(r.t)},{row}"
+                                                      for r, row in zip(records, rows)]) + "\n")
+        report.write_text(report.read_text().replace("paretodescent.run/4", "paretodescent.run/3"))
+        with pytest.raises(ConfigError) as exc:
+            load_run(tmp_path / "rt")
+        assert str(exc.value) == (f"{report}: schema 'paretodescent.run/3' "
+                                  "is not 'paretodescent.run/4'")
+        with pytest.raises(ConfigError) as exc:
+            read_trajectory_csv(csv)
+        assert str(exc.value) == (f"{csv}: not a run/4 trajectory header "
+                                  "(j, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
 
     def test_a_run2_trajectory_is_a_config_error(self, tmp_path):
         # its records would carry no dual weights, and replaying their steps
@@ -1147,8 +1193,8 @@ class TestRoundTripAndDeterminism:
         for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
             with pytest.raises(ConfigError) as exc:
                 read(csv)
-            assert str(exc.value) == (f"{csv}: not a run/3 trajectory header "
-                                      "(k, t, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
+            assert str(exc.value) == (f"{csv}: not a run/4 trajectory header "
+                                      "(j, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
 
     def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
@@ -1159,8 +1205,8 @@ class TestRoundTripAndDeterminism:
         assert str(exc.value) == f"{csv}: empty trajectory file"
 
     @pytest.mark.parametrize("edit, lineno, width", [
-        (lambda row: row[:-2], 2, 13),  # a short row: its two weights dropped
-        (lambda row: row + ["0"], 3, 16),  # a long row
+        (lambda row: row[:-2], 2, 11),  # a short row: its two weights dropped
+        (lambda row: row + ["0"], 3, 14),  # a long row
     ])
     def test_a_row_of_another_width_is_a_config_error(self, tmp_path, edit, lineno, width):
         # a short row would come back with too few weights, and replaying its
@@ -1173,7 +1219,7 @@ class TestRoundTripAndDeterminism:
         for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
             with pytest.raises(ConfigError) as exc:
                 read(csv)
-            assert str(exc.value) == f"{csv}: line {lineno} has {width} fields, the header 15"
+            assert str(exc.value) == f"{csv}: line {lineno} has {width} fields, the header 13"
 
     def test_a_header_without_rows_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
@@ -1184,7 +1230,7 @@ class TestRoundTripAndDeterminism:
                 read(csv)
             assert str(exc.value) == f"{csv}: no rows after the header"
 
-    @pytest.mark.parametrize("column", ["k", "alpha_upper", "sigma_certified", "x_1"])
+    @pytest.mark.parametrize("column", ["j", "alpha_upper", "sigma_certified", "x_1"])
     def test_a_field_that_does_not_parse_is_a_config_error(self, tmp_path, column):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
         csv = tmp_path / "rt.trajectory.csv"
@@ -1279,8 +1325,8 @@ class TestRoundTripAndDeterminism:
         assert report.config == SolverConfig()
 
     def test_load_run_reads_a_config_with_the_removed_caps(self, tmp_path):
-        # earlier run/3 reports carry max_j and max_inner in their config;
-        # load_run reads them and ignores both keys
+        # a config that still carries the max_j and max_inner keys of earlier
+        # versions loads, and both keys are ignored
         out = tmp_path / "rt"
         assert main(["solve", "--problem", "quasi_exp", "--out", str(out)]) == 0
         report_json = tmp_path / "rt.report.json"
@@ -1304,7 +1350,7 @@ class TestRoundTripAndDeterminism:
         report, doc = load_run(out)
         rep = run(get_problem("quasi_exp").problem,
                   get_problem("quasi_exp").recommended_x0, SolverConfig())
-        assert doc["schema"] == "paretodescent.run/3"
+        assert doc["schema"] == "paretodescent.run/4"
         assert report.config == rep.config
         assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
         # an uncertified direction and its inner iterations come back as well

@@ -41,8 +41,8 @@ def stepped_jacobians(problem, report):
     return [problem.jacobian(r.x) for r in report.stepped_records]
 
 
-def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
-    """Hand-built report; positions/values given, steps default to 1."""
+def synthetic_report(xs, Fs, vs=None, alpha=-1.0):
+    """Hand-built report; positions/values given, every step of length 1 (j = 0)."""
     xs = [np.asarray(x, dtype=float) for x in xs]
     Fs = [np.asarray(F, dtype=float) for F in Fs]
     n = xs[0].size
@@ -50,9 +50,8 @@ def synthetic_report(xs, Fs, ts=None, vs=None, alpha=-1.0):
     for k, (x, F) in enumerate(zip(xs, Fs)):
         last = k == len(xs) - 1
         v = np.zeros(n) if vs is None else np.asarray(vs[k], dtype=float)
-        t = 0.0 if last else (1.0 if ts is None else float(ts[k]))
         records.append(
-            IterationRecord(k=k, x=x, Fx=F, v=v, weights=np.full(F.size, 1.0 / F.size), t=t,
+            IterationRecord(k=k, x=x, Fx=F, v=v, weights=np.full(F.size, 1.0 / F.size),
                             alpha_upper=alpha, alpha_lower=alpha, j=-1 if last else 0,
                             sigma_certified=True, inner_iterations=0)
         )
@@ -102,12 +101,12 @@ class TestDecrease:
         assert out.worst_violation == Fx[1] - target[1] >= 0.2
 
     def test_an_interior_stop_fails_the_armijo_check(self):
-        # quasi_exp from (3, -3) at sigma 0.25, record 1 made a stop (t = 0,
-        # j = -1) and F(x^2) set above F(x^1): no step is left to check there,
+        # quasi_exp from (3, -3) at sigma 0.25, record 1 made a stop (j = -1,
+        # so t = 0) and F(x^2) set above F(x^1): no step is left to check there,
         # and F rises, so only the deleted monotone check used to fail
         desc = get_problem("quasi_exp")
         rep = run(desc.problem, [3.0, -3.0], SolverConfig(sigma=0.25))
-        stopped = _mutated(_mutated(rep, 1, t=0.0, j=-1), 2, Fx=rep.records[1].Fx + 1.0)
+        stopped = _mutated(_mutated(rep, 1, j=-1), 2, Fx=rep.records[1].Fx + 1.0)
         summary = run_diagnostics(desc.problem, stopped, 0.25)
         assert not _decreases(stopped)
         assert [(c.name, c.status) for c in summary.checks] == [
@@ -132,7 +131,7 @@ class TestDecrease:
             k %= len(rep.records)
             r = rep.records[k]
             if kind == "stop":
-                rep = _mutated(rep, k, t=0.0, j=-1)
+                rep = _mutated(rep, k, j=-1)
             elif kind == "x_ulp":
                 rep = _mutated(rep, k, x=_nudged(r.x, i, "ulp", scale))
             else:
@@ -140,7 +139,7 @@ class TestDecrease:
         checks = {c.name: c for c in run_diagnostics(desc.problem, rep, sigma).checks}
         if not _decreases(rep):
             assert not (checks["armijo"].ok and checks["proximity"].ok)
-        if any(not r.t > 0.0 for r in rep.records[:-1]):
+        if any(r.j < 0 for r in rep.records[:-1]):
             assert checks["armijo"].worst_violation == math.inf
 
 
@@ -172,8 +171,9 @@ class TestArmijo:
         assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
 
     def test_a_step_length_other_than_two_to_the_minus_j_fails(self):
-        # t = 1/2 along v = 1 from 0, with a decrease beyond the target
-        rep = synthetic_report([[0.0], [0.5]], [[2.0], [1.0]], ts=[0.5], vs=[[1.0], [0.0]])
+        # a move of 1/2 along v = 1 from 0, with a decrease beyond the target,
+        # where j = 0 claims t = 1; j = 1 claims the move made
+        rep = synthetic_report([[0.0], [0.5]], [[2.0], [1.0]], vs=[[1.0], [0.0]])
         J = [np.array([[-1.0]])]
         out = check_armijo(rep, J)
         assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
@@ -213,7 +213,7 @@ class TestArmijo:
         desc = get_problem("quad_pair")
         rep = quad_run()
         jacobians = stepped_jacobians(desc.problem, rep)
-        rep = _mutated(rep, len(rep.records) - 1, t=1.0, j=0)
+        rep = _mutated(rep, len(rep.records) - 1, j=0)
         jacobians.append(desc.problem.jacobian(rep.records[-1].x))
         out = check_armijo(rep, jacobians)
         assert (out.status, out.worst_violation, out.worst_index) == (
@@ -256,8 +256,8 @@ class TestStepMutations:
     certificate; both pass on the run itself."""
 
     @pytest.mark.parametrize("mutate", [
-        pytest.param(lambda rep, _p: _mutated(rep, 0, t=2.0 * rep.records[0].t), id="t_doubled"),
-        pytest.param(lambda rep, _p: _mutated(rep, 0, j=-2000), id="j_negative"),
+        pytest.param(lambda rep, _p: _mutated(rep, 0, j=rep.records[0].j + 1), id="t_halved"),
+        pytest.param(lambda rep, _p: _mutated(rep, 0, j=1075), id="t_underflowed_to_zero"),
         pytest.param(_next_point_one_ulp_off, id="next_x_one_ulp_off"),
         pytest.param(_next_value_past_its_target, id="next_F_one_ulp_past_target"),
         pytest.param(lambda rep, _p: dataclasses.replace(rep, config=SolverConfig(beta=0.9)),
@@ -421,9 +421,9 @@ def one_step_report(J, res, sigma):
     """A report of one step along the direction ``res`` solved at J."""
     m, n = J.shape
     step = IterationRecord(k=0, x=np.zeros(n), Fx=np.zeros(m), v=res.v, weights=res.weights,
-                           t=1.0, alpha_upper=res.alpha_upper, alpha_lower=res.alpha_lower, j=0,
+                           alpha_upper=res.alpha_upper, alpha_lower=res.alpha_lower, j=0,
                            sigma_certified=True, inner_iterations=res.inner_iterations)
-    end = dataclasses.replace(step, k=1, t=0.0, j=-1)
+    end = dataclasses.replace(step, k=1, j=-1)
     return RunReport(records=(step, end), termination="max_iter", config=SolverConfig(sigma=sigma))
 
 

@@ -1,15 +1,22 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretodescent import (
     MultiObjective,
     SolverConfig,
     get_problem,
     run,
+    run_diagnostics,
     solve_sigma_approx,
 )
+from paretodescent.cli import RunSettings, _report_document, load_run, write_trajectory_csv
 from paretodescent.direction import STATUS_CERTIFIED, STATUS_STALLED
 from paretodescent.solver import (
     TERMINATION_CRITICAL,
@@ -256,3 +263,91 @@ class TestIsCritical:
         res = solve_sigma_approx(STALLING_JACOBIAN, 0.0, eps_critical=1e-300)
         assert res.status == STATUS_STALLED
         assert not res.critical and not res.sigma_certified
+
+
+def extreme_problem(family, n, m, fs, xs, x0s, offset, seed, sigma, max_iter):
+    """A problem of one of four families, with its start and config: linear
+    A x, quadratics 1/2 ||x - c_i||^2, exponentials exp(a_i . x), and the
+    quadratics with a sign-flipped Jacobian.  F is scaled by ``fs`` and
+    shifted by ``offset``, the geometry scaled by ``xs`` and the start by ``x0s``."""
+    rng = np.random.default_rng(seed)
+    A, C = rng.normal(size=(m, n)), xs * rng.uniform(-2.0, 2.0, size=(m, n))
+
+    def f(x):
+        if family == "linear":
+            return (fs * A) @ (x / xs) + offset
+        if family == "exponential":
+            return fs * np.exp(A @ (x / xs)) + offset
+        d = (x - C) / xs
+        return fs * 0.5 * (d * d).sum(axis=1) + offset
+
+    def jac(x):
+        if family == "linear":
+            return fs * A / xs
+        if family == "exponential":
+            return fs * np.exp(A @ (x / xs))[:, None] * A / xs
+        J = fs * ((x - C) / xs) / xs
+        return -J if family == "flipped" else J
+
+    x0 = x0s * rng.uniform(-3.0, 3.0, size=n)
+    problem = MultiObjective(n=n, m=m, f=f, jac=jac, name=family)
+    return problem, x0, SolverConfig(sigma=sigma, max_iter=max_iter)
+
+
+# n, m <= 4, F scaled by up to 10^+-300 and shifted by up to +-1.7e308, the
+# geometry and the start each scaled by up to 10^+-150; small scales are drawn
+# as often as any
+_EXTREME_PROBLEMS = st.builds(
+    extreme_problem,
+    st.sampled_from(["linear", "quadratic", "exponential", "flipped"]),
+    *(st.integers(1, 4),) * 2,
+    *((st.integers(-2, 2) | st.integers(-limit, limit)).map(lambda e: 10.0 ** e)
+      for limit in (300, 150, 150)),
+    st.sampled_from([0.0, 1.7e308, -1.7e308]) | st.floats(-1.7e308, 1.7e308),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5]),
+    st.integers(1, 12),
+)
+
+
+def _as_written(a):
+    """The bits a CSV gives back: a NaN as the quiet NaN of its sign."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.copysign(np.nan, a), a).tobytes()
+
+
+def _fields(r):
+    return (r.k, r.j, r.sigma_certified, r.inner_iterations,
+            *(_as_written(a) for a in (r.t, r.alpha_upper, r.alpha_lower, r.x, r.Fx, r.v, r.weights)))
+
+
+class TestExtremeScales:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_EXTREME_PROBLEMS)
+    # F(x^0) is NaN with its sign bit set, from inf + -inf in the product
+    @example(extreme_problem("linear", 4, 2, 1e300, 1.0, 1e150, 0.0, 0, 0.0, 5))
+    # the Armijo target F(x) + beta t J v overflows to -inf
+    @example(extreme_problem("linear", 1, 1, 1e154, 1.0, 1.0, -1.7e308, 1, 0.0, 3))
+    # a squared distance of the quasi-Fejer check overflows to inf
+    @example(extreme_problem("linear", 1, 1, 1e154, 1.0, 1.0, 1.7e308, 4, 0.0, 3))
+    # jac overflows to inf at x^0, where F is finite
+    @example(extreme_problem("quadratic", 2, 2, 1e300, 1e-150, 1e-150, 0.0, 0, 0.0, 3))
+    def test_runs_check_and_reload_without_a_warning(self, drawn):
+        # under the tier-1 error::RuntimeWarning policy nothing raises, the
+        # CSV gives back every field (a NaN's payload aside), and the
+        # diagnostics replay from the reloaded records unchanged
+        problem, x0, cfg = drawn
+        rep = run(problem, x0, cfg)
+        summary = run_diagnostics(problem, rep, cfg.sigma)
+        with tempfile.TemporaryDirectory() as d:
+            prefix = Path(d) / "r"
+            write_trajectory_csv(f"{prefix}.trajectory.csv", rep, problem.n, problem.m)
+            doc = _report_document(RunSettings(problem, problem.name, None, x0, cfg, str(prefix)),
+                                   rep, summary)
+            Path(f"{prefix}.report.json").write_text(json.dumps(doc, indent=2, allow_nan=False))
+            reloaded, _doc = load_run(prefix)
+        assert (reloaded.termination, reloaded.config) == (rep.termination, rep.config)
+        assert list(map(_fields, reloaded.records)) == list(map(_fields, rep.records))
+        replay = run_diagnostics(problem, reloaded, cfg.sigma)
+        assert [(c.status, c.note) for c in replay.checks] == [
+            (c.status, c.note) for c in summary.checks]
