@@ -374,11 +374,20 @@ def _resolve_settings(args) -> RunSettings:
 # ---------------------------------------------------------------------------
 # trajectory and report serialization
 
+def _integer(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """Reader of an integer column: an optional '-' and ASCII digits, from low to high."""
+    def read(text: str) -> int:
+        if not (re.fullmatch("-?[0-9]+", text) and low <= int(text) <= high):
+            raise ValueError(text)
+        return int(text)
+    return read
+
+
 # the scalar columns of a trajectory row, each with the reader of its text, then x (n),
 # F (m), v (n) and the dual weights w (m); k is the row's position, and t is 2**-j
 _SCALAR_COLUMNS = (
-    ("j", int), ("alpha_upper", float), ("alpha_lower", float),
-    ("sigma_certified", lambda text: bool(int(text))), ("inner_iterations", int),
+    ("j", _integer(-1)), ("alpha_upper", float), ("alpha_lower", float),
+    ("sigma_certified", lambda text: _integer(0, 1)(text) == 1), ("inner_iterations", _integer(0)),
 )
 
 
@@ -411,7 +420,9 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     writer).  A file that cannot be read or is not UTF-8, a header other
     than the writer's, such as a run/3 one with k and t, a row with another
     number of fields than the header, a field that does not parse and a
-    file without rows are config errors."""
+    file without rows are config errors.  An integer field is an optional
+    '-' and ASCII digits, with j >= -1, sigma_certified 0 or 1 and
+    inner_iterations >= 0."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
@@ -563,11 +574,8 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
         qc = sample_quasiconvex(problem, 1000, seed, desc.box)
         add("quasiconvex_segments", qc.ok, f"{qc.violations} violation(s) in {qc.trials} trials")
         gc = check_gradient_characterization(problem, 1000, seed + 1, desc.box)
-        add(
-            "gradient_characterization",
-            gc.ok,
-            f"{gc.violations} violation(s) in {gc.checked} dominated pairs",
-        )
+        add("gradient_characterization", gc.ok,
+            f"{gc.violations} violation(s) in {gc.checked} dominated pairs")
         if desc.convexity_class == "pseudo-convex":
             ok = True
             for _ in range(10):
@@ -586,11 +594,8 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
     if off:
         off_ok = sum(solve_sigma_approx(problem.jacobian(x), 0.0, eps_critical=eps_critical).status
                      == STATUS_CERTIFIED for x in off)
-        add(
-            "noncritical_points",
-            off_ok == len(off),
-            f"{off_ok}/{len(off)} off-set points report non-critical",
-        )
+        add("noncritical_points", off_ok == len(off),
+            f"{off_ok}/{len(off)} off-set points report non-critical")
     else:
         add("noncritical_points", True, "critical set covers the box; off-set check vacuous")
 
@@ -601,11 +606,8 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
         _w, _v, alpha = brute_force_direction(J)
         scale = max(1.0, float(np.sum(J * J)))
         worst_gap = max(worst_gap, abs(res.alpha_upper - alpha) / scale)
-    add(
-        "subproblem_agreement",
-        worst_gap <= 1e-4,
-        f"worst |alpha - grid alpha| / max(1, ||J||^2) = {worst_gap:.3e}",
-    )
+    add("subproblem_agreement", worst_gap <= 1e-4,
+        f"worst |alpha - grid alpha| / max(1, ||J||^2) = {worst_gap:.3e}")
     return checks
 
 

@@ -265,13 +265,3 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> Direc
             w[blocking.nonzero()[0][first]] = 0.0
             on_face_min = False
         it += 1
-
-
-def solve_exact(J, *, eps_critical: float = 1e-12) -> DirectionResult:
-    """``solve_sigma_approx(J, 0.0, eps_critical=eps_critical)``.
-
-    No module of the package calls it: it is defined only because
-    ``bench/tracing.py`` patches the name ``diagnostics.solve_exact``, and it
-    goes once the benchmark no longer looks it up.
-    """
-    return solve_sigma_approx(J, 0.0, eps_critical=eps_critical)

@@ -7,9 +7,12 @@ change that removes a name the bench looks up, or that changes the
 evaluation pattern, fails here rather than in every benchmark run.  The
 bench also writes every builtin case's artifacts, reloads them and replays
 the diagnostics; the round trip below does the same, so a format change
-the bench would count as ``cli.replay_mismatch`` fails here too.
+the bench would count as ``cli.replay_mismatch`` fails here too, and the
+first cases of two workloads go through the bench's own pipelines and
+output checks.
 """
 
+import contextlib
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,28 @@ def test_artifacts_reload_as_the_bench_checks_them(monkeypatch, tmp_path, case):
     assert checks.trajectory_digest(reloaded) == checks.trajectory_digest(report)
     replay = run_diagnostics(problem, reloaded, cfg.sigma)
     assert checks._summary_json(replay) == checks._summary_json(summary)
+
+
+@pytest.mark.parametrize("workload", ["builtin_suite", "inline_fd"])
+def test_the_first_case_of_a_workload_passes_the_bench_checks(monkeypatch, tmp_path, workload):
+    # check_case reaches the config parser, the inline builder, the report
+    # writer, load_run and oracle.kkt_direction, of which the self-test
+    # above reaches only some
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import tracing
+    import workloads
+
+    case = workloads.make_cases(workload, 0, tmp_path / "inputs")[0]
+    for traced in (False, True):
+        tracer = tracing.Tracer()
+
+        def wrap(problem, tally):
+            return workloads.own(problem, tally, tracing.TracedObjective, tracer=tracer)
+
+        with tracing.installed(tracer) if traced else contextlib.nullcontext():
+            run = workloads.PIPELINES[workload](
+                case, str(tmp_path / f"traced{traced}"),
+                *((tracer.call, wrap) if traced else (workloads.plain_call, workloads.own)))
+        causes, wrong, _facts = checks.check_case(workload, case, run)
+        assert (causes, wrong) == ([], []), f"traced={traced}"

@@ -40,7 +40,8 @@ from paretodescent.cli import (
     write_trajectory_csv,
 )
 from paretodescent.direction import STATUS_STALLED
-from paretodescent.oracle import finite_diff_jacobian
+
+from oracles import finite_diff_jacobian
 
 
 # an inline problem that sets every run value; CI solves it with the
@@ -1243,6 +1244,29 @@ class TestRoundTripAndDeterminism:
             with pytest.raises(ConfigError) as exc:
                 read(csv)
             assert str(exc.value) == f"{csv}: line 3, column {column}: could not parse 'abc'"
+
+    @pytest.mark.parametrize("column, row, text", [
+        ("sigma_certified", 0, "7"), ("sigma_certified", 0, "-1"), ("sigma_certified", -1, "2"),
+        ("inner_iterations", 0, "-5"), ("j", -1, "-9"), ("j", 0, "-2"), ("j", 0, "1_0"),
+        ("j", 0, "+1"), ("j", -1, " -1"), ("inner_iterations", 0, "１"),
+    ])
+    def test_an_integer_field_the_writer_cannot_write_is_a_config_error(self, tmp_path, column,
+                                                                       row, text):
+        # int() reads each of these; read by int() alone, the first five
+        # reload and replay through the diagnostics with every check passing
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        header, *rows = csv.read_text(encoding="utf-8").splitlines()
+        row %= len(rows)
+        parts = rows[row].split(",")
+        parts[header.split(",").index(column)] = text
+        rows[row] = ",".join(parts)
+        csv.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == (f"{csv}: line {row + 2}, column {column}: "
+                                      f"could not parse {text!r}")
 
     def test_a_report_config_without_a_run_value_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0

@@ -10,8 +10,9 @@ from paretodescent import (
     make_quad_pair,
     run,
 )
-from paretodescent.oracle import finite_diff_jacobian
 from paretodescent.cli import build_inline_problem
+
+from oracles import finite_diff_jacobian
 
 
 def cubic_pair():

@@ -18,6 +18,7 @@ from paretodescent import (
 )
 from paretodescent.cli import RunSettings, _report_document, load_run, write_trajectory_csv
 from paretodescent.direction import STATUS_CERTIFIED, STATUS_STALLED
+from paretodescent.oracle import kkt_direction
 from paretodescent.solver import (
     TERMINATION_CRITICAL,
     TERMINATION_LINESEARCH,
@@ -321,6 +322,23 @@ def _fields(r):
             *(_as_written(a) for a in (r.t, r.alpha_upper, r.alpha_lower, r.x, r.Fx, r.v, r.weights)))
 
 
+def assert_replays(problem, x0, cfg, rep, summary):
+    """The CSV gives back every field of the run (a NaN's payload aside), and
+    the diagnostics replay from the reloaded records unchanged."""
+    with tempfile.TemporaryDirectory() as d:
+        prefix = Path(d) / "r"
+        write_trajectory_csv(f"{prefix}.trajectory.csv", rep, problem.n, problem.m)
+        doc = _report_document(RunSettings(problem, problem.name, None, x0, cfg, str(prefix)),
+                               rep, summary)
+        Path(f"{prefix}.report.json").write_text(json.dumps(doc, indent=2, allow_nan=False))
+        reloaded, _doc = load_run(prefix)
+    assert (reloaded.termination, reloaded.config) == (rep.termination, rep.config)
+    assert list(map(_fields, reloaded.records)) == list(map(_fields, rep.records))
+    replay = run_diagnostics(problem, reloaded, cfg.sigma)
+    assert [(c.status, c.note) for c in replay.checks] == [
+        (c.status, c.note) for c in summary.checks]
+
+
 class TestExtremeScales:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_EXTREME_PROBLEMS)
@@ -333,21 +351,76 @@ class TestExtremeScales:
     # jac overflows to inf at x^0, where F is finite
     @example(extreme_problem("quadratic", 2, 2, 1e300, 1e-150, 1e-150, 0.0, 0, 0.0, 3))
     def test_runs_check_and_reload_without_a_warning(self, drawn):
-        # under the tier-1 error::RuntimeWarning policy nothing raises, the
-        # CSV gives back every field (a NaN's payload aside), and the
-        # diagnostics replay from the reloaded records unchanged
+        # under the tier-1 error::RuntimeWarning policy nothing raises, and
+        # the run replays from its artifacts
         problem, x0, cfg = drawn
         rep = run(problem, x0, cfg)
+        assert_replays(problem, x0, cfg, rep, run_diagnostics(problem, rep, cfg.sigma))
+
+
+# increasing maps (phi, phi'): phi of a convex quadratic is quasi-convex
+# (Boyd and Vandenberghe, Convex Optimization, section 3.4)
+_PHIS = {
+    "identity": (lambda s: s, lambda s: 1.0),
+    "log1p": (math.log1p, lambda s: 1.0 / (1.0 + s)),
+    "saturating": (lambda s: 1.0 - math.exp(-s), lambda s: math.exp(-s)),
+    "sqrt": (lambda s: math.sqrt(1.0 + s) - 1.0, lambda s: 0.5 / math.sqrt(1.0 + s)),
+}
+
+QUASICONVEX_MAX_ITER = 100
+
+
+def quasiconvex_problem(phis, n, scale, seed, sigma):
+    """f_i(x) = phi_i(1/2 sum_j D_ij (x_j - C_ij)^2) with its analytic
+    Jacobian, D in [0, scale) and C and the start in [-scale, scale)."""
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.0, scale, size=(len(phis), n))
+    C = rng.uniform(-scale, scale, size=(len(phis), n))
+    x0 = rng.uniform(-scale, scale, size=n)
+
+    def s(x):
+        return 0.5 * (D * (x - C) ** 2).sum(axis=1)
+
+    def f(x):
+        return np.array([_PHIS[p][0](si) for p, si in zip(phis, s(x))])
+
+    def jac(x):
+        slopes = np.array([_PHIS[p][1](si) for p, si in zip(phis, s(x))])
+        return slopes[:, None] * D * (x - C)
+
+    problem = MultiObjective(n=n, m=len(phis), f=f, jac=jac, name="+".join(phis))
+    return problem, x0, SolverConfig(sigma=sigma, max_iter=QUASICONVEX_MAX_ITER)
+
+
+# n <= 5, m <= 4 and scales <= 3: past about 10, 1 - exp(-s) is flat to
+# working precision far from C, and a run ends critical after no step
+_QUASICONVEX_PROBLEMS = st.builds(
+    quasiconvex_problem,
+    st.lists(st.sampled_from(sorted(_PHIS)), min_size=1, max_size=4),
+    st.integers(1, 5),
+    st.floats(0.25, 3.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 0.9]),
+)
+
+
+class TestQuasiconvexTheorem:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_QUASICONVEX_PROBLEMS)
+    def test_runs_end_critical_or_capped_and_prove_it(self, drawn):
+        # the paper's theorem on quasi-convex F: the run is stopped only by a
+        # critical point or the cap, every step passes the diagnostics, and a
+        # critical end is confirmed by support enumeration wherever the
+        # certified w does not refute the reference (its documented limit)
+        problem, x0, cfg = drawn
+        rep = run(problem, x0, cfg)
+        assert rep.termination in (TERMINATION_CRITICAL, TERMINATION_MAX_ITER)
         summary = run_diagnostics(problem, rep, cfg.sigma)
-        with tempfile.TemporaryDirectory() as d:
-            prefix = Path(d) / "r"
-            write_trajectory_csv(f"{prefix}.trajectory.csv", rep, problem.n, problem.m)
-            doc = _report_document(RunSettings(problem, problem.name, None, x0, cfg, str(prefix)),
-                                   rep, summary)
-            Path(f"{prefix}.report.json").write_text(json.dumps(doc, indent=2, allow_nan=False))
-            reloaded, _doc = load_run(prefix)
-        assert (reloaded.termination, reloaded.config) == (rep.termination, rep.config)
-        assert list(map(_fields, reloaded.records)) == list(map(_fields, rep.records))
-        replay = run_diagnostics(problem, reloaded, cfg.sigma)
-        assert [(c.status, c.note) for c in replay.checks] == [
-            (c.status, c.note) for c in summary.checks]
+        assert summary.all_ok, summary.to_dict()
+        if rep.termination == TERMINATION_CRITICAL:
+            J = problem.jacobian(rep.final_x)
+            slack = 1e-13 * max(1.0, float(np.sum(J * J)))
+            _w, _v, alpha = kkt_direction(J)
+            if alpha >= rep.records[-1].alpha_lower - slack:
+                assert alpha >= -(cfg.eps_critical + slack)
+        assert_replays(problem, x0, cfg, rep, summary)
