@@ -146,6 +146,8 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     w then moves d by at most the allowance), v = -g (as ||v + g||^2),
     alpha_upper = phi and alpha_lower = d within the direction module's
     rounding allowance, phi <= 0, and phi <= (1 - sigma) d to the gap floor.
+    A step recorded as not ``sigma_certified`` fails outright (violation
+    inf): ``run`` never steps along an uncertified direction.
     Any simplex w has d <= theta, the optimal value, and phi is 1-strongly
     convex, so 2 (phi - d), whose maximum the note reports, bounds ||v - v*||^2.
     """
@@ -167,7 +169,8 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
                   abs(float(r.weights.sum()) - 1.0) - 4.0 * (n + m) * _EPS,
                   abs(r.alpha_upper - phi) - allowance, abs(r.alpha_lower - d) - allowance,
                   phi, _certificate_excess(phi, d, d, sigma, _gap_floor(float(G.trace()))))
-        pairs.append((max(excess) if all(map(math.isfinite, excess)) else math.inf, r.k))
+        pairs.append((max(excess) if r.sigma_certified and all(map(math.isfinite, excess))
+                      else math.inf, r.k))
         bounds.append((2.0 * (phi - d), r.k))
     worst, worst_k = _worst(pairs)
     return _outcome("proximity", worst, worst_k, f"max 2(phi - d)={_worst(bounds)[0]:.3e}")

@@ -1,10 +1,10 @@
-"""Independent brute-force and sampling oracles used to validate the solver.
+"""Independent sampling oracles for the problems ``verify`` checks.
 
-Everything here is deliberately naive: exhaustive simplex grids, support
-enumeration, and seeded random sampling.  Tests lean on these to check the
-production code paths, so none of them may share logic with the modules
-they validate.  ``kkt_direction`` serves the tests and the benchmark and is
-not exported; the central-difference reference lives in ``tests/oracles.py``.
+Everything here is deliberately naive: seeded random sampling, and support
+enumeration in ``kkt_direction``, which serves the tests and the benchmark
+and is not exported.  None of it may share logic with the modules it
+validates.  The simplex-grid direction oracle and the central-difference
+reference live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .objective import MultiObjective, as_point
 
 __all__ = [
     "ViolationReport",
-    "brute_force_direction",
     "sample_quasiconvex",
     "check_gradient_characterization",
     "check_weak_pareto_local",
@@ -39,60 +38,6 @@ class ViolationReport:
         return self.violations == 0
 
 
-def _simplex_grid(bounds: list[tuple[float, float]], step: float) -> np.ndarray:
-    """Feasible simplex points whose first m-1 coordinates run over the given
-    ranges with the given step; the last coordinate is 1 - sum."""
-    axes = []
-    for lo, hi in bounds:
-        lo = max(lo, 0.0)
-        hi = min(hi, 1.0)
-        n_steps = max(int(np.floor((hi - lo) / step + 1e-9)), 0)
-        axes.append(lo + step * np.arange(n_steps + 1))
-    free = np.array(list(itertools.product(*axes)), dtype=float)
-    last = 1.0 - free.sum(axis=1)
-    keep = last >= -1e-12
-    free = free[keep]
-    last = np.maximum(last[keep], 0.0)
-    return np.column_stack([free, last])
-
-
-def brute_force_direction(J, *, refinement_rounds: int = 2) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exhaustively minimize 0.5*||J^T w||^2 over a simplex grid.
-
-    The grid's weight-space step is 1e-3 for m <= 2, else 1e-2, and each
-    refinement round shrinks it tenfold around the incumbent.  Returns
-    (w, v, alpha) with v = -J^T w and alpha = -0.5*||J^T w||^2, an estimate
-    of the optimal subproblem value with error on the order of the refined
-    step times ||J||^2.  Guarded to m <= 4 since the grid grows
-    exponentially with the number of criteria.
-    """
-    if refinement_rounds < 0:
-        raise ValueError("refinement_rounds must be nonnegative")
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    m = J.shape[0]
-    if m > 4:
-        raise ValueError(f"grid oracle supports m <= 4 criteria, got m={m}")
-    if m == 1:
-        w = np.array([1.0])
-        v = -(J.T @ w)
-        return w, v, -0.5 * float(v @ v)
-
-    def best_on(points: np.ndarray) -> tuple[np.ndarray, float]:
-        vals = 0.5 * np.sum((points @ J) ** 2, axis=1)
-        i = int(np.argmin(vals))
-        return points[i], float(vals[i])
-
-    step = 1e-3 if m <= 2 else 1e-2
-    w_best, psi_best = best_on(_simplex_grid([(0.0, 1.0)] * (m - 1), step))
-    for _ in range(refinement_rounds):
-        window, step = step, step / 10.0
-        bounds = [(w_best[i] - window, w_best[i] + window) for i in range(m - 1)]
-        pts = np.vstack([_simplex_grid(bounds, step), w_best])
-        w_best, psi_best = best_on(pts)
-    v = -(J.T @ w_best)
-    return w_best, v, -psi_best
-
-
 def kkt_direction(J) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact direction by exhaustive support enumeration.
 
@@ -100,8 +45,8 @@ def kkt_direction(J) -> tuple[np.ndarray, np.ndarray, float]:
     equality-constrained stationarity system on that face and keeps the
     feasible candidate with the smallest 0.5*||J^T w||^2.  Finite and
     deterministic, and immune to the anisotropy that can trap the grid
-    refinement, so it pins v to linear-solver accuracy.  Same m <= 4 guard
-    as the grid (2^m - 1 faces).
+    refinement of ``tests/oracles.py``, so it pins v to linear-solver
+    accuracy.  Same m <= 4 guard as that grid (2^m - 1 faces).
 
     Known limit: on near-parallel gradients with norms near 1e5, lstsq on
     the ill-conditioned bordered system can miss the optimal face, and the

@@ -16,10 +16,15 @@ a certified direction must beat v = 0.
 
 It restates the rule's constants and imports nothing from the direction
 module, so it shares no code with the solver it checks.
+
+``audit_steps`` takes the same view of a whole run's steps: from the
+recorded binary64 values and a fresh J(x^k) per step it checks the Armijo
+inequality and the energy inequalities it implies, again in Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,3 +74,55 @@ def exact_certificate(J, w, v, sigma: float) -> ExactCertificate:
     trace = sum(a * a for row in rows for a in row)
     floor = GAP_FLOOR_FACTOR * EPS * max(Fraction(1), trace)
     return ExactCertificate(phi, d, floor, Fraction(sigma))
+
+
+@dataclass(frozen=True)
+class StepAudit:
+    """What ``audit_steps`` found in one run: its steps, the Armijo
+    components above the exact target but within the allowance (ties), and
+    each failure as (k, what)."""
+
+    steps: int
+    ties: int
+    failures: tuple[tuple[int, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def audit_steps(values, steps, beta: float, ulps: int = 1) -> StepAudit:
+    """Audit a run's steps exactly, from its recorded floats.
+
+    ``values`` holds F(x^k) for every visited point in order, and ``steps``
+    holds (J, v, j) for the step from x^k to x^{k+1}: a fresh J(x^k), the
+    recorded direction and t = 2**-j.  In Fraction, it checks
+
+      * Armijo: F_i(x^{k+1}) <= F_i(x^k) + beta t (J v)_i, to ``ulps`` ulp
+        of F_i(x^k), since the float rule compares rounded values;
+      * energy: F_i(x^k) - F_i(x^{k+1}) >= beta t ||v||^2 / 2, exactly;
+      * telescoped: sum_k t ||v||^2 <= (2 / beta) min_i (F_i(x^0) - F_i(x^K)),
+        exactly, with x^K the last point.
+    """
+    if len(values) != len(steps) + 1:
+        raise ValueError(f"{len(values)} value(s) for {len(steps)} step(s)")
+    b = Fraction(beta)
+    F = [[Fraction(float(a)) for a in row] for row in values]
+    ties, failures, total = 0, [], Fraction(0)
+    for k, (J, v, j) in enumerate(steps):
+        t = Fraction(1, 2**j)
+        vec = [Fraction(float(a)) for a in v]
+        vv = sum(a * a for a in vec)
+        for i, row in enumerate(J):
+            slope = sum(Fraction(float(a)) * c for a, c in zip(row, vec))
+            excess = F[k + 1][i] - (F[k][i] + b * t * slope)
+            if excess > ulps * Fraction(math.ulp(float(values[k][i]))):
+                failures.append((k, f"armijo F_{i + 1}"))
+            elif excess > 0:
+                ties += 1
+            if F[k][i] - F[k + 1][i] < b * t * vv / 2:
+                failures.append((k, f"energy F_{i + 1}"))
+        total += t * vv
+    if total > 2 / b * min(a - c for a, c in zip(F[0], F[-1])):
+        failures.append((len(steps), "telescoped"))
+    return StepAudit(len(steps), ties, tuple(failures))

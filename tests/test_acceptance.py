@@ -13,7 +13,6 @@ import pytest
 
 from paretodescent import (
     SolverConfig,
-    brute_force_direction,
     check_armijo,
     check_proximity,
     check_quasi_fejer,
@@ -25,6 +24,8 @@ from paretodescent import (
 )
 from paretodescent.cli import main as cli_main
 from paretodescent.linesearch import armijo_step
+
+from oracles import brute_force_direction
 
 SUBPROBLEM_SEED = 1001
 SIGMA_SEEDS = {0.1: 2001, 0.5: 2005, 0.9: 2009}

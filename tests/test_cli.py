@@ -1106,6 +1106,23 @@ class TestRoundTripAndDeterminism:
         assert (armijo.name, armijo.ok, armijo.worst_violation, armijo.worst_index) == (
             "armijo", False, math.inf, 0)
 
+    def test_a_step_reloaded_as_uncertified_fails_proximity_there(self, tmp_path):
+        # run never steps along an uncertified direction, so a step row whose
+        # sigma_certified reads 0 cannot be the run's own
+        assert main(["solve", "--problem", "quasi_exp", "--out", str(tmp_path / "qe" / "run")]) == 0
+        csv = tmp_path / "qe" / "run.trajectory.csv"
+        header, *rows = csv.read_text().splitlines()
+        parts = rows[0].split(",")
+        parts[header.split(",").index("sigma_certified")] = "0"
+        csv.write_text("\n".join([header, ",".join(parts), *rows[1:]]) + "\n")
+        report, _doc = load_run(tmp_path / "qe" / "run")
+        assert not report.records[0].sigma_certified
+        summary = run_diagnostics(get_problem("quasi_exp").problem, report, report.config.sigma)
+        proximity = summary.checks[2]
+        assert not summary.all_ok
+        assert (proximity.name, proximity.ok, proximity.worst_violation, proximity.worst_index) == (
+            "proximity", False, math.inf, 0)
+
     def test_a_nan_reloads_with_its_sign(self, tmp_path):
         # inf - inf is a NaN whose sign bit the hardware sets or not, and
         # its negation has the other sign: both come back bit for bit
@@ -1196,6 +1213,25 @@ class TestRoundTripAndDeterminism:
                 read(csv)
             assert str(exc.value) == (f"{csv}: not a run/4 trajectory header "
                                       "(j, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
+
+    @pytest.mark.parametrize("dropped, shape", [
+        pytest.param(("x_", "F_", "v_", "w_"), "x_1..x_0, F_1..F_0, v_1..v_0, w_1..w_0",
+                     id="scalars_only"),
+        pytest.param(("F_", "w_"), "x_1..x_2, F_1..F_0, v_1..v_2, w_1..w_0", id="no_F_or_w"),
+    ])
+    def test_a_header_without_x_or_F_columns_is_a_config_error(self, tmp_path, dropped, shape):
+        # the writer can write neither, since a problem has n, m >= 1; read
+        # as n = 0 or m = 0, both would load records with empty vectors
+        assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
+        csv = tmp_path / "rt.trajectory.csv"
+        header, *rows = csv.read_text().splitlines()
+        kept = [i for i, name in enumerate(header.split(",")) if not name.startswith(dropped)]
+        csv.write_text("".join(",".join(line.split(",")[i] for i in kept) + "\n"
+                               for line in (header, *rows)))
+        for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
+            with pytest.raises(ConfigError) as exc:
+                read(csv)
+            assert str(exc.value) == f"{csv}: not a run/4 trajectory header (j, ..., {shape})"
 
     def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0

@@ -478,6 +478,7 @@ class TestProximity:
         pytest.param(lambda r: {"alpha_lower": r.alpha_lower * (1.0 - 1e-6)}, id="shrunk_alpha_lower"),
         pytest.param(lambda r: {"alpha_upper": r.alpha_upper * (1.0 + 1e-6)}, id="lowered_alpha_upper"),
         pytest.param(lambda r: {"weights": _nan_entry(r.weights)}, id="nan_weight"),
+        pytest.param(lambda r: {"sigma_certified": False}, id="recorded_uncertified"),
     ])
     @pytest.mark.parametrize("name,sigma", [("quasi_exp", 0.0), ("quasi_exp", 0.5),
                                             ("quad_pair", 0.9)])

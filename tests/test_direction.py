@@ -7,11 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from paretodescent import (
-    NonFiniteError,
-    brute_force_direction,
-    solve_sigma_approx,
-)
+from paretodescent import NonFiniteError, get_problem, list_problems, solve_sigma_approx
 from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
@@ -21,6 +17,8 @@ from paretodescent.direction import (
     _stop_status,
 )
 from paretodescent.oracle import kkt_direction
+
+from oracles import brute_force_direction
 
 
 def primal(J, v) -> float:
@@ -618,18 +616,36 @@ class TestInvariants:
             assert res.alpha_upper <= 0.0
 
 
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in list_problems() for seed in (0, 42)])
+def test_exact_solves_agree_with_the_grid_on_each_builtin(name, seed):
+    # the grid oracle, to the grid's own resolution, at 20 points drawn
+    # uniformly from each builtin's sampling box
+    desc = get_problem(name)
+    rng = np.random.default_rng(seed)
+    for x in rng.uniform(desc.box[0], desc.box[1], size=(20, desc.problem.n)):
+        J = desc.problem.jacobian(x)
+        res = solve_sigma_approx(J, 0.0)
+        _w, _v, alpha = brute_force_direction(J)
+        assert abs(res.alpha_upper - alpha) <= 1e-4 * max(1.0, float(np.sum(J * J))), x
+
+
 def test_the_package_has_one_dual_solver_and_no_move_cap_argument():
     # the exact direction is the sigma = 0 case of solve_sigma_approx, and a
     # solve ends by its own rule, not by a cap: no package file names a
     # max_inner constant or parameter, in any case, and none calls
     # solve_exact or finite_diff_jacobian, bare names kept only for
-    # bench/tracing.py to patch
+    # bench/tracing.py to patch; the grid oracle lives in tests/oracles.py,
+    # and no package file defines or calls it
     import paretodescent
 
-    assert not {"solve_exact", "kkt_direction", "finite_diff_jacobian"} & set(paretodescent.__all__)
+    grid = ("brute_force_direction", "_simplex_grid")
+    assert not ({"solve_exact", "kkt_direction", "finite_diff_jacobian", "brute_force_direction"}
+                & set(paretodescent.__all__))
     for path in Path(paretodescent.__file__).parent.glob("*.py"):
         assert "max_inner" not in path.read_text().lower(), path.name
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                assert name not in ("solve_exact", "finite_diff_jacobian"), path
+                assert name not in ("solve_exact", "finite_diff_jacobian", *grid), path
+            elif isinstance(node, ast.FunctionDef):
+                assert node.name not in grid, path

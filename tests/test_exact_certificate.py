@@ -2,9 +2,12 @@
 arithmetic by the oracle in exact_certificate.py."""
 
 import ast
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +15,8 @@ from paretodescent import SolverConfig, get_problem, list_problems, run, solve_s
 from paretodescent.direction import STATUS_CERTIFIED
 
 import exact_certificate as oracle_module
-from exact_certificate import exact_certificate
+from exact_certificate import audit_steps, exact_certificate
+from test_acceptance import RUN_CFG, quad_pair_starts
 
 SIGMAS = (0.0, 0.25, 0.5, 0.9)
 FAMILIES = ("gaussian", "near_parallel", "near_critical")
@@ -54,7 +58,7 @@ class TestOracle:
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for a in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert imported == {"__future__", "dataclasses", "fractions"}
+        assert imported == {"__future__", "dataclasses", "fractions", "math"}
 
     def test_the_exact_optimum_holds_with_no_slack(self):
         cert = exact_certificate(np.eye(2), [0.5, 0.5], [-0.5, -0.5], 0.0)
@@ -136,3 +140,56 @@ def test_every_recorded_step_of_the_builtins_holds_exactly():
                     assert cert.holds(), (name, list(x0), sigma, r.k)
                     steps += 1
     assert steps >= 200, steps
+
+
+def audited(problem, report, values=None, ulps=1):
+    """The exact audit of a run's recorded steps, each with a fresh J(x^k);
+    ``values`` replaces the recorded F(x^k)."""
+    return audit_steps([r.Fx for r in report.records] if values is None else values,
+                       [(problem.jacobian(r.x), r.v, r.j) for r in report.stepped_records],
+                       report.config.beta, ulps)
+
+
+@pytest.fixture(scope="module")
+def audited_runs():
+    """(problem, report) from each builtin's recommended start and from the
+    acceptance criteria's quad_pair starts."""
+    runs = [(get_problem(name).problem, run(get_problem(name).problem,
+                                            get_problem(name).recommended_x0))
+            for name in list_problems()]
+    quad = get_problem("quad_pair").problem
+    return runs + [(quad, run(quad, x0, RUN_CFG)) for x0 in quad_pair_starts()]
+
+
+class TestStepAudit:
+    def test_every_recorded_step_holds_to_one_ulp_and_the_energy_exactly(self, audited_runs):
+        audits = [audited(problem, rep) for problem, rep in audited_runs]
+        assert [a.failures for a in audits if not a.ok] == []
+        assert sum(a.steps for a in audits) >= 70
+
+    def test_without_the_ulp_the_ties_fail_armijo(self, audited_runs):
+        # on a tie the float rule and the exact one part by less than an ulp
+        ties = failures = 0
+        for problem, rep in audited_runs:
+            ties += audited(problem, rep).ties
+            bare = audited(problem, rep, ulps=0)
+            assert {what.split()[0] for _k, what in bare.failures} <= {"armijo"}
+            failures += len(bare.failures)
+        assert failures == ties >= 10
+
+    def test_a_value_past_its_target_by_more_than_the_ulp_fails(self):
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0)
+        first = rep.records[0]
+        slope = sum(Fraction(a) * Fraction(b) for a, b in zip(desc.problem.jacobian(first.x)[0],
+                                                              first.v))
+        bound = (Fraction(first.Fx[0]) + Fraction(rep.config.beta) * Fraction(first.t) * slope
+                 + Fraction(math.ulp(first.Fx[0])))
+        at = float(bound)
+        if Fraction(at) > bound:
+            at = math.nextafter(at, -math.inf)
+        values = [r.Fx.copy() for r in rep.records]
+        values[1][0] = at
+        assert audited(desc.problem, rep, values).ok
+        values[1][0] = math.nextafter(at, math.inf)
+        assert audited(desc.problem, rep, values).failures == ((0, "armijo F_1"),)

@@ -12,7 +12,6 @@ from paretodescent import (
     MultiObjective,
     NonFiniteError,
     ViolationReport,
-    brute_force_direction,
     check_gradient_characterization,
     check_weak_pareto_local,
     get_problem,
@@ -22,7 +21,7 @@ from paretodescent import (
 )
 from paretodescent.oracle import kkt_direction
 
-from oracles import finite_diff_jacobian
+from oracles import brute_force_direction, finite_diff_jacobian
 
 
 def sufficient_sigma_condition(J, v, sigma):
@@ -290,8 +289,12 @@ def test_grid_steps_and_refinement_rounds():
 def test_oracle_imports_only_the_objective_module_of_the_package():
     # the oracles share no logic with the code they validate: no direction
     # solver, line search, run loop, diagnostics or CLI, even inside a
-    # function; the central-difference reference in tests/ is held to the same
-    for path in (Path(oracle.__file__), Path(__file__).with_name("oracles.py")):
+    # function; the references in tests/ are held to the same, and the exact
+    # oracle and step auditor import no module of the package at all
+    tests = Path(__file__).parent
+    for path, allowed in ((Path(oracle.__file__), {"objective"}),
+                          (tests / "oracles.py", {"objective"}),
+                          (tests / "exact_certificate.py", set())):
         modules = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
@@ -301,4 +304,4 @@ def test_oracle_imports_only_the_objective_module_of_the_package():
             elif isinstance(node, ast.Import):
                 modules.update(a.name.partition(".")[2] or "paretodescent"
                                for a in node.names if a.name.partition(".")[0] == "paretodescent")
-        assert modules == {"objective"}, path.name
+        assert modules == allowed, path.name
