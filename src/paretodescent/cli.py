@@ -423,7 +423,10 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
         raise ConfigError(f"{path}: empty trajectory file")
     header = lines[0].split(",")
     n, m = (sum(name.startswith(vec) for name in header) for vec in ("x_", "F_"))
-    if n < 1 or m < 1 or lines[0] != _trajectory_header(n, m):
+    if n < 1 or m < 1:
+        raise ConfigError(f"{path}: not a run/4 trajectory header: "
+                          f"no {'x_' if n < 1 else 'F_'} columns")
+    if lines[0] != _trajectory_header(n, m):
         raise ConfigError(f"{path}: not a run/4 trajectory header (j, ..., x_1..x_{n}, "
                           f"F_1..F_{m}, v_1..v_{n}, w_1..w_{m})")
     if len(lines) == 1:
@@ -578,17 +581,16 @@ def _verify_checks(desc: ProblemDescriptor, seed: int) -> list[dict]:
                 ok = ok and check_weak_pareto_local(problem, x_crit, 0.5, 1000, seed + 2)
             add("critical_points_weak_pareto", ok, "sampled critical points undominated locally")
 
-    # the run's own stop test: a stalled result is neither critical nor
-    # certified, so it fails either check
-    eps_critical = SolverConfig().eps_critical
-    on_ok = sum(solve_sigma_approx(problem.jacobian(desc.sample_critical(rng)), 0.0,
-                                   eps_critical=eps_critical).critical for _ in range(50))
+    # the run's own stop test, at its default eps_critical: a stalled result
+    # is neither critical nor certified, so it fails either check
+    on_ok = sum(solve_sigma_approx(problem.jacobian(desc.sample_critical(rng)), 0.0).critical
+                for _ in range(50))
     add("critical_set_members", on_ok == 50, f"{on_ok}/50 sampled members report critical")
     off = [desc.sample_noncritical(rng) for _ in range(50)]
     off = [x for x in off if x is not None]
     if off:
-        off_ok = sum(solve_sigma_approx(problem.jacobian(x), 0.0, eps_critical=eps_critical).status
-                     == STATUS_CERTIFIED for x in off)
+        off_ok = sum(solve_sigma_approx(problem.jacobian(x), 0.0).status == STATUS_CERTIFIED
+                     for x in off)
         add("noncritical_points", off_ok == len(off),
             f"{off_ok}/{len(off)} off-set points report non-critical")
     else:

@@ -64,6 +64,7 @@ STATUS_STALLED = "stalled"
 
 # relative duality-gap tolerance of the exact (sigma = 0) solve
 TOL_GAP = 1e-10
+EPS_CRITICAL = 1e-8  # default criticality threshold of the solve and of the run
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -172,7 +173,8 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Minimizer of w.Gw on the affine hull of the face {w = 0 off support}:
     [G_SS 1; 1^T 0] [y; lam] = [0; 1] with G_SS scaled to a unit diagonal
     maximum, by least squares when the face's gradients are affinely
-    dependent and the system singular."""
+    dependent and the system singular, which LU may miss and answer with
+    inf or NaN when it pivots on a subnormal entry."""
     idx = support.nonzero()[0]
     k = idx.size
     G_SS = G if k == G.shape[0] else G[idx[:, None], idx]
@@ -183,6 +185,8 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     rhs[k] = 1.0
     try:
         sol = np.linalg.solve(K, rhs)
+        if not np.isfinite(sol).all():
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs)[0]
     y = np.zeros(G.shape[0])
@@ -190,7 +194,7 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_sigma_approx(J, sigma: float, *, eps_critical: float = 1e-12) -> DirectionResult:
+def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -> DirectionResult:
     """Compute a sigma-approximate steepest-descent direction at J.
 
     The dual active-set loop terminates as soon as the sufficient

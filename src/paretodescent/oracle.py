@@ -42,30 +42,25 @@ def kkt_direction(J) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact direction by exhaustive support enumeration.
 
     For every candidate support S of the simplex weights, solves the
-    equality-constrained stationarity system on that face and keeps the
-    feasible candidate with the smallest 0.5*||J^T w||^2.  Finite and
-    deterministic, and immune to the anisotropy that can trap the grid
-    refinement of ``tests/oracles.py``, so it pins v to linear-solver
-    accuracy.  Same m <= 4 guard as that grid (2^m - 1 faces).
-
-    Known limit: on near-parallel gradients with norms near 1e5, lstsq on
-    the ill-conditioned bordered system can miss the optimal face, and the
-    alpha returned then lies below the lower bound that a certified dual w
-    proves (-1.14e10 against -1.12e10 at m = 2, n = 171; 15 of 3 793
-    certified m <= 4 draws).  Tests trust it only where a certified w does
-    not refute it.
+    equality-constrained stationarity system [G_SS 1; 1^T 0] on that face
+    and keeps the feasible candidate with the smallest 0.5*||J^T w||^2, at
+    a cost of 2^m - 1 face solves for any m.  Each G_SS is divided by its
+    largest diagonal entry first: unscaled, the system mixes squared
+    gradient norms with 1, and once they pass about 6e7 lstsq's cutoff drops
+    the singular value that carries w.  Scaled, the enumeration is exact at
+    every gradient scale, to linear-solver accuracy, and is immune to the
+    anisotropy that can trap the grid refinement of ``tests/oracles.py``.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m = J.shape[0]
-    if m > 4:
-        raise ValueError(f"support enumeration supports m <= 4 criteria, got m={m}")
     G = J @ J.T
     best: tuple[float, np.ndarray] | None = None
     for r in range(1, m + 1):
         for S in itertools.combinations(range(m), r):
             k = len(S)
+            G_SS = G[np.ix_(S, S)]
             A = np.zeros((k + 1, k + 1))
-            A[:k, :k] = G[np.ix_(S, S)]
+            A[:k, :k] = G_SS / max(float(G_SS.diagonal().max()), np.finfo(float).tiny)
             A[:k, k] = 1.0
             A[k, :k] = 1.0
             rhs = np.zeros(k + 1)

@@ -52,14 +52,12 @@ class ProblemDescriptor:
             raise ValueError(f"unknown convexity class {self.convexity_class!r}")
 
     def sample_noncritical(self, rng: np.random.Generator) -> np.ndarray | None:
-        """Rejection-sample a point at margin distance from the critical set."""
-        state = rng.bit_generator.state
+        """Rejection-sample a point at margin distance from the critical set:
+        the first of 10 000 uniform box candidates that lies outside it, or
+        None if none does.  Every draw consumes all 10 000 candidates."""
         candidates = rng.uniform(*self.box, size=(10_000, self.problem.n))
         kept = np.flatnonzero(~self.critical_set(candidates, self.critical_margin))
-        if kept.size == 0:
-            return None
-        rng.bit_generator.state = state  # leave rng as one-by-one draws would
-        return rng.uniform(*self.box, size=(kept[0] + 1, self.problem.n))[kept[0]]
+        return candidates[kept[0]] if kept.size else None
 
 
 def make_quad_pair(a, b) -> MultiObjective:

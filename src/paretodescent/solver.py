@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import DirectionResult, solve_sigma_approx
+from .direction import EPS_CRITICAL, DirectionResult, solve_sigma_approx
 from .linesearch import LineSearchError, armijo_step
 from .objective import MultiObjective, NonFiniteError, as_point
 
@@ -36,7 +36,7 @@ _TERMINATIONS = (TERMINATION_CRITICAL, TERMINATION_MAX_ITER, TERMINATION_LINESEA
 class SolverConfig:
     beta: float = 0.5
     sigma: float = 0.0
-    eps_critical: float = 1e-8
+    eps_critical: float = EPS_CRITICAL
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:

@@ -100,7 +100,7 @@ def test_criterion_2_sigma_certificates_are_sound(sigma):
         m = int(rng.integers(2, 4))
         n = int(rng.integers(1, 6))
         J = rng.uniform(-10.0, 10.0, size=(m, n))
-        res = solve_sigma_approx(J, sigma)
+        res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
         if not res.sigma_certified:
             failures.append(f"instance {i}: not certified")
             continue

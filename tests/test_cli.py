@@ -1214,12 +1214,11 @@ class TestRoundTripAndDeterminism:
             assert str(exc.value) == (f"{csv}: not a run/4 trajectory header "
                                       "(j, ..., x_1..x_2, F_1..F_2, v_1..v_2, w_1..w_2)")
 
-    @pytest.mark.parametrize("dropped, shape", [
-        pytest.param(("x_", "F_", "v_", "w_"), "x_1..x_0, F_1..F_0, v_1..v_0, w_1..w_0",
-                     id="scalars_only"),
-        pytest.param(("F_", "w_"), "x_1..x_2, F_1..F_0, v_1..v_2, w_1..w_0", id="no_F_or_w"),
+    @pytest.mark.parametrize("dropped, missing", [
+        pytest.param(("x_", "F_", "v_", "w_"), "x_", id="scalars_only"),
+        pytest.param(("F_", "w_"), "F_", id="no_F_or_w"),
     ])
-    def test_a_header_without_x_or_F_columns_is_a_config_error(self, tmp_path, dropped, shape):
+    def test_a_header_without_x_or_F_columns_is_a_config_error(self, tmp_path, dropped, missing):
         # the writer can write neither, since a problem has n, m >= 1; read
         # as n = 0 or m = 0, both would load records with empty vectors
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0
@@ -1231,7 +1230,7 @@ class TestRoundTripAndDeterminism:
         for read in (read_trajectory_csv, lambda _csv: load_run(tmp_path / "rt")):
             with pytest.raises(ConfigError) as exc:
                 read(csv)
-            assert str(exc.value) == f"{csv}: not a run/4 trajectory header (j, ..., {shape})"
+            assert str(exc.value) == f"{csv}: not a run/4 trajectory header: no {missing} columns"
 
     def test_load_run_on_an_empty_trajectory_is_a_config_error(self, tmp_path):
         assert main(["solve", "--problem", "quad_pair", "--out", str(tmp_path / "rt")]) == 0

@@ -36,6 +36,11 @@ ZERO_ROW_JACOBIAN = np.array([
     [0.0, 0.0, 0.0, -1.9],
 ])
 SUBNORMAL_JACOBIAN = np.array([[-7.975, 2.2e-309], [-7.975, -7.975], [-7.975, -0.333]])
+# a zero gradient twice beside a subnormal one: the bordered system of the
+# full face is singular, but LU pivots on a subnormal Gram entry and returns
+# inf and NaN instead of reporting it
+SUBNORMAL_PIVOT_JACOBIANS = [np.array([[2.22507386e-313], [0.0], [0.0], [1.0]]),
+                             np.array([[2.22507386e-313], [0.0], [2.22507386e-313], [1.0]])]
 # finite rows whose squared norms are finite but sum past the largest double
 TRACE_OVERFLOW_JACOBIAN = np.array([[1.2e154, 0.0], [1.2e154, 1e152], [1.1e154, -3e153]])
 # three gradients in R^1 that sum to about 2e-17: the optimal value, about
@@ -94,31 +99,6 @@ def _hard_jacobians(draw):
     return _hard_jacobian(n, spread, log_scales, signs, draw(st.integers(0, 2**32 - 1)))
 
 
-def _enumerated_alpha(J):
-    """Optimal value by enumerating every face, for any m: the least psi over
-    the faces whose bordered KKT system has a nonnegative solution."""
-    m = J.shape[0]
-    G = J @ J.T
-    best = -np.inf
-    for mask in range(1, 2**m):
-        S = [i for i in range(m) if mask >> i & 1]
-        A = np.ones((len(S) + 1, len(S) + 1))
-        A[:-1, :-1] = G[np.ix_(S, S)]
-        A[-1, -1] = 0.0
-        rhs = np.zeros(len(S) + 1)
-        rhs[-1] = 1.0
-        wS = np.linalg.lstsq(A, rhs, rcond=None)[0][:-1]
-        if np.all(wS >= -1e-9) and wS.sum() > 0.0:
-            wS = np.clip(wS, 0.0, None)
-            g = J[S].T @ (wS / wS.sum())
-            best = max(best, -0.5 * float(g @ g))
-    return best
-
-
-def _reference_alpha(J):
-    return kkt_direction(J)[2] if J.shape[0] <= 4 else _enumerated_alpha(J)
-
-
 # m = 1..6 criteria with finite entries, the shapes the input check must cover
 _FINITE_JACOBIANS = st.tuples(st.integers(1, 6), st.integers(1, 10)).flatmap(
     lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0))
@@ -168,6 +148,8 @@ def _reference_solve(J, sigma, eps_critical):
         rhs = np.eye(idx.size + 1)[-1]
         try:
             sol = np.linalg.solve(K, rhs)
+            if not np.all(np.isfinite(sol)):
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(K, rhs)[0]
         y = np.zeros(m)
@@ -317,11 +299,12 @@ class TestSolveExact:
         assert res.alpha_lower == -0.5 * float(res.v @ res.v)
         assert res.alpha_upper == primal(J, res.v)
 
-    def test_zero_gradient_beside_a_near_singular_face_reports_critical(self):
-        res = solve_sigma_approx(ZERO_ROW_JACOBIAN, 0.0)
+    @pytest.mark.parametrize("J", [ZERO_ROW_JACOBIAN, *SUBNORMAL_PIVOT_JACOBIANS])
+    def test_zero_gradient_beside_a_near_singular_face_reports_critical(self, J):
+        res = solve_sigma_approx(J, 0.0)
         assert res.critical
         assert res.inner_iterations == 1
-        assert np.array_equal(res.v, np.zeros(4))
+        assert np.array_equal(res.v, np.zeros(J.shape[1]))
 
     def test_subnormal_entry_certifies_the_optimal_value(self):
         for sigma in (0.0, 1e-12, 5e-324):
@@ -403,7 +386,7 @@ class TestGramSpaceLoop:
         res, eps_critical = _hard_solve(J, sigma, eps_critical)
         if res is None or not res.sigma_certified:
             return  # a stalled result claims nothing
-        alpha = _reference_alpha(J)
+        _w, _v, alpha = kkt_direction(J)
         slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
         assert res.alpha_lower <= alpha + slack
         if res.critical:
@@ -417,7 +400,7 @@ class TestGramSpaceLoop:
     def test_a_solve_stalls_only_below_the_rounding_floor(self, J, sigma, eps_critical):
         res, _eps = _hard_solve(J, sigma, eps_critical)
         if res is not None and res.status == STATUS_STALLED:
-            assert abs(_reference_alpha(J)) <= _allowance(J @ J.T, J.shape[1])
+            assert abs(kkt_direction(J)[2]) <= _allowance(J @ J.T, J.shape[1])
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(**_HARD_CASES)
@@ -443,7 +426,8 @@ class TestGramSpaceLoop:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         J=st.one_of(_hard_jacobians(), _wide_jacobians(),
-                    st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN])),
+                    st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN,
+                                     *SUBNORMAL_PIVOT_JACOBIANS])),
         sigma=st.floats(0.0, 0.99),
         eps_critical=_HARD_CASES["eps_critical"],
     )
@@ -481,7 +465,7 @@ class TestGramSpaceLoop:
             for _ in range(30):
                 points.append(w)
                 w = project_simplex(w - step * (G @ w))
-            points.append(solve_sigma_approx(J, 0.0).weights)
+            points.append(solve_sigma_approx(J, 0.0, eps_critical=1e-12).weights)
             for w in points:
                 Gw = G @ w
                 wGw = float(w @ Gw)
@@ -539,7 +523,7 @@ class TestInvariants:
         rng = np.random.default_rng(int(13 + 10 * sigma))
         for _ in range(100):
             J = random_jacobian(rng)
-            res = solve_sigma_approx(J, sigma)
+            res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
             if res.critical:
                 continue
             assert res.sigma_certified
@@ -560,7 +544,7 @@ class TestInvariants:
         for sigma in (0.0, 0.5):
             for _ in range(100):
                 J = random_jacobian(rng)
-                res = solve_sigma_approx(J, sigma)
+                res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
                 if res.critical or not res.sigma_certified:
                     continue
                 assert np.all(J @ res.v < 0.0)
@@ -580,7 +564,7 @@ class TestInvariants:
         for sigma in (0.0, 0.5):
             for _ in range(100):
                 J = random_jacobian(rng)
-                res = solve_sigma_approx(J, sigma)
+                res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
                 w = res.weights
                 assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
                 if res.critical:
@@ -602,7 +586,7 @@ class TestInvariants:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(J=_JACOBIANS, sigma=st.floats(0.0, 0.99))
     def test_certified_directions_satisfy_their_sigma_inequality(self, J, sigma):
-        res = solve_sigma_approx(J, sigma)
+        res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
         if not res.sigma_certified:
             return  # a stalled result claims nothing
         _w, _v, alpha = kkt_direction(J)

@@ -19,6 +19,7 @@ from paretodescent import (
     sample_quasiconvex,
     solve_sigma_approx,
 )
+from paretodescent.direction import _allowance
 from paretodescent.oracle import kkt_direction
 
 from oracles import brute_force_direction, finite_diff_jacobian
@@ -75,10 +76,38 @@ class TestBruteForceDirection:
             assert a_grid <= a_kkt + 1e-12  # grid value never beats the true optimum
 
 
+# gradients with squared norms near 2e8: the bordered face system of the
+# optimal face has singular values 2.77e8, 1.44e8 and 1.19e-8 unscaled, and
+# lstsq's default cutoff drops the last, the one that carries w
+ILL_SCALED_JACOBIAN = np.array([[-2306.30338246, 6677.74236452, -10020.17705353],
+                                [-14297.30266224, -8149.76099838, 633.12585364]])
+
+
 class TestSupportEnumeration:
-    def test_too_many_criteria_rejected(self):
-        with pytest.raises(ValueError, match="m <= 4 criteria, got m=5"):
-            kkt_direction(np.ones((5, 2)))
+    def test_an_ill_scaled_face_keeps_the_certified_optimum(self):
+        J = ILL_SCALED_JACOBIAN
+        res = solve_sigma_approx(J, 0.0)
+        assert res.sigma_certified
+        w, v, alpha = kkt_direction(J)
+        assert alpha >= res.alpha_lower - _allowance(J @ J.T, J.shape[1])
+        np.testing.assert_allclose(w, res.weights, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(w, [0.62671247, 0.37328753], rtol=0.0, atol=1e-8)
+        assert np.array_equal(v, -(J.T @ w))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(m=st.integers(1, 6), n=st.integers(1, 50), log_scale=st.floats(-6.0, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_certified_bound_lies_above_it_at_any_scale(self, m, n, log_scale, seed):
+        # a certified sigma = 0 solve proves alpha_lower <= alpha*, so the
+        # enumeration's optimum may not lie below it; m = 5 and 6 check that
+        # it has no cap on the number of criteria, and a tiny eps_critical
+        # keeps the small scales from ending critical at the barycenter
+        J = np.random.default_rng(seed).standard_normal((m, n)) * 10.0 ** log_scale
+        w, _v, alpha = kkt_direction(J)
+        assert w.shape == (m,) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        res = solve_sigma_approx(J, 0.0, eps_critical=1e-300)
+        if res.sigma_certified:
+            assert alpha >= res.alpha_lower - _allowance(J @ J.T, n)
 
 
 class TestSamplerArguments:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -94,33 +95,23 @@ def test_critical_set_tests_rows_as_it_tests_points(name):
     assert rows.tolist() == [bool(desc.critical_set(x, desc.critical_margin)) for x in X]
 
 
-def one_candidate_per_draw(desc, rng):
-    """The rejection sampler drawing its candidates one at a time: the point
-    kept (None if none is) and the number of candidates drawn."""
-    for drawn in range(1, 10_001):
-        x = rng.uniform(desc.box[0], desc.box[1], size=desc.problem.n)
-        if not desc.critical_set(x, desc.critical_margin):
-            return x, drawn
-    return None, 10_000
-
-
 @pytest.mark.parametrize("seed", [0, 7, 42])
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_noncritical_sampler_keeps_the_one_at_a_time_stream(name, seed):
+def test_noncritical_sampler_keeps_a_point_outside_the_margin(name, seed):
     desc = get_problem(name)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    most_drawn = 0
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    not_first = 0
     for _ in range(10):
-        x = desc.sample_noncritical(rng)
-        expected, drawn = one_candidate_per_draw(desc, ref)
-        most_drawn = max(most_drawn, drawn)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        if expected is None:
-            assert x is None
-        else:
-            assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+        first = copy.deepcopy(rng).uniform(*desc.box, size=desc.problem.n)  # the draw's first candidate
+        x, y = desc.sample_noncritical(rng), desc.sample_noncritical(twin)
+        if name == "paper_cubic":  # every point is critical
+            assert x is None and y is None
+            continue
+        assert x.shape == (desc.problem.n,) and x.tobytes() == y.tobytes()
+        assert not desc.critical_set(x, desc.critical_margin)
+        not_first += int(x.tobytes() != first.tobytes())
     if name == "nonconvex_demo":  # its critical set covers a third of the box
-        assert most_drawn > 1
+        assert not_first > 0
 
 
 @pytest.mark.parametrize(

@@ -410,8 +410,7 @@ class TestQuasiconvexTheorem:
     def test_runs_end_critical_or_capped_and_prove_it(self, drawn):
         # the paper's theorem on quasi-convex F: the run is stopped only by a
         # critical point or the cap, every step passes the diagnostics, and a
-        # critical end is confirmed by support enumeration wherever the
-        # certified w does not refute the reference (its documented limit)
+        # critical end is confirmed by support enumeration
         problem, x0, cfg = drawn
         rep = run(problem, x0, cfg)
         assert rep.termination in (TERMINATION_CRITICAL, TERMINATION_MAX_ITER)
@@ -421,6 +420,5 @@ class TestQuasiconvexTheorem:
             J = problem.jacobian(rep.final_x)
             slack = 1e-13 * max(1.0, float(np.sum(J * J)))
             _w, _v, alpha = kkt_direction(J)
-            if alpha >= rep.records[-1].alpha_lower - slack:
-                assert alpha >= -(cfg.eps_critical + slack)
+            assert alpha >= -(cfg.eps_critical + slack)
         assert_replays(problem, x0, cfg, rep, summary)
