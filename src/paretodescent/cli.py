@@ -432,6 +432,11 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
     if len(lines) == 1:
         raise ConfigError(f"{path}: no rows after the header")
     readers = [read for _name, read in _SCALAR_COLUMNS] + [float] * (2 * (n + m))
+    # x, F, v and w each get an array of their own: a view into one row array
+    # may sit at an offset that no fresh allocation has, on which some BLAS
+    # kernels round differently, and the replay would then differ from the run
+    cuts = [len(_SCALAR_COLUMNS) + c for c in (0, n, n + m, 2 * n + m, 2 * (n + m))]
+    spans = list(zip(cuts, cuts[1:]))
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -446,7 +451,7 @@ def read_trajectory_csv(path: str | Path) -> list[IterationRecord]:
                 raise ConfigError(f"{path}: line {lineno}, column {name}: "
                                   f"could not parse {part!r}") from None
         scalars = dict(zip(header, fields[:len(_SCALAR_COLUMNS)]))
-        x, Fx, v, w = np.split(np.array(fields[len(_SCALAR_COLUMNS):]), [n, n + m, 2 * n + m])
+        x, Fx, v, w = (np.array(fields[lo:hi]) for lo, hi in spans)
         records.append(IterationRecord(k=lineno - 2, x=x, Fx=Fx, v=v, weights=w, **scalars))
     return records
 

@@ -18,8 +18,12 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepResult:
-    t: float  # accepted step, exactly 2**-j
     j: int
+
+    @property
+    def t(self) -> float:
+        """The accepted step, 2**-j."""
+        return 2.0 ** -self.j
 
 
 def armijo_step(
@@ -62,4 +66,4 @@ def armijo_step(
                                       f"component at t = 2**-{j}")
             trial = problem.evaluate(x + t * v, require_finite=False)
             if (trial <= target).all() and np.isfinite(trial).all():
-                return StepResult(t=t, j=j)
+                return StepResult(j=j)

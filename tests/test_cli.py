@@ -41,6 +41,7 @@ from paretodescent.cli import (
 )
 from paretodescent.direction import STATUS_STALLED
 
+from kernel import PINNED_KERNEL
 from oracles import finite_diff_jacobian
 
 
@@ -339,7 +340,7 @@ class TestExpressionParser:
         with pytest.raises(ConfigError, match=r"^column \d+:"):
             parse_expression(text)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(tree=_TREES, x=st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, 1e300])
                                    | st.floats(-10.0, 10.0), min_size=3, max_size=3))
     def test_values_match_the_grammar_bit_for_bit(self, tree, x):
@@ -348,7 +349,7 @@ class TestExpressionParser:
         x = np.array(x)
         assert outcome(fn, x) == outcome(reference, tree, x), text
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(tree=_TREES, x=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0),
                                    min_size=3, max_size=3))
     @example(tree=_NAN_SIGN_TREE, x=[-1e300, -0.0, 2.0])
@@ -362,14 +363,14 @@ class TestExpressionParser:
         assert y.tobytes() == np.array([inline_value(tree, x)]).tobytes(), text
         assert same_or_both_nan(y, [criterion_value(tree, np.array(x))]), text
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(tree=_TREES)
     def test_parser_compiles_the_grammar_as_the_checked_parser_does(self, tree):
         text, _prec = render(tree)
         result = parsed(parse_expression, text)
         assert result[0] == "ok" and result == parsed(checked_parse, text), text
 
-    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @settings(max_examples=1000)
     @given(text=_SOUPS)
     @example(text="2.57.x1")
     @example(text="2 (x1)")
@@ -383,7 +384,7 @@ class TestExpressionParser:
     def test_parser_matches_the_checked_parser_on_token_soups(self, text):
         assert parsed(parse_expression, text) == parsed(checked_parse, text), repr(text)
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(terms=st.lists(st.sampled_from(_SUM_TERMS), min_size=1, max_size=3),
            k=st.integers(1, 60) | st.integers(2500, 7500))
     def test_parser_matches_the_checked_parser_on_long_sums(self, terms, k):
@@ -396,7 +397,7 @@ class TestExpressionParser:
         else:
             assert result == ref, k
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(case=one_bad_criterion())
     @example(case=([("var", 3), _NAN_SIGN_TREE], 1, [-1e300, -0.0, 2.0]))
     def test_inline_problem_with_one_bad_criterion_matches_each_criterion(self, case):
@@ -1023,10 +1024,13 @@ def _forced_run(seed, shape, sigma, target, fail_at):
     """Problem, start and config that force ``target``: a seeded convex
     quadratic per criterion, started far from its critical set, with
     max_iter = fail_at, or with STALLING_JACOBIAN (under eps_critical =
-    1e-300, so m = 3 and n = 2), a negated Jacobian (whose slopes
-    claim a descent where F rises) or a numerically failing Jacobian at the
+    1e-300, so m = 3 and n = 2) or a numerically failing Jacobian at the
     fail_at-th Jacobian call only: NaN at odd fail_at, and at even fail_at a
-    finite one whose Gram matrix overflows."""
+    finite one whose Gram matrix overflows.  A line-search failure comes from
+    negated Jacobians, whose slopes claim a descent where F rises, from the
+    fail_at-th call on: along one such direction the float Armijo rule may
+    still accept a tiny step on F's rounding error (2**-54 at seed 588728397,
+    shape (3, 2), sigma 0.5 and fail_at 3)."""
     m, n = (3, 2) if target == "subproblem_failure" else shape
     rng = np.random.default_rng(seed)
     C = rng.uniform(-2.0, 2.0, size=(m, n))
@@ -1042,7 +1046,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
             return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
             return STALLING_JACOBIAN
-        if calls[0] == fail_at and target == "linesearch_failure":
+        if calls[0] >= fail_at and target == "linesearch_failure":
             return -J
         return J
 
@@ -1421,9 +1425,23 @@ class TestRoundTripAndDeterminism:
         records = read_trajectory_csv(tmp_path / "sf.trajectory.csv")
         assert [record_bits(r) for r in records] == [record_bits(r) for r in rep.records]
         assert records[-1].k == 0
-        assert not records[-1].sigma_certified and records[-1].inner_iterations == 4
+        assert not records[-1].sigma_certified
+        # 4 moves on the pinned kernel, 3 on others; any solve ends within m * 2^m
+        assert (records[-1].inner_iterations == 4 if PINNED_KERNEL
+                else records[-1].inner_iterations <= 3 * 2**3)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_every_reloaded_vector_owns_its_data(self, tmp_path):
+        # a view into one row array may sit at an offset that no fresh
+        # allocation has, and OpenBLAS's Prescott kernel rounds the
+        # diagnostics' products differently there than on the run's arrays
+        desc = get_problem("quasi_exp")
+        rep = run(desc.problem, desc.recommended_x0, SolverConfig())
+        write_trajectory_csv(tmp_path / "r.trajectory.csv", rep, desc.problem.n, desc.problem.m)
+        records = read_trajectory_csv(tmp_path / "r.trajectory.csv")
+        assert len(records) == len(rep.records) > 1
+        assert all(a.flags.owndata for r in records for a in (r.x, r.Fx, r.v, r.weights))
+
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
@@ -1437,6 +1455,7 @@ class TestRoundTripAndDeterminism:
     @example(seed=0, shape=(3, 2), sigma=0.0, target="subproblem_failure", fail_at=1)
     @example(seed=0, shape=(1, 1), sigma=0.5, target="subproblem_failure", fail_at=1)
     @example(seed=0, shape=(2, 3), sigma=0.0, target="linesearch_failure", fail_at=1)
+    @example(seed=588728397, shape=(3, 2), sigma=0.5, target="linesearch_failure", fail_at=3)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):
         problem, x0, cfg = _forced_run(seed, shape, sigma, target, fail_at)

@@ -114,7 +114,7 @@ class TestDecrease:
         armijo = summary.checks[0]
         assert (armijo.worst_violation, armijo.worst_index) == (math.inf, 1)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(name=st.sampled_from(list_problems()), sigma=st.sampled_from([0.0, 0.25, 0.9]),
            mutations=st.lists(st.tuples(
                st.sampled_from(["F_shift", "F_ulp", "F_nan", "x_ulp", "stop"]),
@@ -280,7 +280,7 @@ class TestStepMutations:
         # Armijo inequality breaks
         problem = steep_pair()
         cfg = SolverConfig(max_iter=3)
-        monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(t=1.0, j=0))
+        monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(j=0))
         rep = run(problem, [2.0, 2.0], cfg)
         out = check_armijo(rep, stepped_jacobians(problem, rep))
         assert out.status == STATUS_FAIL and math.isfinite(out.worst_violation)
@@ -342,7 +342,7 @@ def _convex_problem(rng, m, n):
 
 
 class TestSeededConvexProblems:
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(
         m=st.integers(1, 4),
         n=st.integers(1, 5),
@@ -535,7 +535,7 @@ class TestProximity:
         assert out.ok and bound > 0.0
         assert out.note == f"max 2(phi - d)={bound:.3e}"
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(J=_hard_jacobians(), sigma=st.sampled_from([0.0, 0.5, 0.9]))
     def test_every_certified_direction_passes_and_bounds_its_distance(self, J, sigma):
         res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
@@ -605,7 +605,6 @@ _F_SEQUENCES = st.integers(1, 3).flatmap(
 
 
 class TestWorstViolation:
-    @settings(derandomize=True, deadline=None)
     @given(_F_SEQUENCES)
     def test_first_index_attaining_the_maximum_is_reported(self, Fs):
         # unit steps along v = 1 with J v = -1, so each Armijo target is

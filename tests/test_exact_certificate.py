@@ -16,6 +16,7 @@ from paretodescent.direction import STATUS_CERTIFIED
 
 import exact_certificate as oracle_module
 from exact_certificate import audit_steps, exact_certificate
+from kernel import PINNED_KERNEL
 from test_acceptance import RUN_CFG, quad_pair_starts
 
 SIGMAS = (0.0, 0.25, 0.5, 0.9)
@@ -90,7 +91,7 @@ class TestOracle:
         assert cert.excess > cert.floor and cert.holds()
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(family=st.sampled_from(FAMILIES), m=st.integers(1, 5), n=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
 def test_every_certified_direction_holds_exactly(family, m, n, seed, log_scale):
@@ -100,7 +101,7 @@ def test_every_certified_direction_holds_exactly(family, m, n, seed, log_scale):
         assert cert.holds(), (sigma, float(cert.excess), float(cert.slack()), float(cert.phi))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(family=st.sampled_from(FAMILIES), m=st.integers(1, 5), n=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
 def test_every_solve_ends_within_the_move_bound(family, m, n, seed, log_scale):
@@ -165,7 +166,10 @@ class TestStepAudit:
     def test_every_recorded_step_holds_to_one_ulp_and_the_energy_exactly(self, audited_runs):
         audits = [audited(problem, rep) for problem, rep in audited_runs]
         assert [a.failures for a in audits if not a.ok] == []
-        assert sum(a.steps for a in audits) >= 70
+        # 78 steps on the pinned kernel, 65 or 66 on others; on any kernel
+        # every run steps but paper_cubic's, whose every point is critical
+        assert not PINNED_KERNEL or sum(a.steps for a in audits) >= 70
+        assert [a.steps for a in audits].count(0) == 1
 
     def test_without_the_ulp_the_ties_fail_armijo(self, audited_runs):
         # on a tie the float rule and the exact one part by less than an ulp

@@ -94,7 +94,7 @@ class TestSupportEnumeration:
         np.testing.assert_allclose(w, [0.62671247, 0.37328753], rtol=0.0, atol=1e-8)
         assert np.array_equal(v, -(J.T @ w))
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(m=st.integers(1, 6), n=st.integers(1, 50), log_scale=st.floats(-6.0, 6.0),
            seed=st.integers(0, 2**32 - 1))
     def test_no_certified_bound_lies_above_it_at_any_scale(self, m, n, log_scale, seed):
@@ -223,7 +223,7 @@ def one_pair_at_a_time_gradients(problem, trials, seed, box):
 
 
 class TestBatchedDrawsMatchOneTrialAtATime:
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(name=st.sampled_from([*list_problems(), "sign_flip_pair"]),
            unit_box=st.booleans(),
            seed=st.integers(0, 2**32 - 1),

@@ -340,7 +340,7 @@ def assert_replays(problem, x0, cfg, rep, summary):
 
 
 class TestExtremeScales:
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(_EXTREME_PROBLEMS)
     # F(x^0) is NaN with its sign bit set, from inf + -inf in the product
     @example(extreme_problem("linear", 4, 2, 1e300, 1.0, 1e150, 0.0, 0, 0.0, 5))
@@ -405,7 +405,7 @@ _QUASICONVEX_PROBLEMS = st.builds(
 
 
 class TestQuasiconvexTheorem:
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(_QUASICONVEX_PROBLEMS)
     def test_runs_end_critical_or_capped_and_prove_it(self, drawn):
         # the paper's theorem on quasi-convex F: the run is stopped only by a
