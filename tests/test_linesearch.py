@@ -10,6 +10,7 @@ from paretodescent import (
     run,
     solve_sigma_approx,
 )
+from paretodescent.linesearch import StepResult
 
 
 def scalar_problem(f, jac):
@@ -67,6 +68,11 @@ class TestContract:
             st = take_step(p, x, res.v, float(rng.uniform(0.05, 0.95)))
             assert st.t == 2.0 ** (-st.j)
             assert st.j >= 0
+
+    def test_a_step_result_holds_no_step_but_its_exponent(self):
+        with pytest.raises(TypeError):
+            StepResult(j=1, t=0.3)
+        assert [StepResult(j=j).t for j in (0, 1, 52, 1074)] == [1.0, 0.5, 2.0 ** -52, 5e-324]
 
     def test_accepted_step_is_maximal(self):
         rng = np.random.default_rng(4)
