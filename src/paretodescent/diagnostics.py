@@ -168,7 +168,7 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
         excess = (0.0 - float(r.weights.min()), float((r.v + g) @ (r.v + g)) - allowance,
                   abs(float(r.weights.sum()) - 1.0) - 4.0 * (n + m) * _EPS,
                   abs(r.alpha_upper - phi) - allowance, abs(r.alpha_lower - d) - allowance,
-                  phi, _certificate_excess(phi, d, d, sigma, _gap_floor(float(G.trace()))))
+                  phi, _certificate_excess(phi, d, sigma, _gap_floor(float(G.trace()))))
         pairs.append((max(excess) if r.sigma_certified and all(map(math.isfinite, excess))
                       else math.inf, r.k))
         bounds.append((2.0 * (phi - d), r.k))

@@ -24,27 +24,25 @@ adds the vertex with the smallest (G w)_i.  In exact arithmetic psi falls
 strictly from one face minimizer to the next, and the loop ends at the
 optimum; a face minimizer that does not lower psi ends it uncertified.
 
-Since J v = -G w and ||v||^2 = w^T G w, one product G w per iterate gives
-screened copies of both bounds at O(m^2).  Only when a screened bound comes
-within a rounding allowance of a stop test is v = -J^T w formed, at O(mn),
-and the test run on the J-space bounds, which alone may stop the loop.  The
-allowance makes the screen a necessary condition for the J-space test.
+Every iterate's bounds are read off J, and they alone stop the loop.  The
+product G w is formed only at a face minimizer, where it picks the entering
+vertex and w.Gw tells whether psi fell.
 
 The one input check is a finite trace of G, at O(m): a non-finite entry of
 J, or squared row norms that overflow alone or in their sum (a norm above
 about 1.3e154 suffices), raise ``NonFiniteError`` before any move.  A finite
 trace bounds every |G_ik| by (G_ii + G_kk)/2 and keeps the gap floor finite.
 
-Cost model: forming G costs O(m^2 n) per solve, a move O(m^2) plus O(k^3)
-for the bordered system on a face of k vertices, and a J-space confirmation
-O(mn).  For small m and n the fixed cost of each numpy call dominates all of
-these: one to two microseconds for a ufunc or a reduction on a 2x2 array and
-about ten for np.linalg.solve (x86-64 Xeon, Python 3.11, numpy 2.4), so a
-one-move m = 2 solve costs some forty microseconds, nearly all of it per
-call.  The code therefore builds the bordered system directly and calls
-ndarray methods rather than numpy's module-level wrappers, while every float
-still comes from the same operation on the same operands as the plain
-formulation.
+Cost model: forming G costs O(m^2 n) per solve, the bounds O(mn) per
+iterate, G w O(m^2) per face minimizer, and a move O(k^3) for the bordered
+system on a face of k vertices.  For small m and n the fixed cost of each
+numpy call dominates all of these: one to two microseconds for a ufunc or
+a reduction on a 2x2 array and about ten for np.linalg.solve (x86-64 Xeon,
+Python 3.11, numpy 2.4), so a one-move m = 2 solve costs some forty
+microseconds, nearly all of it per call.  The code therefore builds the
+bordered system directly and calls ndarray methods rather than numpy's
+module-level wrappers, while every float still comes from the same
+operation on the same operands as the plain formulation.
 """
 
 from __future__ import annotations
@@ -100,33 +98,26 @@ class DirectionResult:
         return self.status in (STATUS_CERTIFIED, STATUS_CRITICAL)
 
 
-def _stop_status(p_lo: float, d_lo: float, d_hi: float, sigma: float,
-                 eps_critical: float, gap_floor: float) -> str | None:
-    """The stop tests of the dual loop, or None if neither passes.
-
-    Called with (p, d, d) it tests the bounds p = alpha_upper, d = alpha_lower.
-    Each test is monotone: it can only pass more easily as p falls or as d
-    rises, the sigma = 0 tolerance TOL_GAP*|d| being read from d_lo <= d <= 0,
-    and rounding to nearest preserves order.  So for any p_lo <= p and
-    d_lo <= d <= d_hi it passes whenever it passes on (p, d, d).
-    """
-    if d_hi >= -eps_critical:
+def _stop_status(p: float, d: float, sigma: float, eps_critical: float,
+                 gap_floor: float) -> str | None:
+    """The stop tests of the dual loop on the bounds p = alpha_upper and
+    d = alpha_lower, or None if neither passes."""
+    if d >= -eps_critical:
         return STATUS_CRITICAL
     # the floor could otherwise admit a candidate with positive primal
     # value in the sliver where |alpha| sits within gap_floor of
     # eps_critical; a certified direction must always beat v = 0
-    if _certificate_excess(p_lo, d_lo, d_hi, sigma, gap_floor) <= 0.0 and p_lo <= 0.0:
+    if _certificate_excess(p, d, sigma, gap_floor) <= 0.0 and p <= 0.0:
         return STATUS_CERTIFIED
     return None
 
 
-def _certificate_excess(p: float, d_lo: float, d_hi: float, sigma: float,
-                        gap_floor: float) -> float:
-    """p - (1 - sigma)*d_hi less the gap floor (for sigma = 0, less TOL_GAP*|d_lo|
+def _certificate_excess(p: float, d: float, sigma: float, gap_floor: float) -> float:
+    """p - (1 - sigma)*d less the gap floor (for sigma = 0, less TOL_GAP*|d|
     if larger): the sigma certificate holds exactly when this is <= 0."""
     if sigma > 0.0:
-        return p - (1.0 - sigma) * d_hi - gap_floor
-    return p - d_hi - max(TOL_GAP * abs(d_lo), gap_floor)
+        return p - (1.0 - sigma) * d - gap_floor
+    return p - d - max(TOL_GAP * abs(d), gap_floor)
 
 
 def _gap_floor(trace: float) -> float:
@@ -144,25 +135,24 @@ def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
 
 
 def _allowance(G: np.ndarray, n: int) -> float:
-    """Rounding allowance between the Gram-space and the J-space bounds.
+    """Rounding allowance between two computations of the bounds at one w.
 
-    For a simplex point w, G = J J^T and v = -J^T w, it bounds both
-    |d~ - d| and |p~ - p|, where d~ = -w.Gw/2 and p~ = w.Gw/2 - min(Gw) are
-    computed from G and d = -v.v/2 and p = max(J v) + v.v/2 from J.
+    For a simplex point w and v = -J^T w, it bounds |d1 - d2| and |p1 - p2|
+    for any two computations, in any summation order, of d = -v.v/2 and
+    p = max(J v) + v.v/2 from J, G = J J^T: the tolerance within which
+    check_proximity requires a recorded bound to equal its recomputation.
     """
     # With u = eps/2, S = max_i ||g_i||^2, w >= 0 and sum(w) = 1, both
     # ||J^T w||^2 and ||(|J|^T w)||^2 are at most S.  A computed dot product
     # of length k errs by at most k*u times the dot product of the absolute
     # values, in any summation order, with or without FMA:
     #   * v = -J^T w errs by e with ||e|| <= m*u*sqrt(S), and v.v then by
-    #     (2m + n)*u*S;
-    #   * each G_ik = <g_i, g_k> errs by n*u*S, so (Gw)_i = <g_i, J^T w>
-    #     errs by (n + m)*u*S and w.Gw by (n + 2m)*u*S;
-    #   * each (J v)_i errs by (n + m)*u*S, so max(J v) and -min(Gw) differ
-    #     by at most 2(n + m)*u*S, and the two sums forming p and p~ round by
-    #     at most 1.5*u*S each.
-    # Hence |d~ - d| <= (n + 2m)*u*S and |p~ - p| <= (3n + 4m + 3)*u*S, and
-    # 8(n + m)*u*S covers both for every n, m >= 1 with room for the
+    #     (2m + n)*u*S, so each computed d errs by (2m + n)*u*S/2;
+    #   * each (J v)_i errs by (n + m)*u*S, and so does max(J v); the sum
+    #     forming p, at most 1.5*S in size, rounds by 1.5*u*S, so each
+    #     computed p errs by (1.5n + 2m + 1.5)*u*S.
+    # Hence |d1 - d2| <= (n + 2m)*u*S and |p1 - p2| <= (3n + 4m + 3)*u*S,
+    # and 8(n + m)*u*S covers both for every n, m >= 1 with room for the
     # (1 + O(k*u)) factors left out above.  max(1, S) keeps it clear of
     # underflow.
     m = G.shape[0]
@@ -188,7 +178,7 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
         if not np.isfinite(sol).all():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs)[0]
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     y = np.zeros(G.shape[0])
     y[idx] = sol[:-1]
     return y
@@ -231,28 +221,22 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
     if not math.isfinite(trace):
         raise NonFiniteError("Gram matrix J J^T has a non-finite trace")
     gap_floor = _gap_floor(trace)
-    allowance = _allowance(G, n)
     w = np.full(m, 1.0 / m)
     on_face_min = False  # w minimizes psi on the face of its support
     psi_min = math.inf  # w.Gw at the last face minimizer
     it = 0
     while True:
-        Gw = G @ w
-        wGw = float(w @ Gw)
-        d_gram = -0.5 * wGw
-        p_gram = 0.5 * wGw - float(Gw.min())
-        if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
-                        sigma, eps_critical, gap_floor) is not None:
-            v, Jv, d, p = _bounds(J, w)
-            status = _stop_status(p, d, d, sigma, eps_critical, gap_floor)
-            if status == STATUS_CRITICAL:
-                v, Jv, p = np.zeros(n), np.zeros(m), 0.0
-            if status is not None:
-                return DirectionResult(v, d, p, w, it, status, Jv)
+        v, Jv, d, p = _bounds(J, w)
+        status = _stop_status(p, d, sigma, eps_critical, gap_floor)
+        if status == STATUS_CRITICAL:
+            return DirectionResult(np.zeros(n), d, 0.0, w, it, status, np.zeros(m))
+        if status is not None:
+            return DirectionResult(v, d, p, w, it, status, Jv)
         support = w > 0.0
         if on_face_min:
+            Gw = G @ w
+            wGw = float(w @ Gw)
             if not wGw < psi_min:  # also when wGw is NaN
-                v, Jv, d, p = _bounds(J, w)
                 return DirectionResult(v, d, p, w, it, STATUS_STALLED, Jv)
             psi_min = wGw
             support[int(Gw.argmin())] = True

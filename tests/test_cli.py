@@ -1022,21 +1022,34 @@ STALLING_JACOBIAN = np.array([[0.5706560135801596, 0.0], [1.3826081419979863, 0.
 
 def _forced_run(seed, shape, sigma, target, fail_at):
     """Problem, start and config that force ``target``: a seeded convex
-    quadratic per criterion, started far from its critical set, with
-    max_iter = fail_at, or with STALLING_JACOBIAN (under eps_critical =
-    1e-300, so m = 3 and n = 2) or a numerically failing Jacobian at the
-    fail_at-th Jacobian call only: NaN at odd fail_at, and at even fail_at a
-    finite one whose Gram matrix overflows.  A line-search failure comes from
-    negated Jacobians, whose slopes claim a descent where F rises, from the
-    fail_at-th call on: along one such direction the float Armijo rule may
-    still accept a tiny step on F's rounding error (2**-54 at seed 588728397,
-    shape (3, 2), sigma 0.5 and fail_at 3)."""
+    quadratic per criterion, started far from its critical set, or, for
+    max_iter, seeded affine criteria under max_iter = fail_at, whose
+    gradients all have a component of at least 0.5 along one unit vector:
+    their convex hull misses the origin, so no point is critical, and every
+    criterion falls linearly along a certified direction, so a full step
+    passes the Armijo test.  The other failures come from STALLING_JACOBIAN
+    (under eps_critical = 1e-300, so m = 3 and n = 2) or a numerically
+    failing Jacobian at the fail_at-th Jacobian call only: NaN at odd
+    fail_at, and at even fail_at a finite one whose Gram matrix overflows.
+    A line-search failure comes from negated Jacobians, whose slopes claim a
+    descent where F rises, from the fail_at-th call on: along one such
+    direction the float Armijo rule may still accept a tiny step on F's
+    rounding error (2**-54 at seed 588728397, shape (3, 2), sigma 0.5 and
+    fail_at 3)."""
     m, n = (3, 2) if target == "subproblem_failure" else shape
     rng = np.random.default_rng(seed)
     C = rng.uniform(-2.0, 2.0, size=(m, n))
     A = rng.normal(size=(m, n, n))
     H = np.einsum("mij,mkj->mik", A, A) + np.eye(n) * rng.uniform(0.5, 2.0, size=(m, 1, n))
     x0 = rng.choice([-1.0, 1.0], size=n) * rng.uniform(10.0, 50.0, size=n)
+    if target == "max_iter":
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        slopes = rng.normal(size=(m, n))
+        slopes += (rng.uniform(0.5, 2.0, size=m) - slopes @ u)[:, None] * u
+        affine = MultiObjective(n=n, m=m, f=lambda x: slopes @ x + C[:, 0],
+                                jac=lambda x: slopes.copy())
+        return affine, x0, SolverConfig(sigma=sigma, max_iter=fail_at)
     calls = [0]
 
     def jac(x):
@@ -1054,7 +1067,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         d = x - C
         return 0.5 * np.einsum("mi,mij,mj->m", d, H, d)
 
-    cfg = SolverConfig(sigma=sigma, max_iter=fail_at if target == "max_iter" else 10_000)
+    cfg = SolverConfig(sigma=sigma)
     if target == "subproblem_failure":
         cfg = replace(cfg, eps_critical=1e-300)
     return MultiObjective(n=n, m=m, f=f, jac=jac), x0, cfg
@@ -1456,6 +1469,7 @@ class TestRoundTripAndDeterminism:
     @example(seed=0, shape=(1, 1), sigma=0.5, target="subproblem_failure", fail_at=1)
     @example(seed=0, shape=(2, 3), sigma=0.0, target="linesearch_failure", fail_at=1)
     @example(seed=588728397, shape=(3, 2), sigma=0.5, target="linesearch_failure", fail_at=3)
+    @example(seed=4276477452, shape=(1, 1), sigma=0.0, target="max_iter", fail_at=2)
     def test_load_run_round_trips_every_termination_bit_for_bit(self, seed, shape, sigma, target,
                                                                 fail_at):
         problem, x0, cfg = _forced_run(seed, shape, sigma, target, fail_at)

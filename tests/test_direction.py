@@ -12,6 +12,7 @@ from paretodescent.direction import (
     STATUS_CERTIFIED,
     STATUS_CRITICAL,
     STATUS_STALLED,
+    TOL_GAP,
     _allowance,
     _gap_floor,
     _stop_status,
@@ -93,9 +94,8 @@ _HARD_CASES = dict(
 
 
 def _hard_solve(J, sigma, eps_critical):
-    """Solve; eps_critical None stands for the value at which the J-space
-    critical test passes at the barycenter with equality, where the
-    Gram-space screen has no rounding room to spare."""
+    """Solve; eps_critical None stands for the value at which the critical
+    test passes at the barycenter with equality."""
     if eps_critical is None:
         v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
         eps_critical = 0.5 * float(v0 @ v0)
@@ -104,11 +104,29 @@ def _hard_solve(J, sigma, eps_critical):
     return solve_sigma_approx(J, sigma, eps_critical=eps_critical), eps_critical
 
 
+def _screened_stop_status(p_lo, d_lo, d_hi, sigma, eps_critical, gap_floor):
+    """The solver's stop tests, monotone in each bound: called with (p, d, d)
+    they test the bounds p = alpha_upper and d = alpha_lower, and for any
+    p_lo <= p and d_lo <= d <= d_hi they pass whenever they pass on (p, d, d),
+    the sigma = 0 tolerance TOL_GAP*|d| being read from d_lo <= d <= 0."""
+    if d_hi >= -eps_critical:
+        return STATUS_CRITICAL
+    if sigma > 0.0:
+        excess = p_lo - (1.0 - sigma) * d_hi - gap_floor
+    else:
+        excess = p_lo - d_hi - max(TOL_GAP * abs(d_lo), gap_floor)
+    return STATUS_CERTIFIED if excess <= 0.0 and p_lo <= 0.0 else None
+
+
 def _reference_solve(J, sigma, eps_critical):
     """The active-set solve written with numpy's general-purpose wrappers
     (np.pad, np.ix_, np.eye, np.max, np.diag, np.trace, np.finfo), as
     (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
-    solve_sigma_approx must reproduce it bit for bit."""
+    solve_sigma_approx must reproduce it bit for bit.  It screens every
+    iterate on bounds computed from G = J J^T, widened by the allowance, and
+    reads the J-space bounds only where the screen passes: the allowance
+    makes the screen a necessary condition of the J-space test, so the solve,
+    which tests every iterate on J alone, stops at the same iterate."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m, n = J.shape
     G = J @ J.T
@@ -132,7 +150,7 @@ def _reference_solve(J, sigma, eps_critical):
             if not np.all(np.isfinite(sol)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs)[0]
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         y = np.zeros(m)
         y[idx] = sol[:-1]
         return y
@@ -146,10 +164,10 @@ def _reference_solve(J, sigma, eps_critical):
         wGw = float(w @ Gw)
         d_gram = -0.5 * wGw
         p_gram = 0.5 * wGw - float(Gw.min())
-        if _stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
-                        sigma, eps_critical, gap_floor) is not None:
+        if _screened_stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
+                                 sigma, eps_critical, gap_floor) is not None:
             v, d, p = bounds(w)
-            status = _stop_status(p, d, d, sigma, eps_critical, gap_floor)
+            status = _screened_stop_status(p, d, d, sigma, eps_critical, gap_floor)
             if status == STATUS_CRITICAL:
                 v, p = np.zeros_like(v), 0.0
             if status is not None:
@@ -412,7 +430,7 @@ class TestGramSpaceLoop:
                 Jv_max = float(np.max(J @ v))
                 assert abs(wGw - vv) <= allowance
                 assert abs(-float(Gw.min()) - Jv_max) <= allowance
-                # the loop's screened bounds against the J-space ones
+                # the reference solve's screened bounds against the J-space ones
                 assert abs((0.5 * wGw - float(Gw.min())) - (Jv_max + 0.5 * vv)) <= allowance
 
 
@@ -424,23 +442,23 @@ class TestSigmaCertificate:
     def test_exact_direction_certifies_at_sigma_zero(self):
         p = primal(np.eye(2), np.array([-0.5, -0.5]))
         assert p == -0.25
-        assert _stop_status(p, -0.25, -0.25, 0.0, 1e-8, self.FLOOR) == STATUS_CERTIFIED
+        assert _stop_status(p, -0.25, 0.0, 1e-8, self.FLOOR) == STATUS_CERTIFIED
 
     def test_shrunk_direction_certifies_at_sigma_half(self):
         # primal value -0.4 + 0.16 = -0.24 <= -0.125, but not within the gap tolerance of -0.25
         p = primal(np.eye(2), np.array([-0.4, -0.4]))
-        assert _stop_status(p, -0.25, -0.25, 0.5, 1e-8, self.FLOOR) == STATUS_CERTIFIED
-        assert _stop_status(p, -0.25, -0.25, 0.0, 1e-8, self.FLOOR) is None
+        assert _stop_status(p, -0.25, 0.5, 1e-8, self.FLOOR) == STATUS_CERTIFIED
+        assert _stop_status(p, -0.25, 0.0, 1e-8, self.FLOOR) is None
 
     def test_zero_direction_fails_at_noncritical_point(self):
         p = primal(np.eye(2), np.zeros(2))
-        assert _stop_status(p, -0.25, -0.25, 0.5, 1e-8, self.FLOOR) is None
+        assert _stop_status(p, -0.25, 0.5, 1e-8, self.FLOOR) is None
 
     def test_positive_alpha_rejected(self):
         # within the gap floor of the sigma inequality, a positive alpha_upper
         # is still not certified: a certified direction must beat v = 0
-        assert _stop_status(1e-15, -2e-15, -2e-15, 0.5, 1e-15, self.FLOOR) is None
-        assert _stop_status(-1e-16, -2e-15, -2e-15, 0.5, 1e-15, self.FLOOR) == STATUS_CERTIFIED
+        assert _stop_status(1e-15, -2e-15, 0.5, 1e-15, self.FLOOR) is None
+        assert _stop_status(-1e-16, -2e-15, 0.5, 1e-15, self.FLOOR) == STATUS_CERTIFIED
 
 
 class TestInvariants:
@@ -571,3 +589,21 @@ def test_the_package_has_one_dual_solver_and_no_move_cap_argument():
                 assert name not in ("solve_exact", "finite_diff_jacobian", *grid), path
             elif isinstance(node, ast.FunctionDef):
                 assert node.name not in grid, path
+
+
+def test_every_lstsq_call_in_the_package_names_rcond():
+    # numpy before 2.0 cuts an omitted rcond at machine epsilon, with a
+    # FutureWarning, and numpy 2 at eps * max(M, N), the cutoff rcond=None
+    # names on both: so a singular face solves alike on every numpy the
+    # package supports
+    import paretodescent
+
+    calls = []
+    for path in Path(paretodescent.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lstsq"):
+                calls.append(f"{path.name}:{node.lineno}")
+                assert "rcond" in {kw.arg for kw in node.keywords}, calls[-1]
+    # _face_minimizer's and kkt_direction's
+    assert len(calls) == 2, calls
