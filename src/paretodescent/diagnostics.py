@@ -145,7 +145,8 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     ||v||^2 / 2, it requires w >= 0, |sum(w) - 1| <= 4(n + m) eps (rescaling
     w then moves d by at most the allowance), v = -g (as ||v + g||^2),
     alpha_upper = phi and alpha_lower = d within the direction module's
-    rounding allowance, phi <= 0, and phi <= (1 - sigma) d to the gap floor.
+    rounding allowance, and the solver's one certificate rule: phi <= 0 and
+    phi <= (1 - max(sigma, TOL_GAP)) d to the gap floor.
     A step recorded as not ``sigma_certified`` fails outright (violation
     inf): ``run`` never steps along an uncertified direction.
     Any simplex w has d <= theta, the optimal value, and phi is 1-strongly
@@ -168,7 +169,7 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
         excess = (0.0 - float(r.weights.min()), float((r.v + g) @ (r.v + g)) - allowance,
                   abs(float(r.weights.sum()) - 1.0) - 4.0 * (n + m) * _EPS,
                   abs(r.alpha_upper - phi) - allowance, abs(r.alpha_lower - d) - allowance,
-                  phi, _certificate_excess(phi, d, sigma, _gap_floor(float(G.trace()))))
+                  _certificate_excess(phi, d, sigma, _gap_floor(float(G.trace()))))
         pairs.append((max(excess) if r.sigma_certified and all(map(math.isfinite, excess))
                       else math.inf, r.k))
         bounds.append((2.0 * (phi - d), r.k))

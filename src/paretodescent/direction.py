@@ -20,13 +20,15 @@ iteration is one move on the support S of w: solve [G_SS 1; 1^T 0] for the
 minimizer of psi on the affine hull of the face S, and move there if it is
 nonnegative; otherwise move towards it until a weight reaches zero, and drop
 that weight from S.  Once w minimizes psi on its face, the next move first
-adds the vertex with the smallest (G w)_i.  In exact arithmetic psi falls
-strictly from one face minimizer to the next, and the loop ends at the
-optimum; a face minimizer that does not lower psi ends it uncertified.
+adds the vertex with the largest slope (J v)_i, since J v = -G w in exact
+arithmetic, which is Wolfe's vertex with the smallest (G w)_i.  psi falls
+strictly from one face minimizer to the next in exact arithmetic, and the
+loop ends at the optimum; a face minimizer that does not raise
+alpha_lower = -psi ends it uncertified.
 
-Every iterate's bounds are read off J, and they alone stop the loop.  The
-product G w is formed only at a face minimizer, where it picks the entering
-vertex and w.Gw tells whether psi fell.
+Every iterate's bounds are read off J, and they alone stop the loop, pick
+the entering vertex and tell whether psi fell; G serves only the face
+systems and the input check.
 
 The one input check is a finite trace of G, at O(m): a non-finite entry of
 J, or squared row norms that overflow alone or in their sum (a norm above
@@ -34,15 +36,14 @@ about 1.3e154 suffices), raise ``NonFiniteError`` before any move.  A finite
 trace bounds every |G_ik| by (G_ii + G_kk)/2 and keeps the gap floor finite.
 
 Cost model: forming G costs O(m^2 n) per solve, the bounds O(mn) per
-iterate, G w O(m^2) per face minimizer, and a move O(k^3) for the bordered
-system on a face of k vertices.  For small m and n the fixed cost of each
-numpy call dominates all of these: one to two microseconds for a ufunc or
-a reduction on a 2x2 array and about ten for np.linalg.solve (x86-64 Xeon,
-Python 3.11, numpy 2.4), so a one-move m = 2 solve costs some forty
-microseconds, nearly all of it per call.  The code therefore builds the
-bordered system directly and calls ndarray methods rather than numpy's
-module-level wrappers, while every float still comes from the same
-operation on the same operands as the plain formulation.
+iterate, and a move O(k^3) for the bordered system on a face of k vertices.
+For small m and n the fixed cost of each numpy call dominates all of these:
+one to two microseconds for a ufunc or a reduction on a 2x2 array and about
+ten for np.linalg.solve (x86-64 Xeon, Python 3.11, numpy 2.4), so a one-move
+m = 2 solve costs some forty microseconds, nearly all of it per call.  The
+code therefore builds the bordered system directly and calls ndarray methods
+rather than numpy's module-level wrappers, while every float still comes
+from the same operation on the same operands as the plain formulation.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ STATUS_CERTIFIED = "certified"
 STATUS_CRITICAL = "critical"
 STATUS_STALLED = "stalled"
 
-# relative duality-gap tolerance of the exact (sigma = 0) solve
-TOL_GAP = 1e-10
+TOL_GAP = 1e-10  # least sigma the rule asks for: sigma = 0's relative gap
 EPS_CRITICAL = 1e-8  # default criticality threshold of the solve and of the run
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -104,20 +104,19 @@ def _stop_status(p: float, d: float, sigma: float, eps_critical: float,
     d = alpha_lower, or None if neither passes."""
     if d >= -eps_critical:
         return STATUS_CRITICAL
-    # the floor could otherwise admit a candidate with positive primal
-    # value in the sliver where |alpha| sits within gap_floor of
-    # eps_critical; a certified direction must always beat v = 0
-    if _certificate_excess(p, d, sigma, gap_floor) <= 0.0 and p <= 0.0:
+    if _certificate_excess(p, d, sigma, gap_floor) <= 0.0:
         return STATUS_CERTIFIED
     return None
 
 
 def _certificate_excess(p: float, d: float, sigma: float, gap_floor: float) -> float:
-    """p - (1 - sigma)*d less the gap floor (for sigma = 0, less TOL_GAP*|d|
-    if larger): the sigma certificate holds exactly when this is <= 0."""
-    if sigma > 0.0:
-        return p - (1.0 - sigma) * d - gap_floor
-    return p - d - max(TOL_GAP * abs(d), gap_floor)
+    """The larger of p and p - (1 - max(sigma, TOL_GAP))*d - gap_floor: the
+    sigma certificate holds exactly when this is <= 0.  The p term keeps the
+    floor from certifying a direction that does not beat v = 0.  As d <= 0,
+    the rule is monotone: what certifies at sigma certifies at any larger
+    sigma.  A NaN p or d makes the first term NaN, which max() returns, so
+    it never certifies."""
+    return max(p - (1.0 - max(sigma, TOL_GAP)) * d - gap_floor, p)
 
 
 def _gap_floor(trace: float) -> float:
@@ -188,20 +187,20 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
     """Compute a sigma-approximate steepest-descent direction at J.
 
     The dual active-set loop terminates as soon as the sufficient
-    certificate alpha_upper <= (1 - sigma) * alpha_lower holds (for sigma=0,
-    once the relative duality gap drops below ``TOL_GAP``), so larger sigma
-    may stop at an earlier iterate.  A critical point is reported, with v
-    snapped to zero and alpha_upper = 0, once alpha_lower >= -eps_critical;
-    this is sound because alpha_lower never exceeds the true optimal value.
+    certificate alpha_upper <= (1 - max(sigma, TOL_GAP)) * alpha_lower holds
+    to the gap floor, with alpha_upper <= 0, so larger sigma may stop at an
+    earlier iterate.  A critical point is reported, with v snapped to zero
+    and alpha_upper = 0, once alpha_lower >= -eps_critical; this is sound
+    because alpha_lower never exceeds the true optimal value.
 
     A J whose Gram matrix J J^T has a non-finite trace raises ``NonFiniteError``.
 
-    In exact arithmetic psi falls strictly from one face minimizer to the
-    next.  A face minimizer at which w.Gw is not below its value at the last
-    one, which happens only below the rounding floor of G, returns w with
-    status ``"stalled"``, which is not certified; its bounds are those of the
-    returned v.  So the loop ends with no cap: each face minimizer is a
-    function of the support it was solved on, strict decrease means no
+    In exact arithmetic alpha_lower rises strictly from one face minimizer to
+    the next.  A face minimizer whose alpha_lower is not above its value at
+    the last one, which happens only below the rounding floor of G, returns
+    w with status ``"stalled"``, which is not certified; its bounds are those
+    of the returned v.  So the loop ends with no cap: each face minimizer is
+    a function of the support it was solved on, strict increase means no
     support comes back, so at most 2^m - 1 face minimizers pass and one more
     stalls.  Each move that does not reach a face minimizer drops a vertex,
     and the face of one vertex is its own minimizer, so each face minimizer
@@ -223,7 +222,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
     gap_floor = _gap_floor(trace)
     w = np.full(m, 1.0 / m)
     on_face_min = False  # w minimizes psi on the face of its support
-    psi_min = math.inf  # w.Gw at the last face minimizer
+    d_last = -math.inf  # alpha_lower at the last face minimizer
     it = 0
     while True:
         v, Jv, d, p = _bounds(J, w)
@@ -234,12 +233,10 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
             return DirectionResult(v, d, p, w, it, status, Jv)
         support = w > 0.0
         if on_face_min:
-            Gw = G @ w
-            wGw = float(w @ Gw)
-            if not wGw < psi_min:  # also when wGw is NaN
+            if not d > d_last:  # also when d is NaN
                 return DirectionResult(v, d, p, w, it, STATUS_STALLED, Jv)
-            psi_min = wGw
-            support[int(Gw.argmin())] = True
+            d_last = d
+            support[int(Jv.argmax())] = True
         y = _face_minimizer(G, support)
         blocking = support & (y < 0.0)
         if not blocking.any():

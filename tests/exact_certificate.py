@@ -8,11 +8,10 @@ evaluated in ``fractions.Fraction``, so no rounding enters:
     min_v max_i <g_i, v> + ||v||^2 / 2;
   * phi = max_i (J v)_i + ||v||^2 / 2 is at least theta for every v.
 
-So phi <= (1 - sigma) d + slack proves the certificate against the exact
-theta of this J, up to that slack.  The slack is the solver's stop rule:
-the gap floor 64 eps max(1, trace(J J^T)) for sigma > 0, and for sigma = 0
-the larger of that floor and 1e-10 |d|.  The oracle also requires phi <= 0:
-a certified direction must beat v = 0.
+So phi <= (1 - s) d + slack proves phi <= (1 - s) theta + slack against the
+exact theta of this J.  The oracle states the solver's one stop rule: s is
+max(sigma, 1e-10), the slack is the gap floor 64 eps max(1, trace(J J^T)),
+and phi <= 0, since a certified direction must beat v = 0.
 
 It restates the rule's constants and imports nothing from the direction
 module, so it shares no code with the solver it checks.
@@ -30,7 +29,7 @@ from fractions import Fraction
 
 EPS = Fraction(2) ** -52
 GAP_FLOOR_FACTOR = 64
-TOL_GAP = Fraction(1e-10)  # the binary64 value, exactly
+TOL_GAP = Fraction(1e-10)  # the least sigma the rule asks for, as a binary64 value
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,12 @@ class ExactCertificate:
 
     @property
     def excess(self) -> Fraction:
-        """phi - (1 - sigma) d: how far the bare inequality misses."""
-        return self.phi - (1 - self.sigma) * self.d
+        """phi - (1 - max(sigma, TOL_GAP)) d: how far the bare inequality misses."""
+        return self.phi - (1 - max(self.sigma, TOL_GAP)) * self.d
 
     def slack(self, floor: bool = True) -> Fraction:
-        """The stop rule's allowance; ``floor=False`` drops the gap floor."""
-        base = self.floor if floor else Fraction(0)
-        return base if self.sigma > 0 else max(TOL_GAP * abs(self.d), base)
+        """The stop rule's allowance, the gap floor; ``floor=False`` drops it."""
+        return self.floor if floor else Fraction(0)
 
     def holds(self, floor: bool = True) -> bool:
         return self.phi <= 0 and self.excess <= self.slack(floor)

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from paretodescent.direction import (
     STATUS_STALLED,
     TOL_GAP,
     _allowance,
+    _certificate_excess,
     _gap_floor,
     _stop_status,
 )
@@ -122,11 +124,13 @@ def _reference_solve(J, sigma, eps_critical):
     """The active-set solve written with numpy's general-purpose wrappers
     (np.pad, np.ix_, np.eye, np.max, np.diag, np.trace, np.finfo), as
     (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
-    solve_sigma_approx must reproduce it bit for bit.  It screens every
-    iterate on bounds computed from G = J J^T, widened by the allowance, and
-    reads the J-space bounds only where the screen passes: the allowance
-    makes the screen a necessary condition of the J-space test, so the solve,
-    which tests every iterate on J alone, stops at the same iterate."""
+    solve_sigma_approx must reproduce it bit for bit.  It is the loop as it
+    stood before the solve read everything off J, kept to prove that change:
+    it screens every iterate on bounds computed from G = J J^T, widened by
+    the allowance, and reads the J-space bounds only where the screen passes;
+    at a face minimizer it enters the vertex with the smallest (G w)_i and
+    stalls once w.Gw does not fall; and it certifies by the two-branch rule,
+    whose sigma = 0 tolerance is the larger of TOL_GAP |d| and the floor."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m, n = J.shape
     G = J @ J.T
@@ -361,9 +365,9 @@ class TestGramSpaceLoop:
 
     def test_a_face_minimizer_no_vertex_improves_on_stalls(self):
         # a _hard_jacobians draw with alpha* = -2.2e-10 and cond G = 1.2e20:
-        # once w minimizes psi on its face, the vertex with the smallest
-        # (Gw)_i is already in it, so the next move solves the same face and
-        # lands on the same w, which does not lower psi
+        # once w minimizes psi on its face, the vertex with the largest slope
+        # (J v)_i is already in it, so the next move solves the same face and
+        # lands on the same w, which does not raise alpha_lower
         J = _hard_jacobian(256, 1e-6, [3.8872746336723925, -1.192092896e-07, 3.9666505880759306],
                            [1.0, 1.0, -1.0], 4294967294)
         sigma = 0.9883535562604477
@@ -459,6 +463,39 @@ class TestSigmaCertificate:
         # is still not certified: a certified direction must beat v = 0
         assert _stop_status(1e-15, -2e-15, 0.5, 1e-15, self.FLOOR) is None
         assert _stop_status(-1e-16, -2e-15, 0.5, 1e-15, self.FLOOR) == STATUS_CERTIFIED
+
+    def test_a_sigma_below_the_tolerance_asks_for_what_sigma_zero_asks(self):
+        # a relative gap of 5e-11 at d = -1: inside TOL_GAP, far outside the
+        # floor, so sigma = 1e-12 must certify it as sigma = 0 does
+        p, d = -1.0 + 5e-11, -1.0
+        for sigma in (0.0, 1e-12, 5e-11, TOL_GAP):
+            assert _stop_status(p, d, sigma, 1e-8, self.FLOOR) == STATUS_CERTIFIED
+        assert _stop_status(-1.0 + 2e-10, d, 1e-12, 1e-8, self.FLOOR) is None
+
+    @settings(max_examples=300)
+    @given(d=st.one_of(st.just(-1.0), st.floats(-1e6, 0.0)),
+           ratio=st.one_of(st.floats(-0.5, 1.5), st.floats(1.0 - 1e-9, 1.0)),
+           sigmas=st.tuples(*2 * [st.one_of(st.sampled_from([0.0, 1e-12, 5e-11, TOL_GAP]),
+                                            st.floats(0.0, 0.99))]),
+           floor=st.sampled_from([FLOOR, _gap_floor(1e12)]))
+    @example(d=-1.0, ratio=1.0 - 5e-11, sigmas=(0.0, 1e-12), floor=FLOOR)
+    def test_a_certificate_holds_at_every_larger_sigma(self, d, ratio, sigmas, floor):
+        # alpha_lower = d <= 0 always; p = ratio * d sweeps both sides of the
+        # rule, and the excess never grows with sigma, in floats as well
+        p = ratio * d
+        lo, hi = sorted(sigmas)
+        assert _certificate_excess(p, d, hi, floor) <= _certificate_excess(p, d, lo, floor)
+        if _stop_status(p, d, lo, 1e-300, floor) == STATUS_CERTIFIED:
+            assert _stop_status(p, d, hi, 1e-300, floor) == STATUS_CERTIFIED
+
+    @pytest.mark.parametrize("p, d", [(np.nan, -1.0), (-1.0, np.nan), (np.nan, np.nan),
+                                      (-np.inf, -np.inf)],
+                             ids=["p", "d", "both", "excess"])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12, 0.5])
+    def test_a_nan_never_certifies(self, p, d, sigma):
+        # -inf - (1 - sigma) * -inf is NaN: the excess alone is NaN there
+        assert math.isnan(_certificate_excess(p, d, sigma, self.FLOOR))
+        assert _stop_status(p, d, sigma, 1e-8, self.FLOOR) is None
 
 
 class TestInvariants:

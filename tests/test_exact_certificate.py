@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretodescent import SolverConfig, get_problem, list_problems, run, solve_sigma_approx
-from paretodescent.direction import STATUS_CERTIFIED
+from paretodescent.direction import STATUS_CERTIFIED, STATUS_STALLED
+from paretodescent.oracle import kkt_direction
 
 import exact_certificate as oracle_module
-from exact_certificate import audit_steps, exact_certificate
+from exact_certificate import TOL_GAP, audit_steps, exact_certificate
 from kernel import PINNED_KERNEL
 from test_acceptance import RUN_CFG, quad_pair_starts
 
@@ -62,8 +63,9 @@ class TestOracle:
         assert imported == {"__future__", "dataclasses", "fractions", "math"}
 
     def test_the_exact_optimum_holds_with_no_slack(self):
+        # sigma = 0 asks for sigma = TOL_GAP, which the optimum clears by TOL_GAP |d|
         cert = exact_certificate(np.eye(2), [0.5, 0.5], [-0.5, -0.5], 0.0)
-        assert (cert.phi, cert.d, cert.excess) == (-0.25, -0.25, 0)
+        assert (cert.phi, cert.d, cert.excess) == (-0.25, -0.25, -TOL_GAP / 4)
         assert cert.holds(floor=False) and cert.slack_used == 0
 
     def test_the_weights_are_normalized_exactly(self):
@@ -85,10 +87,20 @@ class TestOracle:
         assert not cert.holds()
 
     def test_sigma_zero_allows_the_relative_gap(self):
+        # a gap phi - d of about 2.5 misses the floor, about 0.028, but not
+        # TOL_GAP |d| = 25, which the excess takes off and the slack leaves out
         cert = exact_certificate(np.array([[1e6, 0.0], [0.0, 1e6]]), [0.5, 0.5],
                                  [-5e5 * (1.0 + 1e-11), -5e5], 0.0)
-        assert cert.slack() == cert.slack(floor=False) > cert.floor
-        assert cert.excess > cert.floor and cert.holds()
+        assert cert.slack() == cert.floor and cert.slack(floor=False) == 0
+        assert cert.phi - cert.d > cert.floor
+        assert cert.excess < 0 and cert.holds(floor=False) and cert.holds()
+
+    def test_a_sigma_below_the_tolerance_asks_for_the_tolerance(self):
+        # the rule is monotone in sigma: 1e-12 asks for what sigma = 0 asks
+        J, w, v = np.eye(2), [0.5, 0.5], [-0.5, -0.5]
+        assert (exact_certificate(J, w, v, 1e-12).excess
+                == exact_certificate(J, w, v, 0.0).excess
+                == -TOL_GAP / 4)
 
 
 @settings(max_examples=150)
@@ -123,6 +135,32 @@ def test_the_floor_is_needed_on_near_critical_jacobians():
             checked += 1
             bare_failures += not cert.holds(floor=False)
     assert checked >= 40 and bare_failures >= 5, (checked, bare_failures)
+
+
+# two gradients in R^2 that nearly oppose: the optimal value, about -2.4e-17,
+# lies far below both the gap floor, about 3.0e-13, and the rounding floor
+BELOW_FLOOR_JACOBIAN = np.array([[2.3200000034999997, -1.1600000163],
+                                 [-3.3999999988, 1.7000000015999999]])
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_a_certificate_below_the_rounding_floor_holds_to_the_floor(sigma):
+    # such a solve certifies or stalls as the last bits fall: on SkylakeX it
+    # certifies after one move, on Haswell, Sandybridge and Prescott it
+    # stalls; what it certifies holds exactly, but only up to the gap floor
+    J = BELOW_FLOOR_JACOBIAN
+    alpha = kkt_direction(J)[2]
+    res = solve_sigma_approx(J, sigma, eps_critical=TINY_EPS_CRITICAL)
+    cert = exact_certificate(J, res.weights, res.v, sigma)
+    assert -TINY_EPS_CRITICAL > alpha > -cert.floor / 1000
+    if PINNED_KERNEL:
+        assert (res.status, res.inner_iterations) == (STATUS_CERTIFIED, 1)
+        # only sigma = 0.9 holds without the floor
+        assert cert.holds(floor=False) == (sigma == 0.9)
+    if res.status == STATUS_CERTIFIED:
+        assert cert.holds()
+    else:
+        assert res.status == STATUS_STALLED and not cert.holds()
 
 
 def test_every_recorded_step_of_the_builtins_holds_exactly():
