@@ -494,9 +494,6 @@ def _json_float(value: float) -> float | None:
 
 
 def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
-    diagnostics = summary.to_dict()
-    for check in summary.checks:
-        diagnostics[check.name]["worst_violation"] = _json_float(check.worst_violation)
     return {
         "schema": _RUN_SCHEMA,
         "config": {
@@ -512,7 +509,7 @@ def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
         "final_x": [float(val) for val in report.final_x],
         "final_F": [_json_float(val) for val in report.records[-1].Fx],
         "final_alpha": _json_float(report.final_alpha),
-        "diagnostics": diagnostics,
+        "diagnostics": summary.to_dict(),
     }
 
 

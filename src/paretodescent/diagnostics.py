@@ -52,7 +52,8 @@ class CheckOutcome:
             "name": self.name,
             "status": self.status,
             "ok": self.ok,
-            "worst_violation": self.worst_violation,
+            # as report.json stores it: JSON has no infinity, so a non-finite one is null
+            "worst_violation": self.worst_violation if math.isfinite(self.worst_violation) else None,
             "worst_index": self.worst_index,
             "note": self.note,
         }
@@ -60,16 +61,21 @@ class CheckOutcome:
 
 def _worst(pairs) -> tuple[float, int | None]:
     """Largest violation over (violation, index) pairs and the first index
-    attaining it; a NaN violation never wins, and no pairs give (-inf, None)."""
+    attaining it, -inf included; a NaN never wins, so no pairs or only NaNs give (-inf, None)."""
     worst, worst_k = -math.inf, None
     for viol, k in pairs:
-        if viol > worst:
+        if viol > worst or worst_k is None and viol == worst:
             worst, worst_k = viol, k
     return worst, worst_k
 
 
-def _outcome(name: str, worst: float, index: int | None, note: str = "") -> CheckOutcome:
-    status = STATUS_PASS if worst <= 0.0 and math.isfinite(worst) else STATUS_FAIL
+def _outcome(name: str, pairs: list, note: str = "") -> CheckOutcome:
+    """The one verdict rule: no pairs pass vacuously, and otherwise the worst
+    measurable violation must be <= 0 (+inf and all-NaN fail, -inf passes)."""
+    if not pairs:
+        return CheckOutcome(name, STATUS_PASS, 0.0, None, "vacuous: no steps")
+    worst, index = _worst(pairs)
+    status = STATUS_PASS if index is not None and worst <= 0.0 else STATUS_FAIL
     return CheckOutcome(name, status, worst, index, note)
 
 
@@ -102,13 +108,12 @@ def check_armijo(report: RunReport, jacobians) -> CheckOutcome:
         pairs.append((excess if exact and math.isfinite(excess) else math.inf, r.k))
     if recs[-1].j >= 0:
         pairs.append((math.inf, recs[-1].k))
-    if not pairs:
-        return CheckOutcome("armijo", STATUS_PASS, 0.0, None, "vacuous: no steps")
     total = math.fsum(r.t * float(r.v @ r.v) for r in steps)
-    drop = float((recs[0].Fx - recs[-1].Fx).min())
+    with np.errstate(all="ignore"):  # F(x^0) = inf on a lone record is inf - inf
+        drop = float((recs[0].Fx - recs[-1].Fx).min())
     ratio = total / ((2.0 / beta) * drop) if drop > 0.0 else math.inf
     note = f"sum t|v|^2={total:.3e} telescoped ratio={ratio:.3g}"
-    return _outcome("armijo", *_worst(pairs), note)
+    return _outcome("armijo", pairs, note)
 
 
 def check_quasi_fejer(report: RunReport) -> CheckOutcome:
@@ -117,11 +122,10 @@ def check_quasi_fejer(report: RunReport) -> CheckOutcome:
     Verifies ||x^{k+1} - x_tilde||^2 <= ||x^k - x_tilde||^2 + t_k^2 ||v^k||^2
     for every move, with relative slack 1e-10 * (1 + ||x^k - x_tilde||^2).
     x^K lies in the paper's T when armijo and proximity pass, since float <= is
-    transitive, so this check does not test membership again.
+    transitive, so this check does not test membership again.  A right side
+    that overflows holds by -inf; a step whose excess is NaN measures nothing.
     """
     recs = report.records
-    if len(recs) < 2:
-        return CheckOutcome("quasi_fejer", STATUS_PASS, 0.0, None, "vacuous: no steps")
     x_tilde = recs[-1].x
 
     def excess(a, b) -> float:
@@ -133,8 +137,8 @@ def check_quasi_fejer(report: RunReport) -> CheckOutcome:
         return lhs - rhs
 
     with np.errstate(all="ignore"):  # a square that overflows is inf
-        worst, worst_k = _worst((excess(a, b), a.k) for a, b in zip(recs, recs[1:]))
-    return _outcome("quasi_fejer", worst, worst_k)
+        pairs = [(excess(a, b), a.k) for a, b in zip(recs, recs[1:])]
+    return _outcome("quasi_fejer", pairs)
 
 
 def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
@@ -155,8 +159,6 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
     steps = report.stepped_records
     if len(jacobians) != len(steps):
         raise ValueError(f"{len(jacobians)} jacobian(s) for {len(steps)} step(s)")
-    if not steps:
-        return CheckOutcome("proximity", STATUS_PASS, 0.0, None, "vacuous: no steps")
     sigma = report.config.sigma
     pairs, bounds = [], []
     for r, J in zip(steps, jacobians):
@@ -173,8 +175,7 @@ def check_proximity(report: RunReport, jacobians) -> CheckOutcome:
         pairs.append((max(excess) if r.sigma_certified and all(map(math.isfinite, excess))
                       else math.inf, r.k))
         bounds.append((2.0 * (phi - d), r.k))
-    worst, worst_k = _worst(pairs)
-    return _outcome("proximity", worst, worst_k, f"max 2(phi - d)={_worst(bounds)[0]:.3e}")
+    return _outcome("proximity", pairs, f"max 2(phi - d)={_worst(bounds)[0]:.3e}")
 
 
 @dataclass(frozen=True)

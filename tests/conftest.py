@@ -11,6 +11,9 @@ imports below load every such module a test can reach before the first test
 is collected, so a property draws the same examples alone as in the full
 suite.  ``bench/run.py`` is left out: importing it sets the BLAS thread
 variables.
+
+The report header names the OpenBLAS kernel of the run, since a few tests
+assert their pinned move counts only on the kernel they were measured on.
 """
 
 import sys
@@ -22,6 +25,7 @@ settings.register_profile("tier1", parent=settings.get_profile("default"),
                           derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
+import kernel  # noqa: E402
 import paretodescent.cli  # noqa: E402,F401
 
 _BENCH = str(Path(__file__).resolve().parents[1] / "bench")
@@ -32,3 +36,8 @@ try:
     import workloads  # noqa: E402,F401
 finally:
     sys.path.remove(_BENCH)
+
+
+def pytest_report_header(config):
+    pinned = "asserted" if kernel.PINNED_KERNEL else "not asserted"
+    return f"OpenBLAS kernel: {kernel._core_name()}; move counts pinned on SkylakeX: {pinned}"

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from paretodescent import (
     run_diagnostics,
     solve_sigma_approx,
 )
+from paretodescent import cli
 from paretodescent import diagnostics as diagnostics_module
 from paretodescent import direction as direction_module
 from paretodescent import solver as solver_module
@@ -39,6 +41,13 @@ def quad_run(x0=(0.4, 2.5), sigma=0.0):
 
 def stepped_jacobians(problem, report):
     return [problem.jacobian(r.x) for r in report.stepped_records]
+
+
+def steep_problem(**fields):
+    """f = 1e154 x + 1.7e308 with its exact Jacobian: from 0 the first step is
+    t = 1 along v = -1e154, and F stays finite."""
+    return MultiObjective(n=1, m=1, f=lambda x: np.array([1e154 * x[0] + 1.7e308]),
+                          jac=lambda x: np.array([[1e154]]), **fields)
 
 
 def synthetic_report(xs, Fs, vs=None, alpha=-1.0):
@@ -401,13 +410,38 @@ class TestQuasiFejer:
         # the run steps from 0 to -1.75e154, and ||x^0 - x^3||^2 overflows to
         # inf, so the first step's inequality holds by -inf; the last one's
         # is the worst
-        steep = MultiObjective(n=1, m=1, f=lambda x: np.array([1e154 * x[0] + 1.7e308]),
-                               jac=lambda x: np.array([[1e154]]))
-        rep = run(steep, [0.0], SolverConfig(max_iter=3))
+        rep = run(steep_problem(), [0.0], SolverConfig(max_iter=3))
         assert rep.records[-1].x == -1.75e154
         out = check_quasi_fejer(rep)
         assert (out.status, out.worst_index) == (STATUS_PASS, 2)
         assert out.worst_violation == -1.2500000000625e+307
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_step_whose_right_side_overflows_holds(self, tmp_path, monkeypatch):
+        # one step from 0 to x^1 = -1e154: the inequality is 0 <= 1e308 +
+        # 1e308, whose right side overflows, so it holds by -inf
+        rep = run(steep_problem(), [0.0], SolverConfig(max_iter=1))
+        assert len(rep.stepped_records) == 1 and rep.records[-1].x == -1e154
+        out = check_quasi_fejer(rep)
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_PASS, -math.inf, 0)
+        # solve writes the verdict, and JSON's null for the violation
+        monkeypatch.setattr(cli, "build_inline_problem",
+                            lambda exprs, n=None: steep_problem(name="inline"))
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(f"f1 = 1e154*x1 + 1.7e308\nx0 = 0\nmax_iter = 1\noutput = {tmp_path}/s\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MAX_ITER
+        diagnostics = json.loads((tmp_path / "s.report.json").read_text())["diagnostics"]
+        assert diagnostics["all_ok"] is True
+        assert diagnostics["quasi_fejer"] == {
+            "name": "quasi_fejer", "status": STATUS_PASS, "ok": True,
+            "worst_violation": None, "worst_index": 0, "note": ""}
+
+    def test_a_report_with_nothing_measurable_fails(self):
+        # a NaN final iterate makes every step's excess NaN, and no step
+        # measures anything
+        rep = synthetic_report([[0.0], [1.0], [math.nan]], [[1.0]] * 3)
+        out = check_quasi_fejer(rep)
+        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, -math.inf, None)
 
     def test_a_report_without_steps_passes_vacuously(self):
         desc = get_problem("scalar_quad")
@@ -628,6 +662,10 @@ class TestWorstViolation:
             top = max(finite)
             assert worst == top
             assert index == next(k for k, v in enumerate(viols) if v == top)
+
+    def test_minus_inf_is_measured_and_nan_is_not(self):
+        assert diagnostics_module._worst([(-math.inf, 3), (math.nan, 4)]) == (-math.inf, 3)
+        assert diagnostics_module._worst([(math.nan, 0)]) == (-math.inf, None)
 
 
 class TestSummary:

@@ -2,8 +2,9 @@
 
 conftest.py loads one hypothesis profile and imports, before collection,
 every module whose constants hypothesis adds to its draw pool.  kernel.py
-names the OpenBLAS kernel that decides whether a test pins a move count.
-Both only hold if the environment they guard against cannot change them,
+names the OpenBLAS kernel that decides whether a test pins a move count, and
+conftest.py's report header names it in every tier-1 log.
+Each holds only if the environment it guards against cannot change it,
 so the environment variables are set on child interpreters here.
 """
 
@@ -86,3 +87,9 @@ class TestKernel:
         expected = (name if _core_name() is not None else None, False)
         code = "import kernel; print(repr((kernel._core_name(), kernel.PINNED_KERNEL)))"
         assert _child(code, OPENBLAS_CORETYPE=core) == repr(expected)
+
+    def test_the_report_header_names_the_kernel_and_whether_counts_are_pinned(self):
+        name = "Katmai" if _core_name() is not None else None
+        code = "import conftest; print(conftest.pytest_report_header(None))"
+        assert _child(code, OPENBLAS_CORETYPE="Prescott") == (
+            f"OpenBLAS kernel: {name}; move counts pinned on SkylakeX: not asserted")

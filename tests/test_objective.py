@@ -34,6 +34,21 @@ class TestEvaluate:
         p = make_quad_pair([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             p.evaluate([1.0, 2.0, 3.0])
+        # a 0-d point is a point of length 1, which n = 2 rejects
+        with pytest.raises(ValueError, match=r"^point has length 1, expected 2$"):
+            p.evaluate(0.5)
+
+    def test_a_scalar_point_is_the_point_of_length_one(self):
+        p = get_problem("scalar_quad").problem
+        assert p.evaluate(0.5).tobytes() == p.evaluate([0.5]).tobytes()
+        assert p.jacobian(0.5).tobytes() == p.jacobian([0.5]).tobytes()
+
+        def bits(rep):
+            return rep.termination, [(r.k, r.j, r.alpha_upper, r.alpha_lower,
+                                      *(a.tobytes() for a in (r.x, r.Fx, r.v, r.weights)))
+                                     for r in rep.records]
+
+        assert bits(run(p, 1.0)) == bits(run(p, [1.0]))
 
     def test_nonfinite_input_rejected(self):
         p = make_quad_pair([0.0, 0.0], [1.0, 0.0])

@@ -324,19 +324,19 @@ def _fields(r):
 
 def assert_replays(problem, x0, cfg, rep, summary):
     """The CSV gives back every field of the run (a NaN's payload aside), and
-    the diagnostics replay from the reloaded records unchanged."""
+    report.json's diagnostics block, the summary's own dict, replays from the
+    reloaded records unchanged."""
     with tempfile.TemporaryDirectory() as d:
         prefix = Path(d) / "r"
         write_trajectory_csv(f"{prefix}.trajectory.csv", rep, problem.n, problem.m)
         doc = _report_document(RunSettings(problem, problem.name, None, x0, cfg, str(prefix)),
                                rep, summary)
         Path(f"{prefix}.report.json").write_text(json.dumps(doc, indent=2, allow_nan=False))
-        reloaded, _doc = load_run(prefix)
+        reloaded, doc = load_run(prefix)
     assert (reloaded.termination, reloaded.config) == (rep.termination, rep.config)
     assert list(map(_fields, reloaded.records)) == list(map(_fields, rep.records))
     replay = run_diagnostics(problem, reloaded, cfg.sigma)
-    assert [(c.status, c.note) for c in replay.checks] == [
-        (c.status, c.note) for c in summary.checks]
+    assert replay.to_dict() == doc["diagnostics"] == summary.to_dict()
 
 
 class TestExtremeScales:
