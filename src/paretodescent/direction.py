@@ -20,11 +20,13 @@ iteration is one move on the support S of w: solve [G_SS 1; 1^T 0] for the
 minimizer of psi on the affine hull of the face S, and move there if it is
 nonnegative; otherwise move towards it until a weight reaches zero, and drop
 that weight from S.  Once w minimizes psi on its face, the next move first
-adds the vertex with the largest slope (J v)_i, since J v = -G w in exact
-arithmetic, which is Wolfe's vertex with the smallest (G w)_i.  psi falls
-strictly from one face minimizer to the next in exact arithmetic, and the
-loop ends at the optimum; a face minimizer that does not raise
-alpha_lower = -psi ends it uncertified.
+adds the largest slope off the support, Wolfe's vertex i not in S with the
+smallest (G w)_i, as J v = -G w.  In exact arithmetic every (J v)_i in S is
+-||v||^2 there, so the largest lies off S while the gap is open, and a full
+S holds the optimum; in floats a full S adds none, so the move solves the
+same face again and the loop stalls.  psi falls strictly from one face
+minimizer to the next in exact arithmetic, and the loop ends at the optimum;
+a face minimizer that does not raise alpha_lower = -psi ends it uncertified.
 
 Every iterate's bounds are read off J, and they alone stop the loop, pick
 the entering vertex and tell whether psi fell; G serves only the face
@@ -42,8 +44,7 @@ one to two microseconds for a ufunc or a reduction on a 2x2 array and about
 ten for np.linalg.solve (x86-64 Xeon, Python 3.11, numpy 2.4), so a one-move
 m = 2 solve costs some forty microseconds, nearly all of it per call.  The
 code therefore builds the bordered system directly and calls ndarray methods
-rather than numpy's module-level wrappers, while every float still comes
-from the same operation on the same operands as the plain formulation.
+rather than numpy's module-level wrappers.
 """
 
 from __future__ import annotations
@@ -195,23 +196,22 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
 
     A J whose Gram matrix J J^T has a non-finite trace raises ``NonFiniteError``.
 
-    In exact arithmetic alpha_lower rises strictly from one face minimizer to
-    the next.  A face minimizer whose alpha_lower is not above its value at
-    the last one, which happens only below the rounding floor of G, returns
-    w with status ``"stalled"``, which is not certified; its bounds are those
-    of the returned v.  So the loop ends with no cap: each face minimizer is
-    a function of the support it was solved on, strict increase means no
-    support comes back, so at most 2^m - 1 face minimizers pass and one more
-    stalls.  Each move that does not reach a face minimizer drops a vertex,
-    and the face of one vertex is its own minimizer, so each face minimizer
-    lies within m moves of the last, and a solve makes at most m * 2^m moves.
+    Each face minimizer adds the largest slope off its support, or none on a
+    full one, and alpha_lower rises strictly between them in exact
+    arithmetic.  One whose alpha_lower is not above the last one's, which
+    happens only below the rounding floor of G, returns w as ``"stalled"``,
+    not certified, with the bounds of the returned v.  So the loop needs no
+    cap: each face minimizer is a function of its support and strict increase
+    means no support comes back, so at most 2^m - 1 pass and one more stalls;
+    a move that does not reach one drops a vertex, and a one-vertex face is
+    its own minimizer, so a solve makes at most m * 2^m moves.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     if not 0.0 < eps_critical < math.inf:
         raise ValueError("eps_critical must be positive and finite")
     J = np.asarray(J, dtype=float)
-    if J.ndim != 2:
+    if J.ndim != 2 or J.shape[0] < 1:
         raise ValueError(f"jacobian must be a matrix, got shape {J.shape}")
     m, n = J.shape
     with np.errstate(all="ignore"):
@@ -236,7 +236,7 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
             if not d > d_last:  # also when d is NaN
                 return DirectionResult(v, d, p, w, it, STATUS_STALLED, Jv)
             d_last = d
-            support[int(Jv.argmax())] = True
+            support[int(np.where(support, -np.inf, Jv).argmax())] = True
         y = _face_minimizer(G, support)
         blocking = support & (y < 0.0)
         if not blocking.any():

@@ -106,101 +106,49 @@ def _hard_solve(J, sigma, eps_critical):
     return solve_sigma_approx(J, sigma, eps_critical=eps_critical), eps_critical
 
 
-def _screened_stop_status(p_lo, d_lo, d_hi, sigma, eps_critical, gap_floor):
-    """The solver's stop tests, monotone in each bound: called with (p, d, d)
-    they test the bounds p = alpha_upper and d = alpha_lower, and for any
-    p_lo <= p and d_lo <= d <= d_hi they pass whenever they pass on (p, d, d),
-    the sigma = 0 tolerance TOL_GAP*|d| being read from d_lo <= d <= 0."""
-    if d_hi >= -eps_critical:
-        return STATUS_CRITICAL
-    if sigma > 0.0:
-        excess = p_lo - (1.0 - sigma) * d_hi - gap_floor
+def _assert_read_off_the_weights(J, res):
+    """A result's v, slopes and bounds are those of its weights, bit for bit:
+    v = -J^T w, slopes J v, alpha_lower = -||v||^2/2 and alpha_upper =
+    max(J v) + ||v||^2/2, except that a critical result snaps v, its slopes
+    and alpha_upper to zero."""
+    v = -(J.T @ res.weights)
+    vv = float(v @ v)
+    if res.critical:
+        assert not res.v.any() and not res.slopes.any() and res.alpha_upper == 0.0
+        assert np.float64(res.alpha_lower).tobytes() == np.float64(-0.5 * vv).tobytes()
+        return
+    assert res.v.tobytes() == v.tobytes()
+    # the slopes the line search receives are J v, as the solve formed them
+    assert res.slopes.tobytes() == (J @ res.v).tobytes()
+    bounds = np.array([-0.5 * vv, float(res.slopes.max()) + 0.5 * vv])
+    assert np.array([res.alpha_lower, res.alpha_upper]).tobytes() == bounds.tobytes()
+
+
+def _assert_holds_against(alpha, J, res, sigma, eps_critical):
+    """Check a certified result against the exact optimal value alpha of J.
+    sigma = 0 certifies only to the relative gap tolerance, so the slack adds
+    1e-10 |alpha| to the gap floor."""
+    slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
+    assert res.alpha_lower <= alpha + slack
+    if res.critical:
+        assert alpha >= -eps_critical - slack
     else:
-        excess = p_lo - d_hi - max(TOL_GAP * abs(d_lo), gap_floor)
-    return STATUS_CERTIFIED if excess <= 0.0 and p_lo <= 0.0 else None
+        assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
+        assert res.alpha_upper <= 0.0
 
 
-def _reference_solve(J, sigma, eps_critical):
-    """The active-set solve written with numpy's general-purpose wrappers
-    (np.pad, np.ix_, np.eye, np.max, np.diag, np.trace, np.finfo), as
-    (v, alpha_lower, alpha_upper, weights, inner_iterations, status).
-    solve_sigma_approx must reproduce it bit for bit.  It is the loop as it
-    stood before the solve read everything off J, kept to prove that change:
-    it screens every iterate on bounds computed from G = J J^T, widened by
-    the allowance, and reads the J-space bounds only where the screen passes;
-    at a face minimizer it enters the vertex with the smallest (G w)_i and
-    stalls once w.Gw does not fall; and it certifies by the two-branch rule,
-    whose sigma = 0 tolerance is the larger of TOL_GAP |d| and the floor."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    m, n = J.shape
-    G = J @ J.T
-    gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.trace(G)))
-    allowance = 4.0 * (n + m) * np.finfo(float).eps * max(1.0, float(np.max(np.diag(G))))
-
-    def bounds(w):
-        v = -(J.T @ w)
-        vv = float(v @ v)
-        return v, -0.5 * vv, float(np.max(J @ v)) + 0.5 * vv
-
-    def face_minimizer(support):
-        idx = np.flatnonzero(support)
-        G_SS = G[np.ix_(idx, idx)]
-        K = np.pad(G_SS / max(float(G_SS.diagonal().max()), np.finfo(float).tiny), (0, 1),
-                   constant_values=1.0)
-        K[-1, -1] = 0.0
-        rhs = np.eye(idx.size + 1)[-1]
-        try:
-            sol = np.linalg.solve(K, rhs)
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        y = np.zeros(m)
-        y[idx] = sol[:-1]
-        return y
-
-    w = np.full(m, 1.0 / m)
-    on_face_min = False
-    psi_min = np.inf
-    it = 0
-    while True:
-        Gw = G @ w
-        wGw = float(w @ Gw)
-        d_gram = -0.5 * wGw
-        p_gram = 0.5 * wGw - float(Gw.min())
-        if _screened_stop_status(p_gram - allowance, d_gram - allowance, d_gram + allowance,
-                                 sigma, eps_critical, gap_floor) is not None:
-            v, d, p = bounds(w)
-            status = _screened_stop_status(p, d, d, sigma, eps_critical, gap_floor)
-            if status == STATUS_CRITICAL:
-                v, p = np.zeros_like(v), 0.0
-            if status is not None:
-                return v, d, p, w, it, status
-        support = w > 0.0
-        if on_face_min:
-            if not wGw < psi_min:
-                return (*bounds(w), w, it, STATUS_STALLED)
-            psi_min = wGw
-            support[int(np.argmin(Gw))] = True
-        y = face_minimizer(support)
-        blocking = support & (y < 0.0)
-        if not blocking.any():
-            w, on_face_min = y, True
-        else:
-            ratios = w[blocking] / (w[blocking] - y[blocking])
-            first = int(np.argmin(ratios))
-            w = np.maximum(w + ratios[first] * (y - w), 0.0)
-            w[np.flatnonzero(blocking)[first]] = 0.0
-            on_face_min = False
-        it += 1
+# the wide benchmark sweep's quadratic families, as (kind, n, m): anisotropic
+# or isotropic with m = 20, n = 50, and anisotropic with m = 10, n = 10^4
+WIDE_SMALL = (("aniso", 50, 20), ("iso", 50, 20))
+WIDE_LONG = (("aniso", 10_000, 10),)
 
 
 @st.composite
-def _wide_jacobians(draw):
-    """Jacobians of the wide benchmark sweep's quadratic families, at a point
-    on the segment from 5*1 to the mean of the centres: anisotropic with
-    m = 20, n = 50 or m = 10, n = 10^4, or isotropic with m = 20, n = 50."""
-    kind, n, m = draw(st.sampled_from([("aniso", 50, 20), ("aniso", 10_000, 10), ("iso", 50, 20)]))
+def _wide_jacobians(draw, shapes):
+    """Jacobians of the wide benchmark sweep's quadratic families, one of
+    ``shapes``, at a point on the segment from 5*1 to the mean of the
+    centres."""
+    kind, n, m = draw(st.sampled_from(shapes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centres = rng.uniform(-1.0, 1.0, size=(m, n))
     curv = rng.uniform(0.5, 2.0, size=(m, n)) if kind == "aniso" else np.ones((m, n))
@@ -287,8 +235,9 @@ class TestSolveSigmaApprox:
         assert np.array_equal(res.v, [0.0, 0.0])
         assert res.alpha_upper == 0.0
 
-    @pytest.mark.parametrize("J", [np.ones(2), np.ones((1, 2, 2)), np.float64(1.0)],
-                             ids=["vector", "three_dimensional", "scalar"])
+    @pytest.mark.parametrize("J", [np.ones(2), np.ones((1, 2, 2)), np.float64(1.0),
+                                   np.zeros((0, 3))],
+                             ids=["vector", "three_dimensional", "scalar", "no_rows"])
     def test_a_jacobian_that_is_not_a_matrix_is_rejected(self, J):
         with pytest.raises(ValueError) as exc:
             solve_sigma_approx(J, 0.5)
@@ -338,14 +287,33 @@ class TestGramSpaceLoop:
         res, eps_critical = _hard_solve(J, sigma, eps_critical)
         if res is None or not res.sigma_certified:
             return  # a stalled result claims nothing
-        _w, _v, alpha = kkt_direction(J)
-        slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
-        assert res.alpha_lower <= alpha + slack
-        if res.critical:
-            assert alpha >= -eps_critical - slack
-        else:
-            assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
-            assert res.alpha_upper <= 0.0
+        _assert_holds_against(kkt_direction(J)[2], J, res, sigma, eps_critical)
+
+    @settings(max_examples=8)
+    @given(J=_wide_jacobians(WIDE_LONG), sigma=st.floats(0.0, 0.99),
+           eps_critical=_HARD_CASES["eps_critical"])
+    def test_long_wide_sweep_certificates_hold_against_a_reference_optimum(
+            self, J, sigma, eps_critical):
+        # m = 10 near-parallel gradients in R^10000, against the 1023 faces
+        # that kkt_direction enumerates
+        alpha = kkt_direction(J)[2]
+        for s in (0.0, 0.5, sigma):
+            res, eps = _hard_solve(J, s, eps_critical)
+            if res is None:
+                return
+            _assert_read_off_the_weights(J, res)
+            if res.sigma_certified:
+                _assert_holds_against(alpha, J, res, s, eps)
+
+    @settings(max_examples=300)
+    @given(J=st.one_of(_hard_jacobians(),
+                       st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN,
+                                        *SUBNORMAL_PIVOT_JACOBIANS])),
+           sigma=_HARD_CASES["sigma"], eps_critical=_HARD_CASES["eps_critical"])
+    def test_every_result_is_read_off_its_weights(self, J, sigma, eps_critical):
+        res, _eps = _hard_solve(J, sigma, eps_critical)
+        if res is not None:
+            _assert_read_off_the_weights(J, res)
 
     @settings(max_examples=300)
     @given(**_HARD_CASES)
@@ -353,6 +321,21 @@ class TestGramSpaceLoop:
         res, _eps = _hard_solve(J, sigma, eps_critical)
         if res is not None and res.status == STATUS_STALLED:
             assert abs(kkt_direction(J)[2]) <= _allowance(J @ J.T, J.shape[1])
+
+    def test_a_face_minimizer_enters_the_largest_slope_off_its_support(self):
+        # a _hard_jacobians draw with alpha* = -2.6e-16, far below the gap
+        # floor of 1.5e-5: at the face minimizer of the fourth move, with
+        # alpha_lower = -1.0e-12, the largest computed slope belongs to a
+        # vertex of the face, and entering it would re-solve that face and
+        # stall; entering the largest slope off the face reaches critical
+        J = _hard_jacobian(215, 1e-6, [3.126644925203797, 3.2277629263004997,
+                                       -2.6610114766667525, -1.0898816305682857,
+                                       -2.6905206643375674, -0.5539542921948382],
+                           [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 2835371094)
+        res = solve_sigma_approx(J, 0.7077426074144852, eps_critical=1e-12)
+        assert res.status == STATUS_CRITICAL
+        if PINNED_KERNEL:
+            assert res.inner_iterations == 5
 
     @settings(max_examples=300)
     @given(**_HARD_CASES)
@@ -365,46 +348,27 @@ class TestGramSpaceLoop:
 
     def test_a_face_minimizer_no_vertex_improves_on_stalls(self):
         # a _hard_jacobians draw with alpha* = -2.2e-10 and cond G = 1.2e20:
-        # once w minimizes psi on its face, the vertex with the largest slope
-        # (J v)_i is already in it, so the next move solves the same face and
-        # lands on the same w, which does not raise alpha_lower
+        # the second move reaches the minimizer of psi on the face {1, 2},
+        # whose computed upper bound stays positive.  The only vertex off
+        # that face, 0, enters; the third move finds it with a negative
+        # weight on the full face and drops it again at a step of zero, and
+        # the fourth solves the face {1, 2} again and lands on the same w,
+        # which does not raise alpha_lower.  (When the entering vertex was
+        # the largest slope over all vertices, it was vertex 2, already in
+        # the face, and the solve stalled after three moves.)
         J = _hard_jacobian(256, 1e-6, [3.8872746336723925, -1.192092896e-07, 3.9666505880759306],
                            [1.0, 1.0, -1.0], 4294967294)
         sigma = 0.9883535562604477
         res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
         assert np.array_equal(res.v, -(J.T @ res.weights))
         if PINNED_KERNEL:
-            assert (res.status, res.inner_iterations) == (STATUS_STALLED, 3)
+            assert (res.status, res.inner_iterations) == (STATUS_STALLED, 4)
         elif res.status == STATUS_CERTIFIED:
             # Prescott's second move lands where the certificate holds
             assert res.alpha_upper == primal(J, res.v)
             assert res.alpha_upper <= (1.0 - sigma) * kkt_direction(J)[2]
         else:
             assert res.status == STATUS_STALLED and res.inner_iterations <= 3 * 2**3
-
-    @settings(max_examples=300)
-    @given(
-        J=st.one_of(_hard_jacobians(), _wide_jacobians(),
-                    st.sampled_from([ZERO_ROW_JACOBIAN, SUBNORMAL_JACOBIAN,
-                                     *SUBNORMAL_PIVOT_JACOBIANS])),
-        sigma=st.floats(0.0, 0.99),
-        eps_critical=_HARD_CASES["eps_critical"],
-    )
-    def test_matches_the_reference_solve_bit_for_bit(self, J, sigma, eps_critical):
-        if eps_critical is None:
-            v0 = -(J.T @ np.full(J.shape[0], 1.0 / J.shape[0]))
-            eps_critical = max(0.5 * float(v0 @ v0), 1e-300)
-        for s in (0.0, 0.25, 0.5, 0.9, sigma):
-            res = solve_sigma_approx(J, s, eps_critical=eps_critical)
-            v, d, p, w, it, status = _reference_solve(J, s, eps_critical)
-            assert (res.status, res.inner_iterations) == (status, it)
-            assert res.v.tobytes() == v.tobytes()
-            assert res.weights.tobytes() == w.tobytes()
-            assert np.float64(res.alpha_lower).tobytes() == np.float64(d).tobytes()
-            assert np.float64(res.alpha_upper).tobytes() == np.float64(p).tobytes()
-            # the slopes the line search receives are J v, as the solve formed them
-            if not res.critical:
-                assert res.slopes.tobytes() == (J @ v).tobytes()
 
     def test_gram_space_bounds_stay_within_the_allowance(self):
         rng = np.random.default_rng(41)
@@ -434,7 +398,8 @@ class TestGramSpaceLoop:
                 Jv_max = float(np.max(J @ v))
                 assert abs(wGw - vv) <= allowance
                 assert abs(-float(Gw.min()) - Jv_max) <= allowance
-                # the reference solve's screened bounds against the J-space ones
+                # the upper bound computed from G, w.Gw/2 - min(G w), against
+                # the one computed from J: two computations of one bound
                 assert abs((0.5 * wGw - float(Gw.min())) - (Jv_max + 0.5 * vv)) <= allowance
 
 
@@ -582,15 +547,7 @@ class TestInvariants:
         res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
         if not res.sigma_certified:
             return  # a stalled result claims nothing
-        _w, _v, alpha = kkt_direction(J)
-        # sigma = 0 certifies only to the relative gap tolerance, not to 1e-12
-        slack = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J))) + 1e-10 * abs(alpha)
-        assert res.alpha_lower <= alpha + slack
-        if res.critical:
-            assert alpha >= -1e-12 - slack
-        else:
-            assert primal(J, res.v) <= (1.0 - sigma) * alpha + slack
-            assert res.alpha_upper <= 0.0
+        _assert_holds_against(kkt_direction(J)[2], J, res, sigma, 1e-12)
 
 
 @pytest.mark.parametrize("name, seed", [(name, seed) for name in list_problems() for seed in (0, 42)])

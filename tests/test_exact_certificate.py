@@ -19,6 +19,7 @@ import exact_certificate as oracle_module
 from exact_certificate import TOL_GAP, audit_steps, exact_certificate
 from kernel import PINNED_KERNEL
 from test_acceptance import RUN_CFG, quad_pair_starts
+from test_direction import WIDE_SMALL, _assert_read_off_the_weights, _wide_jacobians
 
 SIGMAS = (0.0, 0.25, 0.5, 0.9)
 FAMILIES = ("gaussian", "near_parallel", "near_critical")
@@ -121,6 +122,17 @@ def test_every_solve_ends_within_the_move_bound(family, m, n, seed, log_scale):
     J = family_jacobian(family, seed, m, n, log_scale)
     for sigma, res in solves(J):
         assert res.inner_iterations <= m * 2**m <= (2**m - 1) * (m + 1), (sigma, res.status)
+
+
+@settings(max_examples=20)
+@given(J=_wide_jacobians(WIDE_SMALL))
+def test_every_certified_wide_sweep_direction_holds_exactly(J):
+    # m = 20 gradients in R^50, from x = 5 to the mean of their centres
+    for sigma, res in solves(J):
+        _assert_read_off_the_weights(J, res)
+        if res.status == STATUS_CERTIFIED:
+            cert = exact_certificate(J, res.weights, res.v, sigma)
+            assert cert.holds(), (sigma, float(cert.excess), float(cert.slack()), float(cert.phi))
 
 
 def test_the_floor_is_needed_on_near_critical_jacobians():
