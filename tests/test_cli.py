@@ -49,6 +49,20 @@ from oracles import finite_diff_jacobian
 # installed console script as well
 INLINE_CONFIG = Path(__file__).with_name("inline.cfg")
 
+# affine criteria with gradients (1, 1) and (1, -1), whose convex hull misses
+# the origin: no point is critical, each criterion falls along every
+# direction by its slope, so a full step passes Armijo, and a run takes
+# every step max_iter allows
+AFFINE_CRITERIA = ["x1 + x2", "x1 - x2"]
+
+
+def affine_config(path, max_iter=None):
+    """A config file of the affine criteria from 0, under ``max_iter`` if given."""
+    lines = [f"f{i + 1} = {expr}" for i, expr in enumerate(AFFINE_CRITERIA)] + ["x0 = 0, 0"]
+    lines += [] if max_iter is None else [f"max_iter = {max_iter}"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -787,9 +801,11 @@ class TestSolveCommand:
 
     def test_max_iter_exit_code(self, tmp_path):
         out = tmp_path / "cap"
-        code = main(["solve", "--problem", "quad_pair", "--x0", "0.4,2.5",
+        code = main(["solve", "--config", affine_config(tmp_path / "affine.cfg"),
                      "--max-iter", "2", "--out", str(out)])
         assert code == 2
+        report, _doc = load_run(out)
+        assert (report.termination, len(report.stepped_records)) == ("max_iter", 2)
 
     def test_inline_problem_via_config(self, tmp_path):
         cfg = tmp_path / "inl.cfg"
@@ -1167,8 +1183,8 @@ class TestRoundTripAndDeterminism:
     def test_records_are_numbered_by_row(self, tmp_path):
         # k is the row's position: a dropped row renumbers the rows after it,
         # and the move across the gap fails the armijo check there
-        assert main(["solve", "--problem", "quad_pair", "--x0", "0.4,2.5",
-                     "--out", str(tmp_path / "rt")]) == 0
+        assert main(["solve", "--config", affine_config(tmp_path / "affine.cfg", 3),
+                     "--out", str(tmp_path / "rt")]) == 2
         report, _doc = load_run(tmp_path / "rt")
         assert [r.k for r in report.records] == list(range(len(report.records))) == [0, 1, 2, 3]
         csv = tmp_path / "rt.trajectory.csv"
@@ -1178,7 +1194,7 @@ class TestRoundTripAndDeterminism:
         assert [r.k for r in gapped.records] == [0, 1, 2]
         assert [record_bits(r)[1:] for r in gapped.records] == [
             record_bits(r)[1:] for r in (report.records[0], *report.records[2:])]
-        armijo = run_diagnostics(get_problem("quad_pair").problem, gapped, 0.0).checks[0]
+        armijo = run_diagnostics(build_inline_problem(AFFINE_CRITERIA), gapped, 0.0).checks[0]
         assert (armijo.ok, armijo.worst_violation, armijo.worst_index) == (False, math.inf, 0)
 
     def test_load_run_rejects_another_schema(self, tmp_path):

@@ -39,6 +39,17 @@ def quad_run(x0=(0.4, 2.5), sigma=0.0):
     return run(get_problem("quad_pair").problem, list(x0), SolverConfig(sigma=sigma))
 
 
+def affine_run(steps=3):
+    """A run of exactly ``steps`` full steps, by construction: affine
+    criteria with gradients (1, 1) and (1, -1), whose convex hull misses the
+    origin, so no point is critical and max_iter ends the run.  Along the
+    exact direction v = (-1, 0) each criterion falls by 1 per unit step, so
+    t = 1 passes Armijo, and every x and F is an integer."""
+    slopes = np.array([[1.0, 1.0], [1.0, -1.0]])
+    problem = MultiObjective(n=2, m=2, f=lambda x: slopes @ x, jac=lambda x: slopes.copy())
+    return problem, run(problem, [0.0, 0.0], SolverConfig(max_iter=steps))
+
+
 def stepped_jacobians(problem, report):
     return [problem.jacobian(r.x) for r in report.stepped_records]
 
@@ -97,14 +108,13 @@ class TestDecrease:
     decrease F(x^{k+1}) <= F(x^k) at every move, which has no check of its own."""
 
     def test_a_component_that_rises_fails_at_its_step(self):
-        desc = get_problem("quad_pair")
-        rep = quad_run()
+        problem, rep = affine_run()
         r = rep.records[1]
         Fx = rep.records[2].Fx.copy()
         Fx[1] = r.Fx[1] + 0.2
         risen = _mutated(rep, 2, Fx=Fx)
-        target = r.Fx + (rep.config.beta * r.t) * (desc.problem.jacobian(r.x) @ r.v)
-        out = run_diagnostics(desc.problem, risen, 0.0).checks[0]
+        target = r.Fx + (rep.config.beta * r.t) * (problem.jacobian(r.x) @ r.v)
+        out = run_diagnostics(problem, risen, 0.0).checks[0]
         assert not _decreases(risen)
         assert (out.name, out.status, out.worst_index) == ("armijo", STATUS_FAIL, 1)
         assert out.worst_violation == Fx[1] - target[1] >= 0.2
@@ -201,18 +211,16 @@ class TestArmijo:
         assert out.note == "sum t|v|^2=1.000e+00 telescoped ratio=0.5"
 
     def test_jacobian_count_must_match_the_steps(self):
-        desc = get_problem("quad_pair")
-        rep = quad_run()
-        jacobians = stepped_jacobians(desc.problem, rep)
+        problem, rep = affine_run()
+        jacobians = stepped_jacobians(problem, rep)
         with pytest.raises(ValueError) as exc:
             check_armijo(rep, jacobians[:2])
         assert str(exc.value) == "2 jacobian(s) for 3 step(s)"
 
     @pytest.mark.parametrize("k, value", [(0, math.nan), (1, math.inf)])
     def test_non_finite_next_value_fails(self, k, value):
-        desc = get_problem("quad_pair")
-        rep = quad_run()
-        jacobians = stepped_jacobians(desc.problem, rep)
+        problem, rep = affine_run()
+        jacobians = stepped_jacobians(problem, rep)
         Fx = rep.records[k + 1].Fx.copy()
         Fx[k] = value
         out = check_armijo(_mutated(rep, k + 1, Fx=Fx), jacobians)
@@ -374,8 +382,8 @@ class TestQuasiFejer:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_an_interior_iterate_moved_away_fails_at_its_step(self, k):
-        # quad_pair from (0.4, 2.5) stops at x^3 = (0.4, 0) after three steps
-        rep = quad_run()
+        # the affine run stops at x^3 = (-3, 0) after three steps
+        _problem, rep = affine_run()
         recs = list(rep.records)
         assert len(recs) == 4
         x_tilde = recs[-1].x
@@ -496,9 +504,8 @@ class TestProximity:
         assert check_proximity(rep, stepped_jacobians(desc.problem, rep)).ok
 
     def test_jacobian_count_must_match_the_steps(self):
-        desc = get_problem("quad_pair")
-        rep = quad_run()
-        jacobians = stepped_jacobians(desc.problem, rep)
+        problem, rep = affine_run()
+        jacobians = stepped_jacobians(problem, rep)
         assert len(jacobians) == 3
         for given in ([], jacobians[:2], jacobians + jacobians[:1]):
             with pytest.raises(ValueError) as exc:
