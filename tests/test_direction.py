@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from paretodescent.direction import (
     TOL_GAP,
     _allowance,
     _certificate_excess,
+    _face_minimizer,
     _gap_floor,
     _stop_status,
 )
@@ -73,9 +74,9 @@ def _hard_jacobian(n, spread, log_scales, signs, seed):
 
 
 @st.composite
-def _hard_jacobians(draw):
+def _hard_jacobians(draw, rows=st.integers(1, 6)):
     """Near-parallel rows at scales 1e-4..1e4, some of them reversed."""
-    m = draw(st.integers(1, 6))
+    m = draw(rows)
     n = draw(st.integers(1, 300))
     spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
     log_scales = draw(arrays(float, m, elements=st.floats(-4.0, 4.0)))
@@ -401,6 +402,65 @@ class TestGramSpaceLoop:
                 # the upper bound computed from G, w.Gw/2 - min(G w), against
                 # the one computed from J: two computations of one bound
                 assert abs((0.5 * wGw - float(Gw.min())) - (Jv_max + 0.5 * vv)) <= allowance
+
+
+class TestClosedFormFaces:
+    @settings(max_examples=300)
+    @given(J=_hard_jacobians(rows=st.just(2)))
+    def test_a_two_vertex_face_agrees_with_the_reference(self, J):
+        # where ||g_0 - g_1||^2 computes positive and finite the face takes
+        # Wolfe's segment formula; its weights sum to 1 to rounding, and the
+        # simplex point they give (the segment minimizer, or the vertex y
+        # passes) reaches the optimal value that kkt_direction enumerates
+        G = J @ J.T
+        assume(0.0 < (G[0, 0] - G[0, 1]) + (G[1, 1] - G[0, 1]) < math.inf)
+        y = _face_minimizer(G, np.ones(2, dtype=bool))
+        assert abs(y.sum() - 1.0) <= 2.0 * np.finfo(float).eps * np.abs(y).sum()
+        w = y if (y >= 0.0).all() else (y > 0.0).astype(float)
+        floor = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J)))
+        assert abs(0.5 * float(np.sum((J.T @ w) ** 2)) + kkt_direction(J)[2]) <= floor
+
+    @pytest.mark.parametrize("support, J", [
+        ([False, True, False], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
+        ([True, False, True], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
+    ])
+    def test_faces_of_one_and_two_vertices_need_no_linear_solve(self, monkeypatch, support, J):
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        y = _face_minimizer(J @ J.T, np.array(support))
+        # g_0 = (1, 0) and g_2 = (3, 1): (G_22 - G_02)/den = 7/5 and (G_00 - G_02)/den = -2/5
+        assert y.tolist() == ([0.0, 1.0, 0.0] if sum(support) == 1 else [7 / 5, 0.0, -2 / 5])
+
+    @pytest.mark.parametrize("J", [
+        np.array([[1.0, 2.0], [1.0, 2.0]]),  # coincident: den = 0
+        np.array([[9e153], [-9e153]]),  # opposite: den = 3.24e308 overflows, the trace does not
+    ])
+    def test_a_face_of_coincident_or_overflowing_gradients_takes_the_bordered_solve(
+            self, monkeypatch, J):
+        systems = []
+        solve = np.linalg.solve
+
+        def spy(K, rhs):
+            systems.append(K.shape)
+            return solve(K, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        y = _face_minimizer(J @ J.T, np.ones(2, dtype=bool))
+        assert systems == [(3, 3)]
+        assert np.abs(y - 0.5).max() <= 4 * np.finfo(float).eps
+
+    def test_each_two_vertex_weight_keeps_its_relative_accuracy(self):
+        # a _hard_jacobians draw whose first move solves the face {0, 1} to
+        # a weight of 8.9e-8 on g_1.  Over the common denominator the first
+        # move certifies on SkylakeX, Haswell, Sandybridge and Prescott alike;
+        # taking that weight as 1 - y_0 loses its low bits, which pushes
+        # alpha_upper to +1.0e-7, and the solve stalls after two moves
+        J = _hard_jacobian(173, 1e-2, [-3.286549890612461, 3.7661240896895807], [-1.0, 1.0],
+                           3473095989)
+        res = solve_sigma_approx(J, 0.7794798832296741, eps_critical=1e-12)
+        assert (res.status, res.inner_iterations) == (STATUS_CERTIFIED, 1)
 
 
 class TestSigmaCertificate:
