@@ -16,11 +16,10 @@ sigma-approximate whenever alpha_upper <= (1 - sigma) * alpha_lower.
 The dual optimum, the min-norm point of the gradients' convex hull, is found
 by Wolfe's active-set method (Wolfe 1976, "Finding the nearest point in a
 polytope") on the Gram matrix G = J J^T, from the barycenter.  Each inner
-iteration is one move on the support S of w: find the minimizer of psi on
-the affine hull of the face S, in closed form on a face of one or two
-vertices and from the bordered system [G_SS 1; 1^T 0] on a larger one, and
-move there if it is nonnegative; otherwise move towards it until a weight
-reaches zero, and drop that weight from S.  Once w minimizes psi on its face, the next move first
+iteration is one move on the support S of w: find the face minimizer, the
+minimizer of psi on the affine hull of the face S, and move there if it is
+nonnegative; otherwise move towards it until a weight reaches zero, and drop
+that weight from S.  Once w minimizes psi on its face, the next move first
 adds the largest slope off the support, Wolfe's vertex i not in S with the
 smallest (G w)_i, as J v = -G w.  In exact arithmetic every (J v)_i in S is
 -||v||^2 there, so the largest lies off S while the gap is open, and a full
@@ -39,13 +38,12 @@ about 1.3e154 suffices), raise ``NonFiniteError`` before any move.  A finite
 trace bounds every |G_ik| by (G_ii + G_kk)/2 and keeps the gap floor finite.
 
 Cost model: forming G costs O(m^2 n) per solve, the bounds O(mn) per
-iterate, and a move O(1) on a face of one or two vertices and O(k^3) for
-the bordered system on a face of k >= 3.  For small m and n the fixed cost
-of each numpy call dominates all of these: one to two microseconds for a
-ufunc or a reduction on a 2x2 array and about ten for np.linalg.solve
-(x86-64 Xeon, Python 3.11, numpy 2.4).  The code therefore solves the small
-faces on Python floats, builds the bordered system directly and calls
-ndarray methods rather than numpy's module-level wrappers.
+iterate, and a move O(1) on a face of one or two vertices, O(k^3) for the
+bordered system on a face of k >= 3.  For small m and n the fixed cost of
+each numpy call dominates: one to two microseconds for a ufunc or reduction
+on a 2x2 array, about ten for np.linalg.solve (x86-64 Xeon, Python 3.11,
+numpy 2.4).  So small faces are solved on Python floats, the bordered system
+is built by hand, and the code calls ndarray methods, not module wrappers.
 """
 
 from __future__ import annotations
@@ -163,13 +161,11 @@ def _allowance(G: np.ndarray, n: int) -> float:
 def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Minimizer of w.Gw on the affine hull of the face {w = 0 off support}.
 
-    A face of one vertex is its own minimizer.  On a face {i, l} it is the
-    point of the line through g_i and g_l nearest the origin, Wolfe's
-    segment case: with a = G_ii, b = G_il, c = G_ll and den = (a - b) +
-    (c - b) = ||g_i - g_l||^2, y_i = (c - b)/den and y_l = (a - b)/den, each
-    over den so that the smaller weight keeps its relative accuracy.  A den
-    that is not positive and finite, from coincident or overflowing
-    gradients, and any larger face take the bordered system
+    A face {i} is its own minimizer.  A face {i, l} takes Wolfe's segment
+    formula: with a = G_ii, b = G_il, c = G_ll and den = (a - b) + (c - b),
+    y_i = (c - b)/den and y_l = (a - b)/den, each over den so that the
+    smaller keeps its relative accuracy.  A larger face, or a den that is
+    not positive and finite (coincident or overflowing gradients), solves
     [G_SS 1; 1^T 0] [y; lam] = [0; 1] with G_SS scaled to a unit diagonal
     maximum, by least squares when the face's gradients are affinely
     dependent and the system singular, which LU may miss and answer with
@@ -185,8 +181,7 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
         a, b, c = G.item(i, i), G.item(i, l), G.item(l, l)
         den = (a - b) + (c - b)
         if 0.0 < den < math.inf:
-            y[i] = (c - b) / den
-            y[l] = (a - b) / den
+            y[i], y[l] = (c - b) / den, (a - b) / den
             return y
     G_SS = G if k == G.shape[0] else G[idx[:, None], idx]
     K = np.ones((k + 1, k + 1))

@@ -10,22 +10,18 @@ are compared.
 import ledger
 from kernel import _core_name
 
-SHOWN = 5  # differing cases named in a failure
+SHOWN = 3  # differing cases named per workload and seed in a failure
 
 
-def _differences(expected: dict, actual: dict, fields: slice) -> list[str]:
-    found = []
-    for want, got in zip(expected["runs"], actual["runs"]):
-        where = f"{want['workload']} seed {want['seed']}"
-        if (got["workload"], got["seed"], len(got["cases"])) != (want["workload"], want["seed"],
-                                                                  len(want["cases"])):
-            found.append(f"{where}: cases differ in number or order")
-            continue
-        for i, (a, b) in enumerate(zip(want["cases"], got["cases"])):
-            if a[fields] != b[fields]:
-                found.append(f"{where} case {i} {a[0]}: ledger {a[1:]}, now {b[1:]}")
-        if fields == slice(None) and got["totals"] != want["totals"]:
-            found.append(f"{where} totals: ledger {want['totals']}, now {got['totals']}")
+def _differences(want: dict, got: dict, fields: slice) -> list[str]:
+    """The differing cases of one workload and seed, and its totals."""
+    if (got["workload"], got["seed"], len(got["cases"])) != (want["workload"], want["seed"],
+                                                              len(want["cases"])):
+        return ["cases differ in number or order"]
+    found = [f"case {i} {a[0]}: ledger {a[1:]}, now {b[1:]}"
+             for i, (a, b) in enumerate(zip(want["cases"], got["cases"])) if a[fields] != b[fields]]
+    if fields == slice(None) and got["totals"] != want["totals"]:
+        found.append(f"totals: ledger {want['totals']}, now {got['totals']}")
     return found
 
 
@@ -35,5 +31,10 @@ def test_every_case_matches_the_ledger():
     assert len(actual["runs"]) == len(expected["runs"])
     # label and termination only, off the ledger's kernel
     fields = slice(None) if _core_name() == expected["kernel"] else slice(0, 3, 2)
-    found = _differences(expected, actual, fields)
-    assert not found, f"{len(found)} differences, first: " + "; ".join(found[:SHOWN])
+    report = []
+    for want, got in zip(expected["runs"], actual["runs"]):
+        found = _differences(want, got, fields)
+        if found:
+            report.append(f"{want['workload']} seed {want['seed']}, {len(found)} differences: "
+                          + "; ".join(found[:SHOWN]))
+    assert not report, "\n".join(report)
