@@ -26,7 +26,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = Path(__file__).resolve().parent / "ledger.json"
 SEEDS = (0, 1)
-WORKLOADS = ("builtin_suite", "inline_fd", "wide_sweep")
 DIGEST_HEX = 16
 
 
@@ -50,11 +49,10 @@ def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for seed in SEEDS:
-            for name in WORKLOADS:
+            for name, pipeline in workloads.PIPELINES.items():
                 rows = []
                 for case in workloads.make_cases(name, seed, work / "inputs"):
-                    run = workloads.PIPELINES[name](case, str(work / "case"), workloads.plain_call,
-                                                    workloads.own)
+                    run = pipeline(case, str(work / "case"), workloads.plain_call, workloads.own)
                     digest = checks.trajectory_digest(run.report)[:DIGEST_HEX]
                     rows.append([case.label, digest, run.report.termination, *run.tally.as_tuple()])
                 totals = {key: sum(row[3 + i] for row in rows)
