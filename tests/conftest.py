@@ -12,8 +12,9 @@ is collected, so a property draws the same examples alone as in the full
 suite.  ``bench/run.py`` is left out: importing it sets the BLAS thread
 variables.
 
-The report header names the OpenBLAS kernel of the run, since a few tests
-assert their pinned move counts only on the kernel they were measured on.
+The report header names the run's arithmetic environment, since the ledger
+and a few pinned move counts are compared exactly only in the environment
+they were measured on.
 """
 
 import sys
@@ -39,5 +40,7 @@ finally:
 
 
 def pytest_report_header(config):
-    pinned = "asserted" if kernel.PINNED_KERNEL else "not asserted"
-    return f"OpenBLAS kernel: {kernel._core_name()}; move counts pinned on SkylakeX: {pinned}"
+    env = kernel.environment()
+    pinned = "asserted" if kernel.PINNED else "not asserted"
+    return (f"environment: {env['openblas']}; numpy {env['numpy']}; {env['libc']}; "
+            f"exact ledger and pinned counts: {pinned}")

@@ -41,7 +41,7 @@ from paretodescent.cli import (
 )
 from paretodescent.direction import STATUS_STALLED
 
-from kernel import PINNED_KERNEL
+from kernel import PINNED
 from oracles import finite_diff_jacobian
 
 
@@ -1452,8 +1452,8 @@ class TestRoundTripAndDeterminism:
         assert [record_bits(r) for r in records] == [record_bits(r) for r in rep.records]
         assert records[-1].k == 0
         assert not records[-1].sigma_certified
-        # 4 moves on the pinned kernel, 3 on others; any solve ends within m * 2^m
-        assert (records[-1].inner_iterations == 4 if PINNED_KERNEL
+        # 4 moves in the ledger's environment, 3 on other kernels; any solve ends within m * 2^m
+        assert (records[-1].inner_iterations == 4 if PINNED
                 else records[-1].inner_iterations <= 3 * 2**3)
 
     def test_every_reloaded_vector_owns_its_data(self, tmp_path):

@@ -22,7 +22,7 @@ from paretodescent.direction import (
 )
 from paretodescent.oracle import kkt_direction
 
-from kernel import PINNED_KERNEL
+from kernel import PINNED
 from oracles import brute_force_direction
 
 
@@ -188,8 +188,8 @@ class TestSolveExact:
         J = np.hstack([STALLING_JACOBIAN, np.zeros((3, zero_columns))])
         res = solve_sigma_approx(J, sigma, eps_critical=1e-300)
         assert res.status == STATUS_STALLED
-        # 4 moves on the pinned kernel, 3 on others; any solve ends within m * 2^m
-        assert (res.inner_iterations == 4 if PINNED_KERNEL
+        # 4 moves in the ledger's environment, 3 on other kernels; any solve ends within m * 2^m
+        assert (res.inner_iterations == 4 if PINNED
                 else res.inner_iterations <= 3 * 2**3)
         assert not res.sigma_certified
         assert not res.critical
@@ -209,8 +209,8 @@ class TestSolveExact:
         for sigma in (0.0, 1e-12, 5e-324):
             res = solve_sigma_approx(SUBNORMAL_JACOBIAN, sigma)
             assert res.status == STATUS_CERTIFIED
-            # 2 moves on the pinned kernel, 1 on Sandybridge
-            assert (res.inner_iterations == 2 if PINNED_KERNEL
+            # 2 moves in the ledger's environment, 1 on Sandybridge
+            assert (res.inner_iterations == 2 if PINNED
                     else res.inner_iterations <= 3 * 2**3)
             assert res.alpha_upper == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
             assert res.alpha_lower == pytest.approx(-31.8003125, rel=4 * np.finfo(float).eps)
@@ -335,7 +335,7 @@ class TestGramSpaceLoop:
                            [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 2835371094)
         res = solve_sigma_approx(J, 0.7077426074144852, eps_critical=1e-12)
         assert res.status == STATUS_CRITICAL
-        if PINNED_KERNEL:
+        if PINNED:
             assert res.inner_iterations == 5
 
     @settings(max_examples=300)
@@ -362,7 +362,7 @@ class TestGramSpaceLoop:
         sigma = 0.9883535562604477
         res = solve_sigma_approx(J, sigma, eps_critical=1e-12)
         assert np.array_equal(res.v, -(J.T @ res.weights))
-        if PINNED_KERNEL:
+        if PINNED:
             assert (res.status, res.inner_iterations) == (STATUS_STALLED, 4)
         elif res.status == STATUS_CERTIFIED:
             # Prescott's second move lands where the certificate holds

@@ -17,7 +17,7 @@ from paretodescent.oracle import kkt_direction
 
 import exact_certificate as oracle_module
 from exact_certificate import TOL_GAP, audit_steps, exact_certificate
-from kernel import PINNED_KERNEL
+from kernel import PINNED
 from test_acceptance import RUN_CFG, quad_pair_starts
 from test_direction import (
     _HARD_CASES,
@@ -182,7 +182,7 @@ def test_a_certificate_below_the_rounding_floor_holds_to_the_floor(sigma):
     res = solve_sigma_approx(J, sigma, eps_critical=TINY_EPS_CRITICAL)
     cert = exact_certificate(J, res.weights, res.v, sigma)
     assert -TINY_EPS_CRITICAL > alpha > -cert.floor / 1000
-    if PINNED_KERNEL:
+    if PINNED:
         assert (res.status, res.inner_iterations) == (STATUS_CERTIFIED, 1)
         # only sigma = 0.9 holds without the floor
         assert cert.holds(floor=False) == (sigma == 0.9)

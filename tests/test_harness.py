@@ -2,8 +2,9 @@
 
 conftest.py loads one hypothesis profile and imports, before collection,
 every module whose constants hypothesis adds to its draw pool.  kernel.py
-names the OpenBLAS kernel that decides whether a test pins a move count, and
-conftest.py's report header names it in every tier-1 log.
+names the arithmetic environment that decides whether the ledger and the
+pinned move counts compare exactly, and conftest.py's report header names
+it in every tier-1 log.
 Each holds only if the environment it guards against cannot change it,
 so the environment variables are set on child interpreters here.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from kernel import _core_name
+from kernel import _core_name, environment
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -79,17 +80,23 @@ class TestDrawPool:
 
 
 class TestKernel:
-    # the kernels tier-1 passes on besides SkylakeX, where counts are pinned,
+    # the kernels tier-1 passes on besides the ledger's SkylakeX, where counts are pinned,
     # and the names OpenBLAS 0.3.31 gives them (its Prescott build is Katmai's)
     @pytest.mark.parametrize("core, name", [("Haswell", "Haswell"), ("Sandybridge", "Sandybridge"),
                                             ("Prescott", "Katmai")])
     def test_the_kernel_variable_is_read_when_numpy_loads(self, core, name):
         expected = (name if _core_name() is not None else None, False)
-        code = "import kernel; print(repr((kernel._core_name(), kernel.PINNED_KERNEL)))"
+        code = "import kernel; print(repr((kernel._core_name(), kernel.PINNED)))"
         assert _child(code, OPENBLAS_CORETYPE=core) == repr(expected)
 
     def test_the_report_header_names_the_kernel_and_whether_counts_are_pinned(self):
-        name = "Katmai" if _core_name() is not None else None
+        env = environment()
+        build = env["openblas"] and env["openblas"].replace(f" {_core_name()} ", " Katmai ")
         code = "import conftest; print(conftest.pytest_report_header(None))"
         assert _child(code, OPENBLAS_CORETYPE="Prescott") == (
-            f"OpenBLAS kernel: {name}; move counts pinned on SkylakeX: not asserted")
+            f"environment: {build}; numpy {env['numpy']}; {env['libc']}; "
+            "exact ledger and pinned counts: not asserted")
+
+    def test_the_environment_names_the_openblas_version_and_kernel(self):
+        build = environment()["openblas"]
+        assert build is None or (build.startswith("OpenBLAS ") and _core_name() in build.split())
