@@ -98,24 +98,13 @@ class DirectionResult:
         return self.status in (STATUS_CERTIFIED, STATUS_CRITICAL)
 
 
-def _stop_status(p: float, d: float, sigma: float, eps_critical: float,
-                 gap_floor: float) -> str | None:
-    """The stop tests of the dual loop on the bounds p = alpha_upper and
-    d = alpha_lower, or None if neither passes."""
-    if d >= -eps_critical:
-        return STATUS_CRITICAL
-    if _certificate_excess(p, d, sigma, gap_floor) <= 0.0:
-        return STATUS_CERTIFIED
-    return None
-
-
 def _certificate_excess(p: float, d: float, sigma: float, gap_floor: float) -> float:
     """The larger of p and p - (1 - max(sigma, TOL_GAP))*d - gap_floor: the
-    sigma certificate holds exactly when this is <= 0.  The p term keeps the
+    sigma certificate holds exactly when this is <= 0.  solve_sigma_approx's
+    loop stops on it and check_proximity re-checks it.  The p term keeps the
     floor from certifying a direction that does not beat v = 0.  As d <= 0,
-    the rule is monotone: what certifies at sigma certifies at any larger
-    sigma.  A NaN p or d makes the first term NaN, which max() returns, so
-    it never certifies."""
+    what certifies at sigma certifies at any larger sigma.  A NaN p or d
+    makes the first term NaN, which max() returns, so it never certifies."""
     return max(p - (1.0 - max(sigma, TOL_GAP)) * d - gap_floor, p)
 
 
@@ -241,15 +230,13 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
     it = 0
     while True:
         v, Jv, d, p = _bounds(J, w)
-        status = _stop_status(p, d, sigma, eps_critical, gap_floor)
-        if status == STATUS_CRITICAL:
-            return DirectionResult(np.zeros(n), d, 0.0, w, it, status, np.zeros(m))
-        if status is not None:
-            return DirectionResult(v, d, p, w, it, status, Jv)
+        if d >= -eps_critical:
+            return DirectionResult(np.zeros(n), d, 0.0, w, it, STATUS_CRITICAL, np.zeros(m))
+        certified = _certificate_excess(p, d, sigma, gap_floor) <= 0.0
+        if certified or on_face_min and not d > d_last:  # also when d is NaN
+            return DirectionResult(v, d, p, w, it, STATUS_CERTIFIED if certified else STATUS_STALLED, Jv)
         support = w > 0.0
         if on_face_min:
-            if not d > d_last:  # also when d is NaN
-                return DirectionResult(v, d, p, w, it, STATUS_STALLED, Jv)
             d_last = d
             support[int(np.where(support, -np.inf, Jv).argmax())] = True
         y = _face_minimizer(G, support)

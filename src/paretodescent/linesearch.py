@@ -18,12 +18,10 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepResult:
-    j: int
+    """The accepted j; the run's record forms t = 2**-j.  It stays a class,
+    not a bare int, because the bench's tracer reads ``.j``."""
 
-    @property
-    def t(self) -> float:
-        """The accepted step, 2**-j."""
-        return 2.0 ** -self.j
+    j: int
 
 
 def armijo_step(

@@ -155,7 +155,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
                 termination = TERMINATION_LINESEARCH
             else:
                 records.append(_record(k, x, Fx, res, st.j))
-                x = x + st.t * res.v
+                x = x + records[-1].t * res.v
                 k += 1
     records.append(_record(k, x, Fx, res))
     return RunReport(records=tuple(records), termination=termination, config=cfg)

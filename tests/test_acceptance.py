@@ -241,15 +241,16 @@ def test_criterion_8_armijo_steps_are_maximal_dyadic():
             continue
         if st.j > 60:
             failures.append(f"triple {count}: j={st.j}")
-        accepted = p.evaluate(x + st.t * res.v, require_finite=False)
-        target = Fx + beta * st.t * Jv
+        t = 2.0 ** -st.j
+        accepted = p.evaluate(x + t * res.v, require_finite=False)
+        target = Fx + beta * t * Jv
         if not np.all(accepted <= target):
             failures.append(f"triple {count}: accepted step violates the decrease test")
         if np.array_equal(target, Fx):
             failures.append(f"triple {count}: accepted target equals F(x), no decrease required")
         if st.j >= 1:
-            doubled = p.evaluate(x + 2.0 * st.t * res.v, require_finite=False)
-            if np.all(np.isfinite(doubled)) and np.all(doubled <= Fx + 2.0 * beta * st.t * Jv):
+            doubled = p.evaluate(x + 2.0 * t * res.v, require_finite=False)
+            if np.all(np.isfinite(doubled)) and np.all(doubled <= Fx + 2.0 * beta * t * Jv):
                 failures.append(f"triple {count}: doubled step also passes")
     _criterion(8, "accepted steps maximal on 500 seeded triples, none exhausted", failures)
 

@@ -18,7 +18,6 @@ from paretodescent.direction import (
     _certificate_excess,
     _face_minimizer,
     _gap_floor,
-    _stop_status,
 )
 from paretodescent.oracle import kkt_direction
 
@@ -471,31 +470,31 @@ class TestSigmaCertificate:
     def test_exact_direction_certifies_at_sigma_zero(self):
         p = primal(np.eye(2), np.array([-0.5, -0.5]))
         assert p == -0.25
-        assert _stop_status(p, -0.25, 0.0, 1e-8, self.FLOOR) == STATUS_CERTIFIED
+        assert _certificate_excess(p, -0.25, 0.0, self.FLOOR) <= 0.0
 
     def test_shrunk_direction_certifies_at_sigma_half(self):
         # primal value -0.4 + 0.16 = -0.24 <= -0.125, but not within the gap tolerance of -0.25
         p = primal(np.eye(2), np.array([-0.4, -0.4]))
-        assert _stop_status(p, -0.25, 0.5, 1e-8, self.FLOOR) == STATUS_CERTIFIED
-        assert _stop_status(p, -0.25, 0.0, 1e-8, self.FLOOR) is None
+        assert _certificate_excess(p, -0.25, 0.5, self.FLOOR) <= 0.0
+        assert not _certificate_excess(p, -0.25, 0.0, self.FLOOR) <= 0.0
 
     def test_zero_direction_fails_at_noncritical_point(self):
         p = primal(np.eye(2), np.zeros(2))
-        assert _stop_status(p, -0.25, 0.5, 1e-8, self.FLOOR) is None
+        assert not _certificate_excess(p, -0.25, 0.5, self.FLOOR) <= 0.0
 
     def test_positive_alpha_rejected(self):
         # within the gap floor of the sigma inequality, a positive alpha_upper
         # is still not certified: a certified direction must beat v = 0
-        assert _stop_status(1e-15, -2e-15, 0.5, 1e-15, self.FLOOR) is None
-        assert _stop_status(-1e-16, -2e-15, 0.5, 1e-15, self.FLOOR) == STATUS_CERTIFIED
+        assert not _certificate_excess(1e-15, -2e-15, 0.5, self.FLOOR) <= 0.0
+        assert _certificate_excess(-1e-16, -2e-15, 0.5, self.FLOOR) <= 0.0
 
     def test_a_sigma_below_the_tolerance_asks_for_what_sigma_zero_asks(self):
         # a relative gap of 5e-11 at d = -1: inside TOL_GAP, far outside the
         # floor, so sigma = 1e-12 must certify it as sigma = 0 does
         p, d = -1.0 + 5e-11, -1.0
         for sigma in (0.0, 1e-12, 5e-11, TOL_GAP):
-            assert _stop_status(p, d, sigma, 1e-8, self.FLOOR) == STATUS_CERTIFIED
-        assert _stop_status(-1.0 + 2e-10, d, 1e-12, 1e-8, self.FLOOR) is None
+            assert _certificate_excess(p, d, sigma, self.FLOOR) <= 0.0
+        assert not _certificate_excess(-1.0 + 2e-10, d, 1e-12, self.FLOOR) <= 0.0
 
     @settings(max_examples=300)
     @given(d=st.one_of(st.just(-1.0), st.floats(-1e6, 0.0)),
@@ -510,8 +509,8 @@ class TestSigmaCertificate:
         p = ratio * d
         lo, hi = sorted(sigmas)
         assert _certificate_excess(p, d, hi, floor) <= _certificate_excess(p, d, lo, floor)
-        if _stop_status(p, d, lo, 1e-300, floor) == STATUS_CERTIFIED:
-            assert _stop_status(p, d, hi, 1e-300, floor) == STATUS_CERTIFIED
+        if _certificate_excess(p, d, lo, floor) <= 0.0:
+            assert _certificate_excess(p, d, hi, floor) <= 0.0
 
     @pytest.mark.parametrize("p, d", [(np.nan, -1.0), (-1.0, np.nan), (np.nan, np.nan),
                                       (-np.inf, -np.inf)],
@@ -520,7 +519,19 @@ class TestSigmaCertificate:
     def test_a_nan_never_certifies(self, p, d, sigma):
         # -inf - (1 - sigma) * -inf is NaN: the excess alone is NaN there
         assert math.isnan(_certificate_excess(p, d, sigma, self.FLOOR))
-        assert _stop_status(p, d, sigma, 1e-8, self.FLOOR) is None
+        assert not _certificate_excess(p, d, sigma, self.FLOOR) <= 0.0
+
+    def test_criticality_is_tested_before_the_certificate(self):
+        # at the barycenter of J = [[1e-5, 0]] both stop tests pass: alpha_lower
+        # = -5e-11 lies above -eps_critical, and the certificate holds with an
+        # excess of about -1.4e-14; the solve reports critical, with v = 0
+        J = np.array([[1e-5, 0.0]])
+        res = solve_sigma_approx(J, 0.0)
+        assert (res.status, res.inner_iterations) == (STATUS_CRITICAL, 0)
+        assert np.array_equal(res.v, [0.0, 0.0]) and res.alpha_upper == 0.0
+        p = primal(J, -(J.T @ res.weights))
+        excess = _certificate_excess(p, res.alpha_lower, 0.0, _gap_floor(float(J[0] @ J[0])))
+        assert -1.5e-14 < excess < -1.4e-14
 
 
 class TestInvariants:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -44,16 +47,16 @@ def counted(f, m=1):
 class TestExamples:
     def test_full_step_on_quadratic(self):
         st = take_step(HALF_SQUARE, [1.0], [-1.0], 0.5)
-        assert st.t == 1.0 and st.j == 0
+        assert st == StepResult(j=0) and 2.0 ** -st.j == 1.0
 
     def test_full_step_on_linear_objective(self):
         st = take_step(LINEAR, [0.0], [-1.0], 0.5)
-        assert st.t == 1.0 and st.j == 0
+        assert st == StepResult(j=0) and 2.0 ** -st.j == 1.0
 
     def test_overshooting_direction_backtracks_to_sixteenth(self):
         # j = 0..3 all fail (at j=3: 0.1953 > 0.1625); j = 4 passes
         st = take_step(HALF_SQUARE, [1.0], [-3.0], 0.9)
-        assert st.j == 4 and st.t == 0.0625
+        assert st == StepResult(j=4) and 2.0 ** -st.j == 0.0625
 
 
 class TestContract:
@@ -66,13 +69,15 @@ class TestContract:
             if res.critical:
                 continue
             st = take_step(p, x, res.v, float(rng.uniform(0.05, 0.95)))
-            assert st.t == 2.0 ** (-st.j)
-            assert st.j >= 0
+            assert type(st.j) is int and st.j >= 0
+            assert 2.0 ** -st.j == math.ldexp(1.0, -st.j)
 
     def test_a_step_result_holds_no_step_but_its_exponent(self):
+        # the run's IterationRecord forms t = 2**-j (test_solver.py)
         with pytest.raises(TypeError):
             StepResult(j=1, t=0.3)
-        assert [StepResult(j=j).t for j in (0, 1, 52, 1074)] == [1.0, 0.5, 2.0 ** -52, 5e-324]
+        assert [f.name for f in fields(StepResult)] == ["j"]
+        assert not hasattr(StepResult(j=0), "t")
 
     def test_accepted_step_is_maximal(self):
         rng = np.random.default_rng(4)
@@ -87,12 +92,13 @@ class TestContract:
             Fx = p.evaluate(x)
             Jv = p.jacobian(x) @ res.v
             st = armijo_step(p, x, Fx, res.v, Jv, beta)
-            accepted = p.evaluate(x + st.t * res.v, require_finite=False)
-            assert np.all(accepted <= Fx + beta * st.t * Jv)
+            t = 2.0 ** -st.j
+            accepted = p.evaluate(x + t * res.v, require_finite=False)
+            assert np.all(accepted <= Fx + beta * t * Jv)
             if st.j >= 1:
-                doubled = p.evaluate(x + 2 * st.t * res.v, require_finite=False)
+                doubled = p.evaluate(x + 2 * t * res.v, require_finite=False)
                 assert not (np.all(np.isfinite(doubled))
-                            and np.all(doubled <= Fx + beta * 2 * st.t * Jv))
+                            and np.all(doubled <= Fx + beta * 2 * t * Jv))
                 checked += 1
         assert checked > 0
 
@@ -101,7 +107,7 @@ class TestContract:
         x = np.array([2.0, 2.0])
         res = solve_sigma_approx(p.jacobian(x), 0.0)
         st = take_step(p, x, res.v, 0.5)
-        after = p.evaluate(x + st.t * res.v)
+        after = p.evaluate(x + 2.0 ** -st.j * res.v)
         before = p.evaluate(x)
         assert np.all(after <= before)
         assert np.any(after < before)
@@ -138,8 +144,9 @@ class TestContract:
         # from 0.25 along v=-1, t=1 and t=1/2 land in the overflow region
         st = armijo_step(spiky, np.array([0.25]), spiky.evaluate([0.25]),
                          np.array([-1.0]), np.array([-0.25]), 0.5)
-        assert st.t <= 0.5
-        assert np.isfinite(spiky.evaluate([0.25 - st.t], require_finite=False)[0])
+        t = 2.0 ** -st.j
+        assert t <= 0.5
+        assert np.isfinite(spiky.evaluate([0.25 - t], require_finite=False)[0])
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_target_warns_of_nothing(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,14 @@ class TestRunContract:
         assert rep.iterations >= 5
         for a, b in zip(rep.records, rep.records[1:]):
             assert np.array_equal(b.x, a.x + a.t * a.v)
+
+    def test_a_record_forms_its_step_from_its_exponent(self):
+        # the one t = 2**-j: run steps by it, and check_armijo and a reloaded
+        # trajectory read it; exact down to the subnormal 2**-1074, and 0 on
+        # the terminal record
+        rec = run(get_problem("scalar_quad").problem, [1.0]).records[0]
+        steps = [replace(rec, j=j).t for j in (0, 1, 52, 1074, -1)]
+        assert steps == [1.0, 0.5, 2.0 ** -52, 5e-324, 0.0]
 
     def test_values_decrease_and_stay_in_initial_level_set(self):
         for name, x0 in (("quad_pair", [0.3, -2.0]), ("quasi_exp", None), ("nonconvex_demo", None)):
