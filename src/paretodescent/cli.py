@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import run_diagnostics
+from .diagnostics import _json_float, run_diagnostics
 from .direction import STATUS_CERTIFIED, solve_sigma_approx
 from .objective import MultiObjective
 from .oracle import check_gradient_characterization, check_weak_pareto_local, sample_quasiconvex
@@ -488,11 +488,6 @@ def load_run(prefix: str | Path) -> tuple[RunReport, dict]:
     return RunReport(records=tuple(records), termination=doc["termination"], config=cfg), doc
 
 
-def _json_float(value: float) -> float | None:
-    """JSON has no NaN or infinity: such values are written as null."""
-    return float(value) if math.isfinite(value) else None
-
-
 def _report_document(settings: RunSettings, report: RunReport, summary) -> dict:
     return {
         "schema": _RUN_SCHEMA,
@@ -528,8 +523,7 @@ def cmd_solve(args) -> int:
     write_trajectory_csv(
         f"{settings.out_prefix}.trajectory.csv", report, settings.problem.n, settings.problem.m
     )
-    doc = _report_document(settings, report, summary)
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(_report_document(settings, report, summary), indent=2, allow_nan=False)
     _write_text(f"{settings.out_prefix}.report.json", text + "\n")
     print(
         f"{settings.problem_name}: {report.termination} after {report.iterations} step(s), "

@@ -31,29 +31,26 @@ __all__ = [
 # bench/tracing.py patches this name; nothing calls it
 solve_exact = None
 
-STATUS_PASS = "pass"
-STATUS_FAIL = "fail"
+
+def _json_float(value: float) -> float | None:
+    """JSON has no NaN or infinity: such values are written as null."""
+    return float(value) if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
     name: str
-    status: str
+    ok: bool
     worst_violation: float
     worst_index: int | None = None
     note: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_PASS
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "status": self.status,
+            "status": "pass" if self.ok else "fail",
             "ok": self.ok,
-            # as report.json stores it: JSON has no infinity, so a non-finite one is null
-            "worst_violation": self.worst_violation if math.isfinite(self.worst_violation) else None,
+            "worst_violation": _json_float(self.worst_violation),
             "worst_index": self.worst_index,
             "note": self.note,
         }
@@ -73,10 +70,9 @@ def _outcome(name: str, pairs: list, note: str = "") -> CheckOutcome:
     """The one verdict rule: no pairs pass vacuously, and otherwise the worst
     measurable violation must be <= 0 (+inf and all-NaN fail, -inf passes)."""
     if not pairs:
-        return CheckOutcome(name, STATUS_PASS, 0.0, None, "vacuous: no steps")
+        return CheckOutcome(name, True, 0.0, None, "vacuous: no steps")
     worst, index = _worst(pairs)
-    status = STATUS_PASS if index is not None and worst <= 0.0 else STATUS_FAIL
-    return CheckOutcome(name, status, worst, index, note)
+    return CheckOutcome(name, index is not None and worst <= 0.0, worst, index, note)
 
 
 def check_armijo(report: RunReport, jacobians) -> CheckOutcome:

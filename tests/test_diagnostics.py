@@ -28,7 +28,6 @@ from paretodescent import cli
 from paretodescent import diagnostics as diagnostics_module
 from paretodescent import direction as direction_module
 from paretodescent import solver as solver_module
-from paretodescent.diagnostics import STATUS_FAIL, STATUS_PASS
 from paretodescent.direction import STATUS_CERTIFIED, _allowance
 from paretodescent.oracle import kkt_direction
 
@@ -116,7 +115,7 @@ class TestDecrease:
         target = r.Fx + (rep.config.beta * r.t) * (problem.jacobian(r.x) @ r.v)
         out = run_diagnostics(problem, risen, 0.0).checks[0]
         assert not _decreases(risen)
-        assert (out.name, out.status, out.worst_index) == ("armijo", STATUS_FAIL, 1)
+        assert (out.name, out.ok, out.worst_index) == ("armijo", False, 1)
         assert out.worst_violation == Fx[1] - target[1] >= 0.2
 
     def test_an_interior_stop_fails_the_armijo_check(self):
@@ -128,10 +127,15 @@ class TestDecrease:
         stopped = _mutated(_mutated(rep, 1, j=-1), 2, Fx=rep.records[1].Fx + 1.0)
         summary = run_diagnostics(desc.problem, stopped, 0.25)
         assert not _decreases(stopped)
-        assert [(c.name, c.status) for c in summary.checks] == [
-            ("armijo", STATUS_FAIL), ("quasi_fejer", STATUS_PASS), ("proximity", STATUS_PASS)]
+        assert [(c.name, c.ok) for c in summary.checks] == [
+            ("armijo", False), ("quasi_fejer", True), ("proximity", True)]
         armijo = summary.checks[0]
         assert (armijo.worst_violation, armijo.worst_index) == (math.inf, 1)
+        # as report.json stores it: spelled "fail", with the infinite worst as null
+        doc = summary.to_dict()
+        assert doc["armijo"] == {"name": "armijo", "status": "fail", "ok": False,
+                                 "worst_violation": None, "worst_index": 1, "note": armijo.note}
+        assert doc["all_ok"] is False
 
     @settings(max_examples=300)
     @given(name=st.sampled_from(list_problems()), sigma=st.sampled_from([0.0, 0.25, 0.9]),
@@ -178,7 +182,7 @@ class TestArmijo:
         Fs = [[30.0 - 0.25 * k, 30.0 - 0.25 * k] for k in range(30)]
         rep = synthetic_report(xs, Fs, vs=[[1.0]] * 30, alpha=-0.5)
         out = check_armijo(rep, [np.array([[-1.0], [-1.0]])] * 29)
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, 0.25, 0)
+        assert (out.ok, out.worst_violation, out.worst_index) == (False, 0.25, 0)
 
     @pytest.mark.parametrize("F, J", [([1.0], [[0.0]]), ([1e20], [[-1.0]])],
                              ids=["flat", "rounded_away"])
@@ -187,7 +191,7 @@ class TestArmijo:
         # meets the target but decreases nothing
         rep = synthetic_report([[0.0], [1.0]], [F, F], vs=[[1.0], [0.0]])
         out = check_armijo(rep, [np.array(J)])
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
+        assert (out.ok, out.worst_violation, out.worst_index) == (False, math.inf, 0)
 
     def test_a_step_length_other_than_two_to_the_minus_j_fails(self):
         # a move of 1/2 along v = 1 from 0, with a decrease beyond the target,
@@ -195,7 +199,7 @@ class TestArmijo:
         rep = synthetic_report([[0.0], [0.5]], [[2.0], [1.0]], vs=[[1.0], [0.0]])
         J = [np.array([[-1.0]])]
         out = check_armijo(rep, J)
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, 0)
+        assert (out.ok, out.worst_violation, out.worst_index) == (False, math.inf, 0)
         assert check_armijo(_mutated(rep, 0, j=1), J).ok
 
     def test_vacuous_without_steps(self):
@@ -207,7 +211,7 @@ class TestArmijo:
         rep = run(desc.problem, [1.0])
         out = check_armijo(rep, stepped_jacobians(desc.problem, rep))
         assert len(rep.stepped_records) == 1
-        assert (out.status, out.worst_violation) == (STATUS_PASS, 0.0)
+        assert (out.ok, out.worst_violation) == (True, 0.0)
         assert out.note == "sum t|v|^2=1.000e+00 telescoped ratio=0.5"
 
     def test_jacobian_count_must_match_the_steps(self):
@@ -224,7 +228,7 @@ class TestArmijo:
         Fx = rep.records[k + 1].Fx.copy()
         Fx[k] = value
         out = check_armijo(_mutated(rep, k + 1, Fx=Fx), jacobians)
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, math.inf, k)
+        assert (out.ok, out.worst_violation, out.worst_index) == (False, math.inf, k)
 
     def test_a_step_without_a_next_record_fails(self):
         desc = get_problem("quad_pair")
@@ -233,8 +237,8 @@ class TestArmijo:
         rep = _mutated(rep, len(rep.records) - 1, j=0)
         jacobians.append(desc.problem.jacobian(rep.records[-1].x))
         out = check_armijo(rep, jacobians)
-        assert (out.status, out.worst_violation, out.worst_index) == (
-            STATUS_FAIL, math.inf, rep.records[-1].k)
+        assert (out.ok, out.worst_violation, out.worst_index) == (
+            False, math.inf, rep.records[-1].k)
 
 
 def steep_pair():
@@ -290,7 +294,7 @@ class TestStepMutations:
         jacobians = stepped_jacobians(problem, rep)
         assert check_armijo(rep, jacobians).ok
         out = check_armijo(mutate(rep, problem), jacobians)
-        assert out.status == STATUS_FAIL and out.worst_violation > 0.0
+        assert not out.ok and out.worst_violation > 0.0
 
     def test_step_accepted_against_armijo(self, monkeypatch):
         # every step forced to t = 1: t = 2**-j and the update hold, and the
@@ -300,7 +304,7 @@ class TestStepMutations:
         monkeypatch.setattr(solver_module, "armijo_step", lambda *args: StepResult(j=0))
         rep = run(problem, [2.0, 2.0], cfg)
         out = check_armijo(rep, stepped_jacobians(problem, rep))
-        assert out.status == STATUS_FAIL and math.isfinite(out.worst_violation)
+        assert not out.ok and math.isfinite(out.worst_violation)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_alpha_upper_made_less_negative(self, sigma):
@@ -311,7 +315,7 @@ class TestStepMutations:
         mutated = dataclasses.replace(first, alpha_upper=0.5 * first.alpha_upper)
         rep = dataclasses.replace(rep, records=(mutated,) + rep.records[1:])
         out = _certificate(desc.problem, rep)
-        assert out.status == STATUS_FAIL and out.worst_index == 0
+        assert not out.ok and out.worst_index == 0
 
     def test_sigma_mismatch(self):
         desc = get_problem("quad_pair")
@@ -320,7 +324,7 @@ class TestStepMutations:
         with pytest.raises(ValueError):
             run_diagnostics(desc.problem, rep, 0.0)
         claimed = dataclasses.replace(rep, config=SolverConfig(sigma=0.0))
-        assert _certificate(desc.problem, claimed).status == STATUS_FAIL
+        assert not _certificate(desc.problem, claimed).ok
 
     def test_uncertified_direction_recorded_as_certified(self, monkeypatch):
         desc = get_problem("quad_pair")
@@ -339,7 +343,7 @@ class TestStepMutations:
         monkeypatch.setattr(solver_module, "solve_sigma_approx", barycenter)
         rep = run(desc.problem, [3.0, 3.0], cfg)
         assert rep.iterations == 5
-        assert _certificate(desc.problem, rep).status == STATUS_FAIL
+        assert not _certificate(desc.problem, rep).ok
 
 
 def _convex_problem(rng, m, n):
@@ -393,7 +397,7 @@ class TestQuasiFejer:
         a = recs[k]
         sq_a = float((a.x - x_tilde) @ (a.x - x_tilde))
         rhs = sq_a + a.t * a.t * float(a.v @ a.v) + 1e-10 * (1.0 + sq_a)
-        assert (out.status, out.worst_index) == (STATUS_FAIL, k)
+        assert (out.ok, out.worst_index) == (False, k)
         assert out.worst_violation == float((moved - x_tilde) @ (moved - x_tilde)) - rhs > 1.0
 
     def test_a_last_step_that_raises_f_is_left_to_armijo(self):
@@ -405,12 +409,12 @@ class TestQuasiFejer:
         away = synthetic_report([[1.0], [0.0], [1.0]], Fs)
         for rep in (toward, away):
             assert not _decreases(rep)
-            assert check_armijo(rep, [np.array([[1.0]])] * 2).status == STATUS_FAIL
+            assert not check_armijo(rep, [np.array([[1.0]])] * 2).ok
         out = check_quasi_fejer(toward)
-        assert (out.status, out.worst_index) == (STATUS_PASS, 1)
+        assert (out.ok, out.worst_index) == (True, 1)
         assert out.worst_violation == 0.0 - (1.0 + 1.0 + 1e-10 * 2.0)
         out = check_quasi_fejer(away)
-        assert (out.status, out.worst_index) == (STATUS_FAIL, 0)
+        assert (out.ok, out.worst_index) == (False, 0)
         assert out.worst_violation == 1.0 - 1e-10
 
     @pytest.mark.filterwarnings("error")
@@ -421,7 +425,7 @@ class TestQuasiFejer:
         rep = run(steep_problem(), [0.0], SolverConfig(max_iter=3))
         assert rep.records[-1].x == -1.75e154
         out = check_quasi_fejer(rep)
-        assert (out.status, out.worst_index) == (STATUS_PASS, 2)
+        assert (out.ok, out.worst_index) == (True, 2)
         assert out.worst_violation == -1.2500000000625e+307
 
     @pytest.mark.filterwarnings("error")
@@ -431,7 +435,7 @@ class TestQuasiFejer:
         rep = run(steep_problem(), [0.0], SolverConfig(max_iter=1))
         assert len(rep.stepped_records) == 1 and rep.records[-1].x == -1e154
         out = check_quasi_fejer(rep)
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_PASS, -math.inf, 0)
+        assert (out.ok, out.worst_violation, out.worst_index) == (True, -math.inf, 0)
         # solve writes the verdict, and JSON's null for the violation
         monkeypatch.setattr(cli, "build_inline_problem",
                             lambda exprs, n=None: steep_problem(name="inline"))
@@ -441,7 +445,7 @@ class TestQuasiFejer:
         diagnostics = json.loads((tmp_path / "s.report.json").read_text())["diagnostics"]
         assert diagnostics["all_ok"] is True
         assert diagnostics["quasi_fejer"] == {
-            "name": "quasi_fejer", "status": STATUS_PASS, "ok": True,
+            "name": "quasi_fejer", "status": "pass", "ok": True,
             "worst_violation": None, "worst_index": 0, "note": ""}
 
     def test_a_report_with_nothing_measurable_fails(self):
@@ -449,14 +453,14 @@ class TestQuasiFejer:
         # measures anything
         rep = synthetic_report([[0.0], [1.0], [math.nan]], [[1.0]] * 3)
         out = check_quasi_fejer(rep)
-        assert (out.status, out.worst_violation, out.worst_index) == (STATUS_FAIL, -math.inf, None)
+        assert (out.ok, out.worst_violation, out.worst_index) == (False, -math.inf, None)
 
     def test_a_report_without_steps_passes_vacuously(self):
         desc = get_problem("scalar_quad")
         rep = run(desc.problem, [0.0])  # starts critical: one record, no step
         assert len(rep.records) == 1
         out = check_quasi_fejer(rep)
-        assert (out.status, out.worst_violation, out.note) == (STATUS_PASS, 0.0, "vacuous: no steps")
+        assert (out.ok, out.worst_violation, out.note) == (True, 0.0, "vacuous: no steps")
 
 
 def one_step_report(J, res, sigma):
@@ -531,7 +535,7 @@ class TestProximity:
         # the first step, far from the critical set, where a relative change
         # of 1e-6 is far above the rounding allowance
         out = check_proximity(_mutated(rep, 0, **mutation(rep.records[0])), jacobians)
-        assert (out.status, out.worst_index) == (STATUS_FAIL, 0)
+        assert (out.ok, out.worst_index) == (False, 0)
         assert out.worst_violation > 0.0
 
     # one step at J = [g1; g2; g1 + g2; (g1 + g2) / 2], whose rows are linearly
@@ -552,21 +556,21 @@ class TestProximity:
         assert check_proximity(self._step(J, w, v, 0.0), [J]).ok
         # a negative weight, at the same sum and the same J^T w
         out = check_proximity(self._step(J, w + [e / 2, e / 2, 0.0, -e], v, 0.0), [J])
-        assert (out.status, out.worst_violation) == (STATUS_FAIL, e)
+        assert (out.ok, out.worst_violation) == (False, e)
         # a sum of 1 - e, at the same J^T w
         out = check_proximity(self._step(J, w + [-e, -e, e, 0.0], v, 0.0), [J])
-        assert (out.status, out.worst_violation) == (STATUS_FAIL, e - 4.0 * 6 * np.finfo(float).eps)
+        assert (out.ok, out.worst_violation) == (False, e - 4.0 * 6 * np.finfo(float).eps)
         # v off -J^T w, with alpha_upper its own primal value, which a loose
         # sigma still certifies
         out = check_proximity(self._step(J, w, v * (1.0 + 1e-3), 0.9), [J])
-        assert out.status == STATUS_FAIL and out.worst_violation == pytest.approx(0.5e-6)
+        assert not out.ok and out.worst_violation == pytest.approx(0.5e-6)
         # a primal value above zero that the gap floor alone would admit:
         # v = -g for weights (1, 0) that do not solve the subproblem at a
         # critical point of gradient scale 1e-8
         J = np.array([[1e-8, 0.0], [-1e-8, 0.0]])
         step = self._step(J, np.array([1.0, 0.0]), np.array([-1e-8, 0.0]), 0.5)
         out = check_proximity(step, [J])
-        assert out.status == STATUS_FAIL and out.worst_violation == step.records[0].alpha_upper > 0.0
+        assert not out.ok and out.worst_violation == step.records[0].alpha_upper > 0.0
 
     def test_note_reports_the_largest_proximity_bound(self):
         desc = get_problem("quasi_exp")
@@ -633,7 +637,7 @@ def test_a_jacobian_that_is_not_bit_reproducible_flips_the_armijo_check():
     first = run_diagnostics(problem, rep, 0.0)
     second = run_diagnostics(problem, rep, 0.0)
     assert len(calls) == 4 and first.all_ok
-    assert [c.status for c in second.checks] == [STATUS_FAIL, STATUS_PASS, STATUS_PASS]
+    assert [c.ok for c in second.checks] == [False, True, True]
     armijo = second.checks[0]
     assert (armijo.name, armijo.worst_violation, armijo.worst_index) == ("armijo", 2.0**-53, 0)
 
