@@ -43,6 +43,7 @@ from paretodescent.direction import STATUS_STALLED
 
 from kernel import PINNED
 from oracles import finite_diff_jacobian
+from test_direction import STALLING_JACOBIAN
 
 
 # an inline problem that sets every run value; CI solves it with the
@@ -1030,12 +1031,6 @@ class TestVerifyCommand:
         assert list(tmp_path.iterdir()) == []
 
 
-# three gradients in R^2 that sum to about 2e-17: under eps_critical = 1e-300
-# the direction solve stalls uncertified after 4 moves at every sigma
-STALLING_JACOBIAN = np.array([[0.5706560135801596, 0.0], [1.3826081419979863, 0.0],
-                              [-1.9532643075147693, 0.0]])
-
-
 def _forced_run(seed, shape, sigma, target, fail_at):
     """Problem, start and config that force ``target``: a seeded convex
     quadratic per criterion, started far from its critical set, or, for
@@ -1044,7 +1039,8 @@ def _forced_run(seed, shape, sigma, target, fail_at):
     their convex hull misses the origin, so no point is critical, and every
     criterion falls linearly along a certified direction, so a full step
     passes the Armijo test.  The other failures come from STALLING_JACOBIAN
-    (under eps_critical = 1e-300, so m = 3 and n = 2) or a numerically
+    with a zero second column (under eps_critical = 1e-300, so m = 3 and
+    n = 2), which stalls the direction solve uncertified, or a numerically
     failing Jacobian at the fail_at-th Jacobian call only: NaN at odd
     fail_at, and at even fail_at a finite one whose Gram matrix overflows.
     A line-search failure comes from negated Jacobians, whose slopes claim a
@@ -1074,7 +1070,7 @@ def _forced_run(seed, shape, sigma, target, fail_at):
         if calls[0] == fail_at and target == "numerical_failure":
             return np.full((m, n), np.nan) if fail_at % 2 else J * 1e200
         if calls[0] == fail_at and target == "subproblem_failure":
-            return STALLING_JACOBIAN
+            return np.hstack([STALLING_JACOBIAN, np.zeros((3, 1))])
         if calls[0] >= fail_at and target == "linesearch_failure":
             return -J
         return J
@@ -1443,7 +1439,7 @@ class TestRoundTripAndDeterminism:
         assert report.config == rep.config
         assert list(map(record_bits, report.records)) == list(map(record_bits, rep.records))
         # an uncertified direction and its inner iterations come back as well
-        J = STALLING_JACOBIAN
+        J = np.hstack([STALLING_JACOBIAN, np.zeros((3, 1))])
         linear = MultiObjective(n=2, m=3, f=lambda x: J @ x, jac=lambda x: J)
         rep = run(linear, [0.0, 0.0], SolverConfig(eps_critical=1e-300))
         assert rep.termination == "subproblem_failure" and rep.iterations == 0

@@ -28,11 +28,7 @@ from paretodescent.solver import (
     TERMINATION_SUBPROBLEM,
 )
 
-
-# three gradients in R^2 that sum to about 2e-17: under eps_critical = 1e-300
-# the direction solve stalls uncertified, below the rounding floor
-STALLING_JACOBIAN = np.array([[0.5706560135801596, 0.0], [1.3826081419979863, 0.0],
-                              [-1.9532643075147693, 0.0]])
+from test_direction import STALLING_JACOBIAN
 
 
 def linear_problem(J):
@@ -144,7 +140,8 @@ class TestRunContract:
 
     def test_subproblem_failure_is_reported_not_raised(self):
         # three linear criteria whose direction solve stalls at the start
-        rep = run(linear_problem(STALLING_JACOBIAN), [0.0, 0.0], SolverConfig(eps_critical=1e-300))
+        J = np.hstack([STALLING_JACOBIAN, np.zeros((3, 1))])
+        rep = run(linear_problem(J), [0.0, 0.0], SolverConfig(eps_critical=1e-300))
         assert rep.termination == TERMINATION_SUBPROBLEM
         assert not rep.records[-1].sigma_certified
 
@@ -270,7 +267,8 @@ class TestIsCritical:
         np.testing.assert_allclose(res.alpha_upper, -0.25, atol=1e-10)
 
     def test_uncertified_subproblem_is_neither_critical_nor_certified(self):
-        res = solve_sigma_approx(STALLING_JACOBIAN, 0.0, eps_critical=1e-300)
+        J = np.hstack([STALLING_JACOBIAN, np.zeros((3, 1))])
+        res = solve_sigma_approx(J, 0.0, eps_critical=1e-300)
         assert res.status == STATUS_STALLED
         assert not res.critical and not res.sigma_certified
 
