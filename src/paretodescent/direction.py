@@ -42,8 +42,9 @@ iterate, and a move O(1) on a face of one or two vertices, O(k^3) for the
 bordered system on a face of k >= 3.  For small m and n the fixed cost of
 each numpy call dominates: one to two microseconds for a ufunc or reduction
 on a 2x2 array, about ten for np.linalg.solve (x86-64 Xeon, Python 3.11,
-numpy 2.4).  So small faces are solved on Python floats, the bordered system
-is built by hand, and the code calls ndarray methods, not module wrappers.
+numpy 2.4), against tens of nanoseconds per entry of a list.  So the loop's
+m-vectors are lists of Python floats, under numpy's elementwise and argmax
+rules, and the products with J or G and the bordered system stay numpy.
 """
 
 from __future__ import annotations
@@ -114,12 +115,19 @@ def _gap_floor(trace: float) -> float:
     return 64.0 * _EPS * max(1.0, trace)
 
 
-def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """v = -J^T w and J v, with the lower and upper bounds read off J."""
+def _arg(pick, values: list) -> int:
+    """np.argmax (pick=max) or np.argmin (pick=min) of floats: the first NaN
+    (which makes the sum NaN), else the first value pick selects."""
+    nans = list(map(math.isnan, values)) if math.isnan(sum(values)) else ()
+    return nans.index(True) if True in nans else values.index(pick(values))
+
+
+def _bounds(J: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list, float, float]:
+    """v = -J^T w and the slopes J v, with the lower and upper bounds read off J."""
     v = -(J.T @ w)
-    Jv = J @ v
+    slopes = (J @ v).tolist()
     vv = float(v @ v)
-    return v, Jv, -0.5 * vv, float(Jv.max()) + 0.5 * vv
+    return v, slopes, -0.5 * vv, slopes[_arg(max, slopes)] + 0.5 * vv
 
 
 def _allowance(G: np.ndarray, n: int) -> float:
@@ -147,8 +155,8 @@ def _allowance(G: np.ndarray, n: int) -> float:
     return 4.0 * (n + m) * _EPS * max(1.0, float(G.diagonal().max()))
 
 
-def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Minimizer of w.Gw on the affine hull of the face {w = 0 off support}.
+def _face_minimizer(G: np.ndarray, idx: list[int]) -> list[float]:
+    """Minimizer of w.Gw on the affine hull of the face {w = 0 off idx}, a list.
 
     A face {i} is its own minimizer.  A face {i, l} takes Wolfe's segment
     formula: with a = G_ii, b = G_il, c = G_ll and den = (a - b) + (c - b),
@@ -159,11 +167,10 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
     maximum, by least squares when the face's gradients are affinely
     dependent and the system singular, which LU may miss and answer with
     inf or NaN when it pivots on a subnormal entry."""
-    idx = support.nonzero()[0]
-    k = idx.size
-    y = np.zeros(G.shape[0])
+    k = len(idx)
+    y = [0.0] * G.shape[0]
     if k == 1:
-        y[idx] = 1.0
+        y[idx[0]] = 1.0
         return y
     if k == 2:
         i, l = idx
@@ -172,19 +179,20 @@ def _face_minimizer(G: np.ndarray, support: np.ndarray) -> np.ndarray:
         if 0.0 < den < math.inf:
             y[i], y[l] = (c - b) / den, (a - b) / den
             return y
-    G_SS = G if k == G.shape[0] else G[idx[:, None], idx]
+    G_SS = G if k == G.shape[0] else G.take(idx, 0).take(idx, 1)
     K = np.ones((k + 1, k + 1))
-    np.divide(G_SS, max(float(G_SS.diagonal().max()), _TINY), out=K[:k, :k])
+    np.divide(G_SS, max(*G_SS.diagonal().tolist(), _TINY), out=K[:k, :k])
     K[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     try:
-        sol = np.linalg.solve(K, rhs)
-        if not np.isfinite(sol).all():
+        sol = np.linalg.solve(K, rhs).tolist()
+        if not all(map(math.isfinite, sol)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    y[idx] = sol[:-1]
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0].tolist()
+    for i, yi in zip(idx, sol):
+        y[i] = yi
     return y
 
 
@@ -224,31 +232,35 @@ def solve_sigma_approx(J, sigma: float, *, eps_critical: float = EPS_CRITICAL) -
     if not math.isfinite(trace):
         raise NonFiniteError("Gram matrix J J^T has a non-finite trace")
     gap_floor = _gap_floor(trace)
-    w = np.full(m, 1.0 / m)
+    w = [1.0 / m] * m
     on_face_min = False  # w minimizes psi on the face of its support
     d_last = -math.inf  # alpha_lower at the last face minimizer
     it = 0
     while True:
-        v, Jv, d, p = _bounds(J, w)
+        weights = np.array(w, float)
+        v, slopes, d, p = _bounds(J, weights)
         if d >= -eps_critical:
-            return DirectionResult(np.zeros(n), d, 0.0, w, it, STATUS_CRITICAL, np.zeros(m))
+            return DirectionResult(np.zeros(n), d, 0.0, weights, it, STATUS_CRITICAL, np.zeros(m))
         certified = _certificate_excess(p, d, sigma, gap_floor) <= 0.0
         if certified or on_face_min and not d > d_last:  # also when d is NaN
-            return DirectionResult(v, d, p, w, it, STATUS_CERTIFIED if certified else STATUS_STALLED, Jv)
-        support = w > 0.0
+            return DirectionResult(v, d, p, weights, it, STATUS_CERTIFIED if certified else STATUS_STALLED,
+                                   np.array(slopes))
+        enter = -1
         if on_face_min:
             d_last = d
-            support[int(np.where(support, -np.inf, Jv).argmax())] = True
+            enter = _arg(max, [-math.inf if wi > 0.0 else si for wi, si in zip(w, slopes)])
+        support = [i for i, wi in enumerate(w) if wi > 0.0 or i == enter]
         y = _face_minimizer(G, support)
-        blocking = support & (y < 0.0)
-        if not blocking.any():
+        blocking = [i for i in support if y[i] < 0.0]
+        if not blocking:
             w, on_face_min = y, True
         else:
-            # the largest step towards y that keeps w >= 0 zeroes the first
-            # blocking weight, which leaves the support
-            ratios = w[blocking] / (w[blocking] - y[blocking])
-            first = int(ratios.argmin())
-            w = np.maximum(w + ratios[first] * (y - w), 0.0)
-            w[blocking.nonzero()[0][first]] = 0.0
+            # the largest step r towards y that keeps w >= 0 zeroes the first blocking
+            # weight, which leaves the support; a NaN or -0.0 stays, as in np.maximum
+            ratios = [w[i] / (w[i] - y[i]) for i in blocking]
+            first = _arg(min, ratios)
+            r = ratios[first]
+            w = [0.0 if (q := wi + r * (yi - wi)) < 0.0 else q for wi, yi in zip(w, y)]
+            w[blocking[first]] = 0.0
             on_face_min = False
         it += 1

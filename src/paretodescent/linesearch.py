@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -40,28 +42,27 @@ def armijo_step(
 
     compared with zero slack.  ``Jv`` is the vector of directional slopes
     J(x) @ v, passed in so the caller computes it exactly once.  Trial values
-    that come back non-finite count as failures, so backtracking recovers
-    from overflow regions, and an overflow in the target or the trial point
-    raises no numpy warning.  Raises ``LineSearchError`` once the target lies
-    below F(x) in no component (beta*t*Jv rounded away against F(x), a Jv
-    with no negative entry, or a NaN target), where a trial could pass by
-    rounding alone; that signals either a non-descent direction due to
-    numerical error or an objective inconsistent with its Jacobian.  Every
-    search ends by j = 1075, where 2**-1075 is 0.
+    that come back non-finite count as failures, so backtracking recovers from
+    overflow regions.  The target is formed and compared on Python floats, and
+    x + t*v with numpy's warnings off, so no overflow warns.  Raises
+    ``LineSearchError`` once the target lies below F(x) in no component
+    (beta*t*Jv rounded away against F(x), a Jv with no negative entry, or a NaN
+    target), where a trial could pass by rounding alone; that signals either a
+    non-descent direction due to numerical error or an objective inconsistent
+    with its Jacobian.  Every search ends by j = 1075, where 2**-1075 is 0.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    Fx = np.asarray(Fx, dtype=float)
-    Jv = np.asarray(Jv, dtype=float)
+    Fx, Jv = np.asarray(Fx, dtype=float).tolist(), np.asarray(Jv, dtype=float).tolist()
     with np.errstate(all="ignore"):
         for j in count():
             t = 2.0 ** (-j)
-            target = Fx + (beta * t) * Jv
-            if not (target < Fx).any():
+            target = [f + (beta * t) * s for f, s in zip(Fx, Jv)]
+            if not any(map(operator.lt, target, Fx)):
                 raise LineSearchError(f"Armijo target F(x) + beta*t*J v lies below F(x) in no "
                                       f"component at t = 2**-{j}")
-            trial = problem.evaluate(x + t * v, require_finite=False)
-            if (trial <= target).all() and np.isfinite(trial).all():
+            trial = problem.evaluate(x + t * v, require_finite=False).tolist()
+            if all(map(operator.le, trial, target)) and all(map(math.isfinite, trial)):
                 return StepResult(j=j)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,12 +89,12 @@ def _quad_pair_sample(rng):
 
 
 def _cubic_eval(x):
-    t = x[0]
+    t = x[0]  # a numpy scalar: ** on a Python float raises OverflowError, not inf
     return np.array([t, -(t**3) / 3.0])
 
 
 def _cubic_jac(x):
-    t = x[0]
+    (t,) = x.tolist()
     return np.array([[1.0], [-t * t]])
 
 
@@ -106,24 +107,24 @@ _QE_S2 = 5.0
 
 
 def _quasi_exp_eval(x):
-    s1 = x[0] - _QE_C1
-    s2 = x[1] - _QE_C2
-    g2 = np.sqrt(1.0 + s2 * s2) - 1.0
+    x1, x2 = x.tolist()
+    s1, s2 = x1 - _QE_C1, x2 - _QE_C2
+    g2 = math.sqrt(1.0 + s2 * s2) - 1.0
     return np.array(
         [
-            _QE_S1 * (np.sqrt(1.0 + s1 * s1) - 1.0),
+            _QE_S1 * (math.sqrt(1.0 + s1 * s1) - 1.0),
             _QE_S2 * (1.0 - np.exp(-g2)),
         ]
     )
 
 
 def _quasi_exp_jac(x):
-    s1 = x[0] - _QE_C1
-    s2 = x[1] - _QE_C2
-    r2 = np.sqrt(1.0 + s2 * s2)
+    x1, x2 = x.tolist()
+    s1, s2 = x1 - _QE_C1, x2 - _QE_C2
+    r2 = math.sqrt(1.0 + s2 * s2)
     return np.array(
         [
-            [_QE_S1 * s1 / np.sqrt(1.0 + s1 * s1), 0.0],
+            [_QE_S1 * s1 / math.sqrt(1.0 + s1 * s1), 0.0],
             [0.0, _QE_S2 * np.exp(-(r2 - 1.0)) * s2 / r2],
         ]
     )
@@ -149,12 +150,12 @@ def _scalar_quad_jac(x):
 
 
 def _nonconvex_eval(x):
-    t = x[0]
+    t = x[0]  # a numpy scalar, as in _cubic_eval
     return np.array([(t * t - 1.0) ** 2, (t - 2.0) ** 2])
 
 
 def _nonconvex_jac(x):
-    t = x[0]
+    (t,) = x.tolist()
     return np.array([[4.0 * t * (t * t - 1.0)], [2.0 * (t - 2.0)]])
 
 

@@ -134,7 +134,7 @@ def run(problem: MultiObjective, x0, cfg: SolverConfig | None = None) -> RunRepo
     while termination is None:
         Fx = problem.evaluate(x, require_finite=False)
         try:
-            if not np.isfinite(Fx).all():
+            if not all(map(math.isfinite, Fx.tolist())):
                 raise NonFiniteError("F(x) has non-finite entries")
             res = solve_sigma_approx(problem.jacobian(x), cfg.sigma, eps_critical=cfg.eps_critical)
         except NonFiniteError:

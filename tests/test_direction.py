@@ -15,6 +15,7 @@ from paretodescent.direction import (
     STATUS_STALLED,
     TOL_GAP,
     _allowance,
+    _arg,
     _certificate_excess,
     _face_minimizer,
     _gap_floor,
@@ -337,6 +338,29 @@ class TestGramSpaceLoop:
         if PINNED:
             assert res.inner_iterations == 5
 
+    def test_the_first_of_tied_largest_slopes_off_the_support_enters(self):
+        # g_1 = g_2 = (2, 0) is the min-norm point.  After four moves w = e_3,
+        # a face minimizer, and the slopes of g_1 and g_2, off its support,
+        # tie bit for bit as the largest; 1 enters, and the face {1, 3} ends
+        # on the vertex g_1 (entering 2 would end on g_2)
+        J = np.array([[3.0, 2.0], [2.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 3.0]])
+        res = solve_sigma_approx(J, 0.0, eps_critical=1e-12)
+        assert res.status == STATUS_CERTIFIED and res.alpha_upper == res.alpha_lower == -2.0
+        assert res.weights[1] + res.weights[2] == 1.0
+        if PINNED:
+            assert (res.weights.tolist(), res.inner_iterations) == ([0.0, 1.0, 0.0, 0.0, 0.0], 6)
+
+    def test_the_first_of_tied_blocking_ratios_leaves(self):
+        # the first move, from the barycenter to the full face's minimizer,
+        # blocks at vertices 1 and 2 with equal ratios, 0.5454545454545453,
+        # though y_1 and y_2 differ in their last bits; 1 leaves, and the
+        # solve reaches critical after five moves (when 2 left, after four)
+        J = np.array([[3.0, 2.0], [3.0, 1.0], [-3.0, 0.0], [-1.0, -0.5], [-2.0, 2.0]])
+        res = solve_sigma_approx(J, 0.0, eps_critical=1e-12)
+        assert res.status == STATUS_CRITICAL
+        if PINNED:
+            assert res.inner_iterations == 5
+
     @settings(max_examples=300)
     @given(**_HARD_CASES)
     def test_every_solve_ends_within_the_move_bound(self, J, sigma, eps_critical):
@@ -403,6 +427,18 @@ class TestGramSpaceLoop:
                 assert abs((0.5 * wGw - float(Gw.min())) - (Jv_max + 0.5 * vv)) <= allowance
 
 
+class TestArgRules:
+    # the loop's m-vectors are lists of floats; _arg picks from them by
+    # numpy's rules: the first NaN if any, else the first extreme, with
+    # -0.0 and 0.0 equal
+    @settings(max_examples=300)
+    @given(values=st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]),
+                                     st.floats()), min_size=1, max_size=8))
+    def test_arg_picks_as_numpy_does(self, values):
+        assert _arg(max, values) == int(np.argmax(values))
+        assert _arg(min, values) == int(np.argmin(values))
+
+
 class TestClosedFormFaces:
     @settings(max_examples=300)
     @given(J=_hard_jacobians(rows=st.just(2)))
@@ -413,24 +449,24 @@ class TestClosedFormFaces:
         # passes) reaches the optimal value that kkt_direction enumerates
         G = J @ J.T
         assume(0.0 < (G[0, 0] - G[0, 1]) + (G[1, 1] - G[0, 1]) < math.inf)
-        y = _face_minimizer(G, np.ones(2, dtype=bool))
+        y = np.array(_face_minimizer(G, [0, 1]))
         assert abs(y.sum() - 1.0) <= 2.0 * np.finfo(float).eps * np.abs(y).sum()
         w = y if (y >= 0.0).all() else (y > 0.0).astype(float)
         floor = 64 * np.finfo(float).eps * max(1.0, float(np.sum(J * J)))
         assert abs(0.5 * float(np.sum((J.T @ w) ** 2)) + kkt_direction(J)[2]) <= floor
 
     @pytest.mark.parametrize("support, J", [
-        ([False, True, False], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
-        ([True, False, True], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
+        ([1], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
+        ([0, 2], np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])),
     ])
     def test_faces_of_one_and_two_vertices_need_no_linear_solve(self, monkeypatch, support, J):
         def refuse(*args):
             raise AssertionError("np.linalg.solve called")
 
         monkeypatch.setattr(np.linalg, "solve", refuse)
-        y = _face_minimizer(J @ J.T, np.array(support))
+        y = _face_minimizer(J @ J.T, support)
         # g_0 = (1, 0) and g_2 = (3, 1): (G_22 - G_02)/den = 7/5 and (G_00 - G_02)/den = -2/5
-        assert y.tolist() == ([0.0, 1.0, 0.0] if sum(support) == 1 else [7 / 5, 0.0, -2 / 5])
+        assert y == ([0.0, 1.0, 0.0] if len(support) == 1 else [7 / 5, 0.0, -2 / 5])
 
     @pytest.mark.parametrize("J", [
         np.array([[1.0, 2.0], [1.0, 2.0]]),  # coincident: den = 0
@@ -446,7 +482,7 @@ class TestClosedFormFaces:
             return solve(K, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        y = _face_minimizer(J @ J.T, np.ones(2, dtype=bool))
+        y = np.array(_face_minimizer(J @ J.T, [0, 1]))
         assert systems == [(3, 3)]
         assert np.abs(y - 0.5).max() <= 4 * np.finfo(float).eps
 

@@ -136,6 +136,34 @@ class TestContract:
             armijo_step(p, np.array([0.0]), np.array([0.0, 0.0]), np.array([1.0]), np.array(Jv), 0.5)
         assert calls == []
 
+    def test_a_nan_slope_beside_a_descending_one_rejects_every_trial(self):
+        # the NaN target compares false with every trial, so the search runs
+        # until the other component's target 0.5 - 2**-(j+1) rounds to 0.5
+        p, calls = counted(lambda t: [0.5 * t * t, t], m=2)
+        with pytest.raises(LineSearchError, match=r"t = 2\*\*-54$"):
+            armijo_step(p, np.array([1.0]), np.array([0.5, 1.0]), np.array([-1.0]),
+                        np.array([-1.0, np.nan]), 0.5)
+        assert len(calls) == 54
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_trial_is_rejected_whatever_it_compares_as(self, value):
+        # from 0.25 along v = -1, the trials at t = 1 (x = -0.75) take the
+        # value; -inf lies below the target, so only the finiteness test
+        # rejects it.  t = 1/2 fails the decrease and t = 1/4 passes
+        p, calls = counted(lambda t: value if t < -0.5 else 0.5 * t * t)
+        st = armijo_step(p, np.array([0.25]), np.array([0.03125]), np.array([-1.0]),
+                         np.array([-0.25]), 0.5)
+        assert st.j == 2 and len(calls) == 3
+
+    @pytest.mark.parametrize("Fx, Jv, value", [
+        ([0.5, 0.5], [-1.0, -1.0], -0.0),  # target 0.5 - 0.5 = +0.0, trial -0.0
+        ([-0.0, 0.5], [-0.0, -1.0], 0.0),  # target -0.0 + 0.5*(-0.0) = -0.0, trial +0.0
+    ])
+    def test_a_trial_equal_to_its_target_but_for_the_sign_of_zero_passes(self, Fx, Jv, value):
+        p, calls = counted(lambda t: [value, 0.5 * t * t], m=2)
+        st = armijo_step(p, np.array([1.0]), np.array(Fx), np.array([-1.0]), np.array(Jv), 0.5)
+        assert st.j == 0 and len(calls) == 1
+
     def test_nonfinite_trials_count_as_rejections(self):
         def f(x):
             return np.array([np.inf if x[0] < -0.5 else 0.5 * x[0] ** 2])

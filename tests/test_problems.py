@@ -45,6 +45,15 @@ def test_descriptor_shapes_are_consistent():
         assert p.jacobian(desc.recommended_x0).shape == (p.m, p.n)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_value_that_overflows_is_infinite_not_an_error(name):
+    # run's line search evaluates far trial points and rejects a non-finite
+    # value; at 1e200 every builtin has a criterion past the largest double,
+    # and ** on a Python float would raise OverflowError there
+    p = get_problem(name).problem
+    assert not np.isfinite(p.evaluate(np.full(p.n, 1e200), require_finite=False)).all()
+
+
 class TestDescriptorFacts:
     def test_cubic_pair_is_pseudo_convex_with_all_points_critical(self):
         desc = get_problem("paper_cubic")
