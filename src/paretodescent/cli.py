@@ -369,10 +369,10 @@ def _resolve_settings(args) -> RunSettings:
 # ---------------------------------------------------------------------------
 # trajectory and report serialization
 
-def _integer(low: int, high: float = math.inf) -> Callable[[str], int]:
+def _integer(low: int, high: float = math.inf, _digits=re.compile("-?[0-9]+")) -> Callable[[str], int]:
     """Reader of an integer column: an optional '-' and ASCII digits, from low to high."""
     def read(text: str) -> int:
-        if not (re.fullmatch("-?[0-9]+", text) and low <= int(text) <= high):
+        if not (_digits.fullmatch(text) and low <= int(text) <= high):
             raise ValueError(text)
         return int(text)
     return read
@@ -382,7 +382,7 @@ def _integer(low: int, high: float = math.inf) -> Callable[[str], int]:
 # F (m), v (n) and the dual weights w (m); k is the row's position, and t is 2**-j
 _SCALAR_COLUMNS = (
     ("j", _integer(-1)), ("alpha_upper", float), ("alpha_lower", float),
-    ("sigma_certified", lambda text: _integer(0, 1)(text) == 1), ("inner_iterations", _integer(0)),
+    ("sigma_certified", lambda text, bit=_integer(0, 1): bit(text) == 1), ("inner_iterations", _integer(0)),
 )
 
 
