@@ -116,8 +116,8 @@ def _gap_floor(trace: float) -> float:
 
 
 def _arg(pick, values: list) -> int:
-    """np.argmax (pick=max) or np.argmin (pick=min) of floats: the first NaN
-    (which makes the sum NaN), else the first value pick selects."""
+    """np.argmax (pick=max) or np.argmin (pick=min) of floats: the first NaN,
+    sought only when the sum is NaN, else the first value pick selects."""
     nans = list(map(math.isnan, values)) if math.isnan(sum(values)) else ()
     return nans.index(True) if True in nans else values.index(pick(values))
 
